@@ -34,13 +34,24 @@ request:
     a floating-point rotation introduces while keeping genuinely
     different geometries apart.
 
-The canonical link order sorts links by a per-link invariant feature
-row (own length, rate, sorted distance row, sorted distance column).
-Links with bit-identical feature rows are ordered arbitrarily; for such
-fully-symmetric geometries two relabelings can hash differently (a
-miss, never a wrong hit).  The Hypothesis suite checks invariance on
-the adversarial fuzzer families, where ties do not survive
-quantization.
+The canonical link order sorts links by a per-link invariant key:
+own length, rate, then the link's sorted distance row and sorted
+distance column.  One ``np.lexsort`` over the first two fields
+decides almost every instance; only when two links still tie on both
+does a second ``np.lexsort`` run over the full key.  Both sorts are
+stable, so links whose full keys tie keep their input order — exactly
+the order a stable sort of the per-link key tuples gives, so
+fingerprints and orders are bit-identical to that definition (the
+loop-reference test pins it).  For fully symmetric geometries two
+relabelings can therefore hash differently (a miss, never a wrong
+hit); the Hypothesis suite checks invariance on the adversarial
+fuzzer families, where ties do not survive quantization.
+
+Cost: quantizing and hashing the N x N matrix is O(N^2) NumPy work,
+the primary order O(N log N); the full-key fallback adds O(N^2 log N)
+sorting, also in NumPy.  The distance matrix is the problem's own cached
+:meth:`~repro.core.problem.FadingRLS.distances`, so a cache miss
+builds it once and the scheduler's F build reuses it.
 """
 
 from __future__ import annotations
@@ -52,7 +63,6 @@ from typing import Any, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.distance import cross_distances
 from repro.network.links import LinkSet
 
 __all__ = [
@@ -179,25 +189,14 @@ def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
     orders align link for link — which is what lets a cached schedule
     be remapped onto a differently-labelled copy.
     """
-    senders, receivers, rates = _link_arrays(problem.links)
+    _, _, rates = _link_arrays(problem.links)
     n = rates.shape[0]
-    dist = cross_distances(senders, receivers)
+    dist = problem.distances()
     own = np.diag(dist)
     scale = float(own.mean()) if n else 1.0
     quanta = np.rint(dist / (scale * QUANTUM)).astype(np.int64)
     rate_q = np.rint(rates / QUANTUM).astype(np.int64)
-
-    keys = []
-    for i in range(n):
-        keys.append(
-            (
-                int(quanta[i, i]),
-                int(rate_q[i]),
-                tuple(sorted(quanta[i, :].tolist())),
-                tuple(sorted(quanta[:, i].tolist())),
-            )
-        )
-    order = np.asarray(sorted(range(n), key=keys.__getitem__), dtype=np.int64)
+    order = _canonical_order(quanta, rate_q)
 
     h = hashlib.sha256()
     h.update(_FINGERPRINT_SALT)
@@ -215,6 +214,22 @@ def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
         powers_q = np.rint(np.asarray(problem.powers, dtype=np.float64) / QUANTUM)
         h.update(np.ascontiguousarray(powers_q.astype(np.int64)[order]).tobytes())
     return h.hexdigest()[:24], order
+
+
+def _canonical_order(quanta: np.ndarray, rate_q: np.ndarray) -> np.ndarray:
+    """Stable order of links by ``(own, rate, sorted row, sorted column)``.
+
+    ``np.lexsort`` treats its *last* key as primary.  The full key is
+    only built when the primary pair leaves adjacent ties.
+    """
+    own_q = np.diagonal(quanta)
+    order = np.lexsort((rate_q, own_q))
+    first, rest = order[:-1], order[1:]
+    if np.any((own_q[first] == own_q[rest]) & (rate_q[first] == rate_q[rest])):
+        rows = np.sort(quanta, axis=1).T  # rows[k, i]: k-th smallest of row i
+        cols = np.sort(quanta, axis=0)  # cols[k, i]: k-th smallest of column i
+        order = np.lexsort(np.vstack((cols[::-1], rows[::-1], rate_q, own_q)))
+    return order.astype(np.int64, copy=False)
 
 
 def topology_fingerprint(problem) -> str:

@@ -31,7 +31,7 @@ import asyncio
 import json
 import re
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.service import schemas
 from repro.service.broker import ScheduleBroker, ServiceError
@@ -53,6 +53,10 @@ _SESSION_RE = re.compile(r"^/v1/sessions/([A-Za-z0-9_.-]{1,64})/delta$")
 #: Refuse request bodies beyond this many bytes with 413 (a 4096-link
 #: topology serialises to ~300 KiB; 8 MiB leaves generous headroom).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: On close, a connection still busy this many seconds after the
+#: listener stopped is aborted.
+CLOSE_GRACE_SECONDS = 5.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -84,6 +88,11 @@ class ScheduleServer:
         self.access_log = access_log
         self._server: Optional[asyncio.AbstractServer] = None
         self._started = time.monotonic()
+        # live connection handlers, and the writers of those waiting
+        # for their next request head (safe to close at shutdown)
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # -- lifecycle ----------------------------------------------------
 
@@ -104,11 +113,30 @@ class ScheduleServer:
         return sockname[0], sockname[1]
 
     async def close(self) -> None:
-        """Stop accepting and close listening sockets."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, then end every open connection.
+
+        Idle keep-alive connections are closed at once; a connection in
+        the middle of a request gets its response (with ``Connection:
+        close``) first.  Handlers still running after
+        :data:`CLOSE_GRACE_SECONDS` are aborted.  Every handler returns
+        on its own, so none is left for the event loop's shutdown to
+        cancel (on Python 3.11 a cancelled handler makes ``asyncio`` log
+        a traceback).
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        self._closing = True
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            _, pending = await asyncio.wait(list(self._handlers), timeout=CLOSE_GRACE_SECONDS)
+            for task in pending:
+                self._handlers[task].transport.abort()
+            if pending:
+                await asyncio.wait(pending, timeout=1.0)
+        await self._server.wait_closed()
+        self._server = None
 
     @property
     def uptime_seconds(self) -> float:
@@ -119,8 +147,10 @@ class ScheduleServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._handlers[asyncio.current_task()] = writer
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
                 except (
@@ -129,6 +159,8 @@ class ScheduleServer:
                     asyncio.LimitOverrunError,
                 ):
                     break
+                finally:
+                    self._idle.discard(writer)
                 parsed = _parse_head(head)
                 if parsed is None:
                     await self._respond(
@@ -167,7 +199,9 @@ class ScheduleServer:
                         break
                 t0 = time.perf_counter()
                 status, payload = await self._dispatch(method, path, body)
-                keep_alive = headers.get("connection", "").lower() != "close"
+                keep_alive = (
+                    not self._closing and headers.get("connection", "").lower() != "close"
+                )
                 await self._respond(writer, status, payload, keep_alive=keep_alive)
                 if self.access_log is not None:
                     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -187,6 +221,8 @@ class ScheduleServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                del self._handlers[asyncio.current_task()]
 
     async def _respond(
         self,

@@ -209,6 +209,13 @@ def _abandon(pool: ProcessPoolExecutor) -> None:
     # reading it afterwards finds nothing and hung workers would survive
     # to stall interpreter exit until their sleep expires.
     processes = dict(getattr(pool, "_processes", None) or {})
+    # The executor's manager thread reaps the same pids.  Whichever
+    # waitpid() loses that race gets ECHILD, and until the manager
+    # records the exit code, ``Process.is_alive()`` reads True for a
+    # dead worker.  Joining the manager (snapshotted too: shutdown()
+    # drops it as well) after the kills settles every exit code before
+    # this returns.
+    manager = getattr(pool, "_executor_manager_thread", None)
     # Forget pending work before the kill lands: the manager thread's
     # broken-pool path sets an exception on every pending future, racing
     # the ones the supervision loop already resolved (InvalidStateError
@@ -228,6 +235,8 @@ def _abandon(pool: ProcessPoolExecutor) -> None:
             proc.join(timeout=1.0)  # reap; SIGKILL lands immediately
         except Exception:  # pragma: no cover - best-effort cleanup
             pass
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 def _serial_unit(

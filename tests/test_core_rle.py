@@ -174,6 +174,10 @@ class TestC2Tradeoff:
         assert lo.diagnostics["c1"] < hi.diagnostics["c1"]
 
 
+#: Seeds of the 12-link Thm 4.4 instances that violate the literal bound.
+THM44_LITERAL_VIOLATED = (0, 1, 2, 4)
+
+
 class TestThm44Ratio:
     """Approximation quality against the exact optimum.
 
@@ -182,8 +186,9 @@ class TestThm44Ratio:
     (~3.73 at the paper's parameters) is *violated* empirically — tight
     12-link instances reach opt/RLE = 5.0.  The theorem's
     eps-dependence is suspect (as eps -> 0 it claims RLE is optimal).
-    We pin the honest empirical behaviour with a constant sanity bound
-    and xfail the literal claim.
+    We pin the honest empirical behaviour with a constant sanity bound,
+    and pin the literal claim per seed: it fails on seeds 0, 1, 2 and 4
+    (strict xfails) and holds on seed 3.
     """
 
     @pytest.mark.parametrize("seed", range(8))
@@ -198,12 +203,22 @@ class TestThm44Ratio:
         # Constant bound holds empirically with wide margin (max seen: 5).
         assert opt / rle <= 10.0
 
-    @pytest.mark.xfail(
-        reason="Thm 4.4's literal constant does not hold empirically; "
-        "see EXPERIMENTS.md (reproduction finding)",
-        strict=False,
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(
+                seed,
+                marks=pytest.mark.xfail(
+                    reason="Thm 4.4's literal constant does not hold on this "
+                    "seed; see EXPERIMENTS.md (reproduction finding 1)",
+                    strict=True,
+                ),
+            )
+            if seed in THM44_LITERAL_VIOLATED
+            else seed
+            for seed in range(5)
+        ],
     )
-    @pytest.mark.parametrize("seed", range(5))
     def test_paper_literal_bound(self, seed):
         from repro.core.bounds import rle_approximation_ratio
         from repro.core.exact import branch_and_bound_schedule

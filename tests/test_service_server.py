@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ import pytest
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
+from repro.service import server as server_module
 from repro.service.broker import ScheduleBroker
 from repro.service.loadgen import build_topology_payload
 from repro.service.server import ScheduleServer, _parse_head
@@ -328,6 +335,133 @@ class TestIntrospectionEndpoints:
         asyncio.run(runner())
         assert len(lines) == 1
         assert lines[0].startswith("GET /v1/healthz 200 ")
+
+
+async def _busy_connection(server, timeout=5.0):
+    """Wait until the server holds a connection mid-request."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while server._idle or not server._handlers:
+        assert asyncio.get_running_loop().time() < deadline, "no busy connection"
+        await asyncio.sleep(0.01)
+
+
+class TestShutdown:
+    def test_close_ends_idle_keep_alive_connections(self):
+        """close() returns with every connection handler finished."""
+
+        async def runner():
+            broker = ScheduleBroker(inline=True)
+            server = ScheduleServer(broker, port=0)
+            await broker.start()
+            host, port = await server.start()
+            _, _, (reader, writer) = await _request(host, port, "GET", "/v1/healthz")
+            handlers = set(server._handlers)
+            assert handlers
+            # well inside the default grace: idle connections close at once
+            await asyncio.wait_for(server.close(), timeout=2.0)
+            await broker.close(drain=False)
+            eof = await reader.read(1)
+            writer.close()
+            return handlers, eof
+
+        handlers, eof = asyncio.run(runner())
+        assert all(t.done() and not t.cancelled() for t in handlers)
+        assert eof == b""
+
+    def test_close_answers_an_in_flight_request_first(self):
+        """A request mid-dispatch gets its response, marked Connection: close."""
+
+        async def runner():
+            broker = ScheduleBroker(inline=True)
+            server = ScheduleServer(broker, port=0)
+            await broker.start()
+            host, port = await server.start()
+            release = asyncio.Event()
+            dispatch = server._dispatch
+
+            async def held_dispatch(method, path, body):
+                await release.wait()
+                return await dispatch(method, path, body)
+
+            server._dispatch = held_dispatch
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            await _busy_connection(server)
+            closing = asyncio.ensure_future(server.close())
+            await asyncio.sleep(0.05)
+            still_open = not closing.done()
+            release.set()
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+            await reader.readexactly(length)
+            eof = await reader.read(1)
+            await asyncio.wait_for(closing, timeout=10.0)
+            await broker.close(drain=False)
+            writer.close()
+            return still_open, head, eof
+
+        still_open, head, eof = asyncio.run(runner())
+        assert still_open
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert eof == b""
+
+    def test_close_aborts_a_stalled_request_after_the_grace(self, monkeypatch):
+        """A client that never finishes its body cannot hold close() up."""
+        monkeypatch.setattr(server_module, "CLOSE_GRACE_SECONDS", 0.2)
+
+        async def runner():
+            broker = ScheduleBroker(inline=True)
+            server = ScheduleServer(broker, port=0)
+            await broker.start()
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"POST /v1/schedule HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 100\r\n\r\n{"
+            )
+            await writer.drain()
+            await _busy_connection(server)
+            handlers = set(server._handlers)
+            await asyncio.wait_for(server.close(), timeout=10.0)
+            await broker.close(drain=False)
+            writer.close()
+            return handlers
+
+        handlers = asyncio.run(runner())
+        assert all(t.done() and not t.cancelled() for t in handlers)
+
+    def test_sigterm_with_open_keep_alive_connection_exits_cleanly(self):
+        """`repro serve` ends on SIGTERM with exit 0 and no traceback."""
+        env = dict(os.environ)
+        src = str(Path(__file__).parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            port = int(line.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+                conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                response = b""
+                while b"\r\n\r\n" not in response:
+                    response += conn.recv(4096)
+                assert response.startswith(b"HTTP/1.1 200")
+                proc.send_signal(signal.SIGTERM)
+                _, stderr = proc.communicate(timeout=10.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
 
 
 class TestHeadParser:
