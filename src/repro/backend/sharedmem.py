@@ -1,10 +1,13 @@
 """Zero-copy shared-memory fan-out for work-unit grids.
 
 The plain executor ships each :class:`~repro.sim.parallel.WorkUnit`
-with a workload *factory*: every worker regenerates the link set and
-rebuilds the O(N^2) distance and interference-factor matrices — once
-per ``(rep, scheduler)`` cell, so a sweep with ``S`` schedulers pays
-the F-build ``S`` times per repetition.  The sharedmem backend instead
+with a workload *factory*.  In one process its
+:class:`~repro.sim.parallel.UnitRunner` builds each repetition's link
+set and distance matrix once, but every ``(rep, scheduler)`` cell still
+builds its own O(N^2) interference-factor matrix — a sweep with ``S``
+schedulers pays the F-build ``S`` times per repetition — and a pool
+worker, which receives its units one at a time, regenerates the link
+set and distances too.  The sharedmem backend instead
 materialises each repetition's problem **once** in the parent, places
 the arrays in ``multiprocessing.shared_memory`` segments, and fans out
 :class:`SharedUnit`\\ s that carry only segment names + shapes
@@ -318,33 +321,35 @@ def execute_shared_unit(unit: SharedUnit) -> SimulationResult:
             )
 
 
+def _same_problem(a, b) -> bool:
+    """Do two units build the same problem (geometry and F matrix)?"""
+    from repro.sim.parallel import same_geometry
+
+    params = (a.alpha, a.gamma_th, a.eps, a.noise)
+    return params == (b.alpha, b.gamma_th, b.eps, b.noise) and same_geometry(a, b)
+
+
 def materialize_units(units) -> Tuple[List[SharedUnit], ShmArena]:
     """Build each distinct problem once and share it across its units.
 
-    Units are grouped by everything that determines their problem
-    (repetition, root seed, workload identity, channel parameters); one
+    Units share a problem when they have the same geometry
+    (:func:`repro.sim.parallel.same_geometry`: equal workloads, compared
+    with ``==``, at the same repetition and root seed) and the same
+    channel parameters, which enter the shared F matrix.  One
     :class:`SharedProblemPayload` per group backs every unit in it.
     The caller owns the returned arena and must ``close()`` it after
     the map completes (segments must outlive the last worker attach).
     """
-    from repro.sim.parallel import _describe_callable
-
     arena = ShmArena()
-    payloads: Dict[Tuple, SharedProblemPayload] = {}
+    # (rep, root_seed) -> [(first unit, payload), ...]; workloads are
+    # compared, never hashed, so only the scalar coordinates key the dict.
+    groups: Dict[Tuple, List[Tuple[Any, SharedProblemPayload]]] = {}
     shared: List[SharedUnit] = []
     try:
         with span("backend.shm_materialize", units=len(units)):
             for unit in units:
-                key = (
-                    unit.rep,
-                    unit.root_seed,
-                    _describe_callable(unit.workload),
-                    unit.alpha,
-                    unit.gamma_th,
-                    unit.eps,
-                    unit.noise,
-                )
-                payload = payloads.get(key)
+                bucket = groups.setdefault((unit.rep, unit.root_seed), [])
+                payload = next((p for u, p in bucket if _same_problem(u, unit)), None)
                 if payload is None:
                     links = unit.workload(
                         stable_seed("workload", unit.rep, root=unit.root_seed)
@@ -367,7 +372,7 @@ def materialize_units(units) -> Tuple[List[SharedUnit], ShmArena]:
                         eps=unit.eps,
                         noise=unit.noise,
                     )
-                    payloads[key] = payload
+                    bucket.append((unit, payload))
                     obs_metrics.inc("backend.problems_shared")
                 shared.append(
                     SharedUnit(

@@ -173,7 +173,7 @@ class RayleighLaw(ChannelLaw):
     def sample_chunk(self, state, means: np.ndarray, t_c: int) -> np.ndarray:
         """One exponential stream in C order, means scaled in after."""
         k = means.shape[0]
-        z = state.exponential(1.0, size=(t_c, k, k))
+        z = state.standard_exponential(size=(t_c, k, k))
         z *= means[None, :, :]
         return z
 
@@ -263,11 +263,11 @@ class ShadowingLaw(ChannelLaw):
         """Rayleigh chunk times the (per-trial or frozen) shadow factor."""
         k = means.shape[0]
         if self.sigma_db == 0.0:
-            z = state.exponential(1.0, size=(t_c, k, k))
+            z = state.standard_exponential(size=(t_c, k, k))
             z *= means[None, :, :]
             return z
         shadow_state, ray_rng = state
-        z = ray_rng.exponential(1.0, size=(t_c, k, k))
+        z = ray_rng.standard_exponential(size=(t_c, k, k))
         if self.static:
             z *= shadow_state[None, :, :]
         else:

@@ -17,8 +17,12 @@ then receiver ``b``.  The diagonal own-signal variates ``Z[t, a, a]``
 are *interleaved* members of that stream (drawn in their natural
 position, not in a separate pass), and the deterministic mean scaling
 ``Z *= means`` happens **after** the draw, so it consumes no random
-numbers.  Two consequences the chunked sampler relies on (and the tests
-pin down):
+numbers.  The draw is ``rng.standard_exponential(size)``: NumPy computes
+``exponential(scale)`` as ``scale * standard_exponential()`` per
+element, so it is the same stream, bit for bit and position for
+position, as the ``rng.exponential(1.0, size)`` recorded results were
+drawn with — minus the per-element scale call.  Two consequences the
+chunked sampler relies on (and the tests pin down):
 
 1. chunking along the trial axis is *exact*: drawing ``(t1, K, K)`` then
    ``(t2, K, K)`` from the same generator concatenates to the identical
@@ -193,7 +197,7 @@ def iter_fading_trials(
     while done < n_trials:
         t_c = min(chunk_trials, n_trials - done)
         if resolved is None:
-            z = rng.exponential(1.0, size=(t_c, k, k))
+            z = rng.standard_exponential(size=(t_c, k, k))
             z *= means[None, :, :]
         else:
             with span("channel.sample", law=resolved.name, trials=t_c):
@@ -255,7 +259,7 @@ def sample_fading_trials(
         return np.zeros((n_trials, k, k), dtype=float)
     rng = as_rng(seed)
     if resolved is None:
-        z = rng.exponential(1.0, size=(n_trials, k, k))
+        z = rng.standard_exponential(size=(n_trials, k, k))
         z *= means[None, :, :]
         return z
     state = resolved.start_stream(rng, means)

@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.store import ScheduleCache
@@ -287,7 +287,6 @@ class ScheduleBroker:
         self._cache_lock = threading.Lock()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._served: Set[str] = set()
         self._buckets: Dict[str, TokenBucket] = {}
         self._sessions: Dict[str, _Session] = {}
         self._workers: List[asyncio.Task] = []
@@ -373,7 +372,10 @@ class ScheduleBroker:
         Returns ``{"schedule", "trace_id", "tier", "coalesced",
         "wall_seconds"}``; raises :class:`RateLimited` /
         :class:`Overloaded` when admission refuses, and re-raises
-        scheduler failures.
+        scheduler failures.  ``tier`` is what the cache did for the
+        computation the request was answered by: ``"cache"`` for a hit,
+        ``"miss"`` when the scheduler ran (a miss, or no cache); a
+        coalesced request gets its leader's tier.
         """
         if self._closed:
             raise Overloaded("broker is closed")
@@ -407,8 +409,7 @@ class ScheduleBroker:
             future = asyncio.get_running_loop().create_future()
             self._inflight[key] = future
             self._queue.put_nowait((key, ScheduleRequest(problem, name, tenant), future))
-        tier = "cache" if key in self._served else "miss"
-        schedule = await asyncio.shield(future)
+        schedule, tier = await asyncio.shield(future)
         return {
             "schedule": schedule,
             "trace_id": trace_id,
@@ -440,7 +441,6 @@ class ScheduleBroker:
                 )
             for (key, _request, future), result in zip(batch, results):
                 self._inflight.pop(key, None)
-                self._served.add(key)
                 if isinstance(result, Exception):
                     self._counters["errors"] += 1
                     obs_metrics.inc("service.errors")
@@ -468,16 +468,21 @@ class ScheduleBroker:
                     results.append(exc)
         return results
 
-    def _schedule_one(self, request: ScheduleRequest) -> Schedule:
+    def _schedule_one(self, request: ScheduleRequest) -> Tuple[Schedule, str]:
+        """The schedule and its tier: ``"cache"`` for any cache hit,
+        ``"miss"`` when the scheduler ran (a cache miss, or no cache)."""
         with span(
             "service.request",
             scheduler=request.scheduler,
             n=request.problem.n_links,
         ):
-            if self._cache is not None:
-                with self._cache_lock:
-                    return self._cache.schedule(request.problem, request.scheduler)
-            return get_scheduler(request.scheduler)(request.problem)
+            if self._cache is None:
+                return get_scheduler(request.scheduler)(request.problem), "miss"
+            with self._cache_lock:
+                misses = self._cache.stats["misses"]
+                schedule = self._cache.schedule(request.problem, request.scheduler)
+                hit = self._cache.stats["misses"] == misses
+            return schedule, "cache" if hit else "miss"
 
     # -- delta sessions -----------------------------------------------
 

@@ -29,6 +29,17 @@ measured submit overhead); instead, a pickling failure surfacing from
 the pool is diagnosed after the fact and re-raised as the same clear
 ``ValueError`` the probe used to produce.
 
+Shared geometry
+---------------
+:func:`execute_units` runs the units through one :class:`UnitRunner`,
+which keeps the last unit's link set and distance matrix and hands
+them to the next unit with the same workload, ``rep`` and
+``root_seed`` (:func:`same_geometry`).  :func:`build_units` is
+repetition-major, so a serial run calls each repetition's workload and
+builds its N x N distance matrix once rather than once per scheduler.
+Every unit still builds its own F matrix, and the slot is dropped when
+the runner is pickled, so pool workers start empty.
+
 Compute backends
 ----------------
 Each :class:`WorkUnit` names the compute backend it executes under
@@ -62,11 +73,13 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.experiments.store import UnitCheckpoint
     from repro.sim.resilient import RetryPolicy
+
+import numpy as np
 
 from repro.cache.fingerprint import canonical_channel, config_key, describe_callable
 from repro.core.powercontrol import run_scheduler_with_power
@@ -111,10 +124,11 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 class WorkUnit:
     """One independent cell of an experiment grid.
 
-    Executing a unit regenerates its workload from the derived seed,
-    builds the :class:`FadingRLS` instance, runs one scheduler, and
-    replays the schedule through the fading channel.  Units carry
-    everything they need, so they can run in any process in any order.
+    Executing a unit (:class:`UnitRunner`) regenerates its workload from
+    the derived seed, builds the :class:`FadingRLS` instance, runs one
+    scheduler, and replays the schedule through the fading channel.
+    Units carry everything they need, so they can run in any process in
+    any order.
 
     Attributes
     ----------
@@ -129,7 +143,12 @@ class WorkUnit:
     scheduler:
         Picklable scheduler callable ``(problem, **kwargs) -> Schedule``.
     workload:
-        Picklable factory ``workload(seed) -> LinkSet``.
+        Picklable factory ``workload(seed) -> LinkSet``.  It must be a
+        pure function of its seed: units of one repetition share the
+        link set it returns (:class:`UnitRunner`, and the sharedmem
+        backend's one problem per repetition), so a workload with
+        hidden state would give the schedulers different instances
+        depending on how the units were executed.
     """
 
     tag: Any
@@ -221,34 +240,100 @@ def valid_simulation_result(value: Any) -> bool:
     return all(math.isfinite(float(x)) for x in summaries) and value.n_scheduled >= 0
 
 
-def execute_unit(unit: WorkUnit) -> SimulationResult:
-    """Run one :class:`WorkUnit` — the per-process worker function."""
-    from repro.backend import base as backend_base
+def same_geometry(a: WorkUnit, b: WorkUnit) -> bool:
+    """Do two units draw the same link set?
 
-    with backend_base.use(unit.backend), span(
-        "parallel.unit", rep=unit.rep, algorithm=unit.name
-    ):
+    A unit's links are ``workload(stable_seed("workload", rep,
+    root=root_seed))`` and workloads are pure functions of their seed
+    (see :class:`WorkUnit`), so equal workloads at equal ``(rep,
+    root_seed)`` give the same links and distance matrix.  The channel
+    parameters play no part: they enter only the F matrix.
+
+    Workloads compare with ``==`` and are never hashed or described:
+    two closures from one factory share a qualified name but are
+    distinct objects, so they never match.  An ``==`` that cannot give
+    a truth value (a dataclass over numpy arrays, say) counts as
+    different — sharing a geometry is only ever an optimisation.
+    """
+    if a.rep != b.rep or a.root_seed != b.root_seed:
+        return False
+    if a.workload is b.workload:
+        return True
+    try:
+        return bool(a.workload == b.workload)
+    except (TypeError, ValueError):
+        return False
+
+
+class UnitRunner:
+    """Runs :class:`WorkUnit`\\ s, building each repetition's geometry once.
+
+    Executing a unit regenerates its workload from the derived seed,
+    builds the :class:`FadingRLS` instance, runs one scheduler, and
+    replays the schedule through the fading channel.  The runner keeps
+    one slot: the last unit's link set and its distance matrix (made
+    read-only).  A unit with the same geometry (:func:`same_geometry`)
+    reuses both — :func:`build_units` is repetition-major, so a serial
+    run calls each repetition's workload and builds its N x N distance
+    matrix once instead of once per scheduler.  Every unit still builds
+    its own problem and F matrix, so the ``fmatrix.*`` metrics do not
+    depend on which units shared a process.
+
+    Picklable: the slot is dropped on pickling, so pool workers and
+    retries start empty and no N x N payload crosses a process
+    boundary.
+    """
+
+    def __init__(self) -> None:
+        self._slot: Optional[Tuple[WorkUnit, LinkSet, np.ndarray]] = None
+
+    def __getstate__(self) -> dict:
+        return {"_slot": None}
+
+    def _geometry(self, unit: WorkUnit) -> Tuple[LinkSet, np.ndarray]:
+        slot = self._slot
+        if slot is not None and same_geometry(slot[0], unit):
+            return slot[1], slot[2]
+        self._slot = None  # never hold two geometries at once
         links = unit.workload(stable_seed("workload", unit.rep, root=unit.root_seed))
-        problem = FadingRLS(
-            links=links,
-            alpha=unit.alpha,
-            gamma_th=unit.gamma_th,
-            eps=unit.eps,
-            noise=unit.noise,
-        )
-        with span("scheduler.run", algorithm=unit.name):
-            schedule, powered = run_scheduler_with_power(
-                problem, unit.scheduler, unit.power_policy, dict(unit.scheduler_kwargs)
+        distances = links.sender_receiver_distances()
+        distances.setflags(write=False)
+        self._slot = (unit, links, distances)
+        return links, distances
+
+    def __call__(self, unit: WorkUnit) -> SimulationResult:
+        from repro.backend import base as backend_base
+
+        with backend_base.use(unit.backend), span(
+            "parallel.unit", rep=unit.rep, algorithm=unit.name
+        ):
+            links, distances = self._geometry(unit)
+            problem = FadingRLS(
+                links=links,
+                alpha=unit.alpha,
+                gamma_th=unit.gamma_th,
+                eps=unit.eps,
+                noise=unit.noise,
             )
-        obs_metrics.inc("scheduler.links_admitted", schedule.size)
-        return simulate_schedule(
-            powered,
-            schedule,
-            n_trials=unit.n_trials,
-            seed=stable_seed("fading", unit.rep, unit.name, root=unit.root_seed),
-            max_bytes=unit.max_bytes,
-            channel=unit.channel,
-        )
+            problem._cache["distances"] = distances
+            with span("scheduler.run", algorithm=unit.name):
+                schedule, powered = run_scheduler_with_power(
+                    problem, unit.scheduler, unit.power_policy, dict(unit.scheduler_kwargs)
+                )
+            obs_metrics.inc("scheduler.links_admitted", schedule.size)
+            return simulate_schedule(
+                powered,
+                schedule,
+                n_trials=unit.n_trials,
+                seed=stable_seed("fading", unit.rep, unit.name, root=unit.root_seed),
+                max_bytes=unit.max_bytes,
+                channel=unit.channel,
+            )
+
+
+def execute_unit(unit: WorkUnit) -> SimulationResult:
+    """Run one :class:`WorkUnit` on a fresh :class:`UnitRunner`."""
+    return UnitRunner()(unit)
 
 
 def _looks_like_pickling_error(exc: BaseException) -> bool:
@@ -378,7 +463,7 @@ def _plan_execution(units: Sequence[WorkUnit]):
     fixed backend.
     """
     if not units:
-        return execute_unit, list(units), None
+        return UnitRunner(), list(units), None
     from repro.backend import base as backend_base
 
     resolved, reason = backend_base.resolve(units[0].backend)
@@ -391,7 +476,7 @@ def _plan_execution(units: Sequence[WorkUnit]):
 
         shared, arena = sharedmem.materialize_units(units)
         return sharedmem.execute_shared_unit, shared, arena
-    return execute_unit, list(units), None
+    return UnitRunner(), list(units), None
 
 
 def execute_units(

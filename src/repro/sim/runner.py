@@ -121,8 +121,11 @@ def run_schedulers(
     workload:
         ``workload(seed) -> LinkSet`` — the per-repetition instance
         generator.  All schedulers see the *same* instance in each
-        repetition (paired comparison, lower variance).  Must be
-        picklable for ``n_jobs > 1``.
+        repetition (paired comparison, lower variance).  It must be a
+        pure function of its seed: a repetition's schedulers share the
+        one link set it returns (see
+        :class:`~repro.sim.parallel.UnitRunner`).  Must be picklable
+        for ``n_jobs > 1``.
     n_repetitions, n_trials:
         Workload draws, and fading realisations per schedule.
     alpha, gamma_th, eps:

@@ -9,6 +9,7 @@ chunking along the trial axis is invisible to the statistics.
 import numpy as np
 import pytest
 
+from repro.channel.laws import ShadowingLaw, get_channel_law
 from repro.channel.sampling import (
     DEFAULT_MAX_BYTES,
     fading_means,
@@ -17,7 +18,9 @@ from repro.channel.sampling import (
     sample_fading_trials,
     trial_chunk_size,
 )
+from repro.channel.shadowing import _lognormal_factor
 from repro.network.topology import paper_topology
+from repro.utils.rng import spawn_rngs
 
 
 def distances(n=3, own=10.0, cross=60.0):
@@ -108,6 +111,72 @@ class TestStreamLayout:
         b = sample_fading_trials(d, idx, 3.0, 4, seed=rng)
         full = sample_fading_trials(d, idx, 3.0, 8, seed=np.random.default_rng(42))
         np.testing.assert_array_equal(np.concatenate([a, b]), full)
+
+
+class TestExponentialOracle:
+    """The Rayleigh draws use ``standard_exponential``; recorded results
+    were drawn with ``exponential(1.0)``.  Both are the same stream, bit
+    for bit and position for position, chunk by chunk."""
+
+    N_TRIALS = 50
+
+    @staticmethod
+    def _means(k, seed):
+        d = paper_topology(k, seed=seed).sender_receiver_distances()
+        return d, fading_means(d, np.arange(k), 3.0)[1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2017])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    @pytest.mark.parametrize("chunk_trials", [1, 3, 16, 50])
+    def test_inline_chunks(self, seed, k, chunk_trials):
+        d, means = self._means(k, seed)
+        oracle = np.random.default_rng(seed)
+        chunks = iter_fading_trials(
+            d, np.arange(k), 3.0, self.N_TRIALS, seed=seed, chunk_trials=chunk_trials
+        )
+        drawn = 0
+        for z in chunks:
+            want = oracle.exponential(1.0, size=z.shape) * means
+            assert np.array_equal(z, want)
+            drawn += z.shape[0]
+        assert drawn == self.N_TRIALS
+        # The stream stands at the same position afterwards.
+        rng = np.random.default_rng(seed)
+        rng.standard_exponential(size=(self.N_TRIALS, k, k))
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2017])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_batched_draw(self, seed, k):
+        d, means = self._means(k, seed)
+        z = sample_fading_trials(d, np.arange(k), 3.0, 9, seed=seed)
+        want = np.random.default_rng(seed).exponential(1.0, size=(9, k, k)) * means
+        assert np.array_equal(z, want)
+
+    @pytest.mark.parametrize("spec", ["rayleigh", "shadowing:sigma_db=0"])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_law_chunks(self, spec, k):
+        _, means = self._means(k, 3)
+        law = get_channel_law(spec)
+        state = law.start_stream(np.random.default_rng(3), means)
+        oracle = np.random.default_rng(3)
+        for t_c in (1, 4, 9):
+            want = oracle.exponential(1.0, size=(t_c, k, k)) * means
+            assert np.array_equal(law.sample_chunk(state, means, t_c), want)
+
+    @pytest.mark.parametrize("static", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_suzuki_chunks(self, static, k):
+        _, means = self._means(k, 4)
+        law = ShadowingLaw(sigma_db=6.0, static=static)
+        state = law.start_stream(np.random.default_rng(4), means)
+        shadow_rng, ray_rng = spawn_rngs(np.random.default_rng(4), 2)
+        frozen = _lognormal_factor(shadow_rng, 6.0, means.shape, True) if static else None
+        for t_c in (1, 4, 9):
+            shape = (t_c, k, k)
+            factor = frozen if static else _lognormal_factor(shadow_rng, 6.0, shape, True)
+            want = ray_rng.exponential(1.0, size=shape) * factor * means
+            assert np.array_equal(law.sample_chunk(state, means, t_c), want)
 
 
 class TestIterFadingTrialsEdges:

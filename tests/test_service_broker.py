@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.store import ScheduleCache
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.network.delta import LinkDelta
@@ -129,6 +130,53 @@ class TestServingBitIdentity:
         assert first["tier"] == "miss" and not first["coalesced"]
         assert second["tier"] == "cache"
         assert np.array_equal(first["schedule"].active, second["schedule"].active)
+
+    @staticmethod
+    def _tiers(broker, problems):
+        async def drive():
+            await broker.start()
+            try:
+                return [(await broker.submit(p))["tier"] for p in problems]
+            finally:
+                await broker.close()
+
+        return _run(drive())
+
+    def test_tier_is_miss_without_a_cache(self):
+        p1, p2 = _problem(8, 5), _problem(8, 6)
+        broker = ScheduleBroker(use_cache=False, inline=True)
+        tiers = self._tiers(broker, [p1, p1, p2, p1])
+        # The scheduler ran for every request, so none came from a cache.
+        assert tiers == ["miss", "miss", "miss", "miss"]
+        assert broker.stats["scheduled"] == 4
+
+    def test_tier_follows_evictions(self):
+        p1, p2 = _problem(8, 5), _problem(8, 6)
+        cache = ScheduleCache(capacity=1, warm_start=False)
+        broker = ScheduleBroker(cache=cache, inline=True)
+        tiers = self._tiers(broker, [p1, p1, p2, p1])
+        # p2 evicts p1, so the last p1 is computed afresh.
+        assert tiers == ["miss", "cache", "miss", "miss"]
+        stats = cache.stats
+        assert (stats["exact_hits"], stats["misses"], stats["evictions"]) == (1, 3, 2)
+
+    def test_coalesced_requests_get_the_leaders_tier(self):
+        problem = _problem(8, 5)
+
+        async def drive():
+            broker = ScheduleBroker(inline=True)
+            await broker.start()
+            try:
+                cold = await asyncio.gather(*(broker.submit(problem) for _ in range(3)))
+                warm = await asyncio.gather(*(broker.submit(problem) for _ in range(3)))
+                return cold, warm
+            finally:
+                await broker.close()
+
+        cold, warm = _run(drive())
+        assert [r["coalesced"] for r in cold] == [False, True, True]
+        assert [r["tier"] for r in cold] == ["miss"] * 3
+        assert [r["tier"] for r in warm] == ["cache"] * 3
 
     def test_no_cache_mode_still_bit_identical(self):
         problem = _problem(9, 11)
