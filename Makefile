@@ -22,7 +22,7 @@ chaos:           ## fault-injection/resilience suite + recovery-overhead smoke b
 	$(PYTHON) -m pytest -q -m chaos
 	$(PYTHON) -m pytest -q -m chaos benchmarks
 
-docs-check:      ## span/metric catalogues complete + API.md snippets run
+docs-check:      ## every registered name documented in its docs section + doc snippets run
 	$(PYTHON) tools/docs_check.py
 
 bench:           ## full benchmark suite (writes BENCH_RESULTS.json)

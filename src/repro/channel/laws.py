@@ -1,9 +1,11 @@
 """Pluggable channel laws: one interface, every fading model.
 
-The simulator historically drew Rayleigh fading inline; the shadowing
-and Nakagami modules existed but nothing in :mod:`repro.sim`,
-:mod:`repro.experiments` or the CLI could select them.  This module
-turns "which channel?" into data: a :class:`ChannelLaw` bundles
+Every fading model the Monte-Carlo replay can draw from is a law here:
+:mod:`repro.sim`, :mod:`repro.experiments` and the CLI select one by
+spec, and the success estimate under any law is
+``simulate_schedule(problem, active, channel=spec).per_link_success``.
+This module turns "which channel?" into data: a :class:`ChannelLaw`
+bundles
 
 - the deterministic mean-power matrix (shared
   :func:`~repro.channel.sampling.fading_means` path loss x transmit
@@ -51,15 +53,30 @@ what the Monte-Carlo replay samples, never what the scheduler admits.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
 from repro.channel.sampling import fading_means
-from repro.channel.shadowing import _lognormal_factor
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import check_positive
+
+LN10_OVER_10 = np.log(10.0) / 10.0
+
+
+def _lognormal_factor(
+    rng: np.random.Generator, sigma_db: float, shape: tuple, normalize: bool
+) -> np.ndarray:
+    """Sample the shadowing gain ``10^(G/10)``; unit mean if normalised."""
+    if sigma_db == 0.0:
+        return np.ones(shape)
+    sigma_nat = sigma_db * LN10_OVER_10
+    gains = np.exp(rng.normal(0.0, sigma_nat, size=shape))
+    if normalize:
+        gains /= np.exp(0.5 * sigma_nat**2)  # E[lognormal] correction
+    return gains
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,19 @@ def _format_param(value: Any) -> str:
     return repr(value) if not isinstance(value, str) else value
 
 
+def _finite_float(law: ChannelLaw, field_name: str) -> float:
+    """Validate one real parameter and store it as a plain ``float``.
+
+    Bools, non-numbers, NaN and infinities raise ``ValueError``: none of
+    them has a spec string that parses back to an equal law.
+    """
+    value = getattr(law, field_name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{field_name} must be a finite number, got {value!r}")
+    object.__setattr__(law, field_name, float(value))
+    return float(value)
+
+
 def _closed_form_rayleigh(problem, active) -> np.ndarray:
     """Thm 3.1 per-link success over the sorted active set."""
     mask = problem.active_mask(active)
@@ -194,7 +224,8 @@ class NakagamiLaw(ChannelLaw):
     m: float = 1.0
 
     def __post_init__(self) -> None:
-        check_positive(self.m, "m")
+        if _finite_float(self, "m") <= 0:
+            raise ValueError(f"m must be > 0, got {self.m}")
 
     @property
     def has_closed_form(self) -> bool:
@@ -232,8 +263,10 @@ class ShadowingLaw(ChannelLaw):
     static: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0:
+        if _finite_float(self, "sigma_db") < 0:
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
+        if not isinstance(self.static, bool):
+            raise ValueError(f"static must be true or false, got {self.static!r}")
 
     @property
     def has_closed_form(self) -> bool:
@@ -358,7 +391,8 @@ def get_channel_law(spec: ChannelLike) -> ChannelLaw:
     ``None`` and ``"rayleigh"`` resolve to the default
     :class:`RayleighLaw`; ``"name:key=value,..."`` constructs the named
     law with the given parameters.  Raises ``ValueError`` for unknown
-    names or parameters (the message lists the registered names).
+    names (the message lists the registered names), unknown or repeated
+    parameters, and values the law rejects.
     """
     if spec is None:
         return RayleighLaw()
@@ -381,7 +415,10 @@ def get_channel_law(spec: ChannelLike) -> ChannelLaw:
                 raise ValueError(
                     f"bad channel spec {text!r}: expected name:key=value[,key=value...]"
                 )
-            kwargs[key.strip()] = _parse_param(raw)
+            key = key.strip()
+            if key in kwargs:
+                raise ValueError(f"bad channel spec {text!r}: repeated parameter {key!r}")
+            kwargs[key] = _parse_param(raw)
     try:
         return cls(**kwargs)
     except TypeError as exc:

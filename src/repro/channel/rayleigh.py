@@ -9,18 +9,17 @@ probability of an active link in closed form:
         = prod_{i in P\\j} 1 / (1 + gamma_th * (d_jj / d_ij)^alpha)``
 
 (the Laplace transform of the interference sum evaluated at
-``gamma_th / (P d_jj^-alpha)``).  This module implements the law's CDF,
-samplers, and that closed form, all vectorised over links.
+``gamma_th / (P d_jj^-alpha)``).  This module implements the law's CDF
+and that closed form, vectorised over links.  Draws come from
+:class:`~repro.channel.laws.RayleighLaw` through
+:mod:`repro.channel.sampling`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.channel.pathloss import mean_received_power
-from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive
 
 
@@ -38,32 +37,6 @@ def received_power_cdf(
     mean = mean_received_power(distance, alpha, power)
     xv = np.asarray(x, dtype=float)
     out = np.where(xv >= 0.0, 1.0 - np.exp(-np.maximum(xv, 0.0) / mean), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_received_power(
-    distance: np.ndarray | float,
-    alpha: float,
-    *,
-    power: float = 1.0,
-    size: int | tuple | None = None,
-    seed: SeedLike = None,
-) -> np.ndarray | float:
-    """Draw instantaneous received powers ``Z ~ Exp(mean = P d^-alpha)``.
-
-    ``size`` prepends extra sample axes to the shape of ``distance``
-    (e.g. ``size=T`` with a ``(N, N)`` distance matrix yields
-    ``(T, N, N)`` independent draws).
-    """
-    rng = as_rng(seed)
-    mean = np.asarray(mean_received_power(distance, alpha, power), dtype=float)
-    if size is None:
-        shape = mean.shape
-    elif isinstance(size, int):
-        shape = (size,) + mean.shape
-    else:
-        shape = tuple(size) + mean.shape
-    out = rng.exponential(1.0, size=shape) * mean
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,49 +110,6 @@ def success_probability(
     nu = gamma_th * noise * own**alpha / p_sub
     log_p = -factors.sum(axis=0) - nu
     return log_p if log else np.exp(log_p)
-
-
-@dataclass(frozen=True)
-class RayleighChannel:
-    """Bundled Rayleigh-channel parameters.
-
-    A convenience facade over the free functions for examples and the
-    simulator: fixes ``alpha`` (and transmit power for the samplers) so
-    call sites read like the paper's notation.
-    """
-
-    alpha: float
-    power: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.alpha, "alpha")
-        check_positive(self.power, "power")
-
-    def mean_power(self, distance: np.ndarray | float) -> np.ndarray | float:
-        """``E[Z] = P d^-alpha``."""
-        return mean_received_power(distance, self.alpha, self.power)
-
-    def cdf(self, x: np.ndarray | float, distance: np.ndarray | float) -> np.ndarray | float:
-        """Instantaneous-power CDF (Eq. 5)."""
-        return received_power_cdf(x, distance, self.alpha, self.power)
-
-    def sample(
-        self,
-        distance: np.ndarray | float,
-        *,
-        size: int | tuple | None = None,
-        seed: SeedLike = None,
-    ) -> np.ndarray | float:
-        """Sample instantaneous powers."""
-        return sample_received_power(
-            distance, self.alpha, power=self.power, size=size, seed=seed
-        )
-
-    def success_probability(
-        self, distances: np.ndarray, active: np.ndarray, gamma_th: float
-    ) -> np.ndarray:
-        """Theorem 3.1 closed form for this channel."""
-        return success_probability(distances, active, self.alpha, gamma_th)
 
 
 def _as_index(active: np.ndarray, n: int) -> np.ndarray:

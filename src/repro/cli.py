@@ -291,34 +291,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_queue(args: argparse.Namespace) -> int:
-    """``repro queue``: run the queue-driven frame simulation."""
-    from repro.sim.network_sim import simulate_queues
-
-    if args.input:
-        links = _load_links(args.input)
-    else:
-        links = _make_topology(args.topology, args.n_links, args.seed)
-    problem = FadingRLS(links=links, alpha=args.alpha, eps=args.eps, noise=args.noise)
-    scheduler = get_scheduler(args.algorithm)
-    result = simulate_queues(
-        problem,
-        scheduler,
-        n_slots=args.slots,
-        arrival_rate=args.arrival_rate,
-        seed=args.seed,
-    )
-    print(
-        f"{args.algorithm} over {result.n_slots} slots @ rate {args.arrival_rate}/link:\n"
-        f"  arrivals {result.arrivals}, delivered {result.deliveries} "
-        f"({100 * result.delivery_ratio:.1f}%), failed attempts {result.failures}\n"
-        f"  slot efficiency {result.slot_efficiency:.3f}, "
-        f"mean backlog {result.mean_backlog:.1f}, final backlog {result.final_backlog}, "
-        f"mean delay {result.mean_delay:.1f} slots"
-    )
-    return 0
-
-
 def cmd_traffic(args: argparse.Namespace) -> int:
     """``repro traffic``: run a declarative workload scenario."""
     from repro.backend.base import use as use_backend
@@ -914,19 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gamma-th", type=float, default=1.0)
     c.add_argument("--eps", type=float, default=0.01)
     c.set_defaults(fn=cmd_constants)
-
-    q = sub.add_parser("queue", help="run the queue-driven frame simulation")
-    q.add_argument("--input", help="workload file (.csv or .json)")
-    q.add_argument("--topology", choices=TOPOLOGIES, default="paper")
-    q.add_argument("--n-links", type=int, default=120)
-    q.add_argument("--algorithm", default="rle")
-    q.add_argument("--slots", type=int, default=300)
-    q.add_argument("--arrival-rate", type=float, default=0.05)
-    q.add_argument("--alpha", type=float, default=3.0)
-    q.add_argument("--eps", type=float, default=0.01)
-    q.add_argument("--noise", type=float, default=0.0)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=cmd_queue)
 
     w = sub.add_parser(
         "traffic", help="run a traffic workload scenario with stability sweep"

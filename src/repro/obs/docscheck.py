@@ -1,40 +1,31 @@
 """Documentation-contract checker behind ``make docs-check``.
 
-Two gates, both cheap enough to run before every test pass:
+One table, :func:`contract`, pairs each registry of public names with
+the docs section that must document it:
 
-1. **Catalogue completeness** — every span name passed to ``span("…")``
-   and every metric name passed to ``obs_metrics.inc/gauge/observe``
-   anywhere under ``src/`` (outside :mod:`repro.obs` itself) must
-   appear in the corresponding catalogue section of
-   ``docs/OBSERVABILITY.md``.  Adding an instrumented call site without
-   documenting its name fails the build, which is what keeps the
-   span/metric names a *stable public contract* rather than an
-   accident of the code.
+=================  ===================  ===========================================
+page               section              names
+=================  ===================  ===========================================
+OBSERVABILITY.md   Span catalogue       ``span("…")`` call sites under ``src/``
+OBSERVABILITY.md   Metric catalogue     ``obs_metrics.inc/gauge/observe`` call sites
+CHANNELS.md        Channel laws         :func:`repro.channel.laws.channel_law_names`
+CHANNELS.md        Power policies       :data:`repro.core.powercontrol.POWER_POLICIES`
+CACHING.md         Eviction policies    :data:`repro.cache.CACHE_POLICIES`
+SERVICE.md         Endpoints            :data:`repro.service.ROUTE_TEMPLATES`
+SERVICE.md         Error codes          :data:`repro.service.WIRE_ERROR_CODES`
+=================  ===================  ===========================================
 
-2. **API snippets** — every fenced ````python```` block in
-   ``docs/API.md`` that contains doctest prompts (``>>>``) is executed
-   with the standard :mod:`doctest` machinery.  Documented signatures
-   that drift from the code fail here instead of silently rotting.
-
-3. **Channel reference** — every registered channel law
-   (:func:`repro.channel.laws.channel_law_names`) and power policy
-   (:data:`repro.core.powercontrol.POWER_POLICIES`) must appear
-   backticked in the matching section of ``docs/CHANNELS.md``, and its
-   doctest blocks run like API.md's.  Registering a law without
-   documenting it fails the build.
-
-4. **Cache reference** — every registered cache eviction policy
-   (:data:`repro.cache.CACHE_POLICIES`) must appear backticked in the
-   ``## Eviction policies`` section of ``docs/CACHING.md``, and its
-   doctest blocks run like API.md's.
-
-5. **Service reference** — every HTTP route template
-   (:data:`repro.service.ROUTE_TEMPLATES`) must appear backticked in
-   the ``## Endpoints`` section of ``docs/SERVICE.md``, every wire
-   error code (:data:`repro.service.WIRE_ERROR_CODES`) in the
-   ``## Error codes`` section, and its doctest blocks run like
-   API.md's.  Adding a route or error code without documenting it
-   fails the build.
+:func:`run_checks` walks the table: every name must appear backticked
+in its ``## section`` of ``docs/<page>``, and a missing page or a
+missing or empty section fails too.  The check is one-directional — a
+documented name nothing registers any more is not a failure.  Every
+page (``API.md`` included) also has its fenced ````python```` blocks
+that contain doctest prompts (``>>>``) run with the standard
+:mod:`doctest` machinery, so documented signatures that drift from the
+code fail here instead of silently rotting.  Adding an instrumented
+call site, a law, a policy, a route or an error code without
+documenting it fails the build, which keeps those names a *stable
+public contract* rather than an accident of the code.
 
 The scanner is intentionally literal: instrumented call sites must
 write ``span("dotted.name", ...)`` / ``obs_metrics.inc("dotted.name",
@@ -48,7 +39,7 @@ import doctest
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: ``span("name"`` — also matches ``trace.span(``; instrumented modules
 #: import the function directly, so a bare call is the common form.
@@ -60,10 +51,6 @@ SPAN_USE_RE = re.compile(r"""\bspan\(\s*["']([A-Za-z0-9_.]+)["']""")
 METRIC_USE_RE = re.compile(
     r"""\bobs_metrics\.(?:inc|gauge|observe)\(\s*["']([A-Za-z0-9_.]+)["']"""
 )
-
-#: A catalogued name inside an OBSERVABILITY.md section: a backticked
-#: dotted identifier like `` `mc.chunks_sampled` ``.
-_CATALOGUE_NAME_RE = re.compile(r"`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`")
 
 
 def used_names(src_root: Path) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
@@ -87,7 +74,7 @@ def used_names(src_root: Path) -> Tuple[Dict[str, List[str]], Dict[str, List[str
     return spans, metrics
 
 
-def _section(markdown: str, heading: str) -> str:
+def section(markdown: str, heading: str) -> str:
     """The body of one ``## heading`` section (empty if absent)."""
     pattern = re.compile(
         rf"^##\s+{re.escape(heading)}\s*$(.*?)(?=^##\s|\Z)",
@@ -97,41 +84,23 @@ def _section(markdown: str, heading: str) -> str:
     return m.group(1) if m else ""
 
 
-def catalogued_names(observability_md: str) -> Tuple[Set[str], Set[str]]:
-    """Span and metric catalogues from OBSERVABILITY.md text."""
-    spans = set(_CATALOGUE_NAME_RE.findall(_section(observability_md, "Span catalogue")))
-    metrics = set(
-        _CATALOGUE_NAME_RE.findall(_section(observability_md, "Metric catalogue"))
-    )
-    return spans, metrics
+def contract(src_root: Path) -> List[Tuple[str, str, str, Sequence[str]]]:
+    """The ``(page, section heading, kind, names)`` rows the docs must cover."""
+    from repro.cache import CACHE_POLICIES
+    from repro.channel.laws import channel_law_names
+    from repro.core.powercontrol import POWER_POLICIES
+    from repro.service import ROUTE_TEMPLATES, WIRE_ERROR_CODES
 
-
-def check_catalogues(
-    src_root: Path, observability_md: str
-) -> List[str]:
-    """Names used in ``src/`` but missing from the catalogues."""
-    used_spans, used_metrics = used_names(src_root)
-    doc_spans, doc_metrics = catalogued_names(observability_md)
-    problems: List[str] = []
-    if not doc_spans:
-        problems.append(
-            "docs/OBSERVABILITY.md has no '## Span catalogue' section (or it is empty)"
-        )
-    if not doc_metrics:
-        problems.append(
-            "docs/OBSERVABILITY.md has no '## Metric catalogue' section (or it is empty)"
-        )
-    for name in sorted(set(used_spans) - doc_spans):
-        problems.append(
-            f"span {name!r} (used in {', '.join(used_spans[name])}) is not in the "
-            f"Span catalogue of docs/OBSERVABILITY.md"
-        )
-    for name in sorted(set(used_metrics) - doc_metrics):
-        problems.append(
-            f"metric {name!r} (used in {', '.join(used_metrics[name])}) is not in "
-            f"the Metric catalogue of docs/OBSERVABILITY.md"
-        )
-    return problems
+    spans, metrics = used_names(src_root)
+    return [
+        ("OBSERVABILITY.md", "Span catalogue", "span", sorted(spans)),
+        ("OBSERVABILITY.md", "Metric catalogue", "metric", sorted(metrics)),
+        ("CHANNELS.md", "Channel laws", "channel law", channel_law_names()),
+        ("CHANNELS.md", "Power policies", "power policy", POWER_POLICIES),
+        ("CACHING.md", "Eviction policies", "cache policy", CACHE_POLICIES),
+        ("SERVICE.md", "Endpoints", "route", ROUTE_TEMPLATES),
+        ("SERVICE.md", "Error codes", "wire error code", WIRE_ERROR_CODES),
+    ]
 
 
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -159,127 +128,29 @@ def run_doctest_blocks(markdown: str, *, name: str = "docs") -> List[str]:
     return failures
 
 
-def check_channels_doc(channels_md: str) -> List[str]:
-    """Registered law/policy names missing from docs/CHANNELS.md sections."""
-    from repro.channel.laws import channel_law_names
-    from repro.core.powercontrol import POWER_POLICIES
-
-    problems: List[str] = []
-    law_section = _section(channels_md, "Channel laws")
-    policy_section = _section(channels_md, "Power policies")
-    if not law_section:
-        problems.append(
-            "docs/CHANNELS.md has no '## Channel laws' section (or it is empty)"
-        )
-    if not policy_section:
-        problems.append(
-            "docs/CHANNELS.md has no '## Power policies' section (or it is empty)"
-        )
-    _name_re = re.compile(r"`([a-z0-9_]+)`")
-    documented_laws = set(_name_re.findall(law_section))
-    documented_policies = set(_name_re.findall(policy_section))
-    for name in channel_law_names():
-        if name not in documented_laws:
-            problems.append(
-                f"channel law {name!r} is registered but not documented in the "
-                f"'Channel laws' section of docs/CHANNELS.md"
-            )
-    for name in POWER_POLICIES:
-        if name not in documented_policies:
-            problems.append(
-                f"power policy {name!r} is registered but not documented in the "
-                f"'Power policies' section of docs/CHANNELS.md"
-            )
-    return problems
-
-
-def check_caching_doc(caching_md: str) -> List[str]:
-    """Registered cache eviction policies missing from docs/CACHING.md."""
-    from repro.cache import CACHE_POLICIES
-
-    problems: List[str] = []
-    policy_section = _section(caching_md, "Eviction policies")
-    if not policy_section:
-        problems.append(
-            "docs/CACHING.md has no '## Eviction policies' section (or it is empty)"
-        )
-    _name_re = re.compile(r"`([a-z0-9_]+)`")
-    documented = set(_name_re.findall(policy_section))
-    for name in CACHE_POLICIES:
-        if name not in documented:
-            problems.append(
-                f"cache policy {name!r} is registered but not documented in the "
-                f"'Eviction policies' section of docs/CACHING.md"
-            )
-    return problems
-
-
-def check_service_doc(service_md: str) -> List[str]:
-    """Routes / wire error codes missing from docs/SERVICE.md sections."""
-    from repro.service import ROUTE_TEMPLATES, WIRE_ERROR_CODES
-
-    problems: List[str] = []
-    endpoint_section = _section(service_md, "Endpoints")
-    error_section = _section(service_md, "Error codes")
-    if not endpoint_section:
-        problems.append(
-            "docs/SERVICE.md has no '## Endpoints' section (or it is empty)"
-        )
-    if not error_section:
-        problems.append(
-            "docs/SERVICE.md has no '## Error codes' section (or it is empty)"
-        )
-    _code_re = re.compile(r"`([a-z0-9-]+)`")
-    documented_codes = set(_code_re.findall(error_section))
-    for route in ROUTE_TEMPLATES:
-        if f"`{route}`" not in endpoint_section:
-            problems.append(
-                f"route {route!r} is served but not documented in the "
-                f"'Endpoints' section of docs/SERVICE.md"
-            )
-    for code in WIRE_ERROR_CODES:
-        if code not in documented_codes:
-            problems.append(
-                f"wire error code {code!r} is emitted but not documented in the "
-                f"'Error codes' section of docs/SERVICE.md"
-            )
-    return problems
-
-
 def run_checks(root: Path) -> List[str]:
-    """All docs-contract checks for a repo rooted at ``root``."""
+    """All docs-contract problems for a repo rooted at ``root``."""
+    rows = contract(root / "src")
     problems: List[str] = []
-    obs_md = root / "docs" / "OBSERVABILITY.md"
-    api_md = root / "docs" / "API.md"
-    channels_md = root / "docs" / "CHANNELS.md"
-    caching_md = root / "docs" / "CACHING.md"
-    service_md = root / "docs" / "SERVICE.md"
-    if not obs_md.exists():
-        problems.append("docs/OBSERVABILITY.md does not exist")
-    else:
-        problems.extend(check_catalogues(root / "src", obs_md.read_text()))
-    if not api_md.exists():
-        problems.append("docs/API.md does not exist")
-    else:
-        problems.extend(run_doctest_blocks(api_md.read_text(), name="docs/API.md"))
-    if not channels_md.exists():
-        problems.append("docs/CHANNELS.md does not exist")
-    else:
-        text = channels_md.read_text()
-        problems.extend(check_channels_doc(text))
-        problems.extend(run_doctest_blocks(text, name="docs/CHANNELS.md"))
-    if not caching_md.exists():
-        problems.append("docs/CACHING.md does not exist")
-    else:
-        text = caching_md.read_text()
-        problems.extend(check_caching_doc(text))
-        problems.extend(run_doctest_blocks(text, name="docs/CACHING.md"))
-    if not service_md.exists():
-        problems.append("docs/SERVICE.md does not exist")
-    else:
-        text = service_md.read_text()
-        problems.extend(check_service_doc(text))
-        problems.extend(run_doctest_blocks(text, name="docs/SERVICE.md"))
+    # API.md has no registry rows; only its doctest blocks are checked.
+    for page in ["API.md", *dict.fromkeys(row[0] for row in rows)]:
+        doc = f"docs/{page}"
+        path = root / doc
+        if not path.exists():
+            problems.append(f"{doc} does not exist")
+            continue
+        text = path.read_text()
+        for _, heading, kind, names in (row for row in rows if row[0] == page):
+            body = section(text, heading)
+            if not body.strip():
+                problems.append(f"{doc} has no '## {heading}' section (or it is empty)")
+                continue
+            problems.extend(
+                f"{kind} {name!r} is not documented in the '{heading}' section of {doc}"
+                for name in names
+                if f"`{name}`" not in body
+            )
+        problems.extend(run_doctest_blocks(text, name=doc))
     return problems
 
 

@@ -17,10 +17,8 @@ defaults to the paper's Rayleigh law; every entry point takes a
   replacement, serial degradation).
 """
 
-from repro.sim.adaptive import AdaptiveResult, simulate_until
 from repro.sim.metrics import SimulationResult, summarize_trials
 from repro.sim.montecarlo import simulate_schedule
-from repro.sim.network_sim import QueueSimResult, simulate_queues, stability_sweep
 from repro.sim.parallel import (
     WorkUnit,
     available_cpus,
@@ -61,9 +59,4 @@ __all__ = [
     "UnitFailure",
     "backoff_delay",
     "resilient_map",
-    "simulate_queues",
-    "stability_sweep",
-    "QueueSimResult",
-    "simulate_until",
-    "AdaptiveResult",
 ]

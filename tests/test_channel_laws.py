@@ -27,6 +27,7 @@ from repro.channel.sampling import (
 )
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
+from repro.sim.montecarlo import simulate_schedule
 
 ALPHA = 3.0
 
@@ -84,10 +85,25 @@ class TestRegistry:
             get_channel_law("nakagami:k=2")
 
     def test_bad_param_value_rejected(self):
-        with pytest.raises(ValueError):
-            get_channel_law("nakagami:m=-1")
-        with pytest.raises(ValueError):
-            get_channel_law("shadowing:sigma_db=-3")
+        # Out of range, non-finite, wrong type, or a repeated key: each
+        # would build a law whose spec string fails to render or names a
+        # different law.
+        for spec in (
+            "nakagami:m=-1",
+            "nakagami:m=0",
+            "nakagami:m=inf",
+            "nakagami:m=nan",
+            "nakagami:m=true",
+            "nakagami:m=2,m=3",
+            "shadowing:sigma_db=-3",
+            "shadowing:sigma_db=inf",
+            "shadowing:sigma_db=nan",
+            "shadowing:sigma_db=true",
+            "shadowing:static=1",
+            "shadowing:sigma_db=4,sigma_db=6",
+        ):
+            with pytest.raises(ValueError):
+                get_channel_law(spec)
 
     def test_duplicate_registration_rejected(self):
         class ImpostorLaw(RayleighLaw):
@@ -148,6 +164,18 @@ class TestClosedForms:
         got = DeterministicLaw().success_probability(problem, active)
         assert set(np.unique(got)) <= {0.0, 1.0}
 
+    def test_nakagami_large_m_approaches_deterministic(self):
+        """m -> inf concentrates the power at its mean, so the Monte-Carlo
+        success estimate nears the deterministic 0/1 indicator."""
+        p = FadingRLS(links=paper_topology(12, region_side=80, seed=0), alpha=ALPHA)
+        active = np.arange(p.n_links)
+        want = DeterministicLaw().success_probability(p, active)
+        assert 0 < want.sum() < want.size  # both outcomes present
+        got = simulate_schedule(
+            p, active, n_trials=20_000, seed=6, channel="nakagami:m=200"
+        ).per_link_success
+        np.testing.assert_allclose(got, want, atol=0.05)
+
 
 class TestStreamContract:
     @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -206,7 +234,7 @@ class TestStreamContract:
         )
         assert not np.array_equal(z, z2)
 
-    @pytest.mark.parametrize("spec", ("nakagami:m=4", "shadowing:sigma_db=5"))
+    @pytest.mark.parametrize("spec", ("nakagami:m=4", "nakagami:m=0.5", "shadowing:sigma_db=5"))
     def test_mean_preserved(self, geometry, spec):
         d, active = geometry
         law = get_channel_law(spec)
@@ -215,6 +243,25 @@ class TestStreamContract:
         mask = means > 0
         ratio = z[:, mask].mean(axis=0) / means[mask]
         assert np.all(np.abs(ratio - 1.0) < 0.25)
+
+    def test_rayleigh_cdf_at_mean(self, geometry):
+        """Eq. 5: an exponential power falls below its mean w.p. 1 - 1/e."""
+        d, active = geometry
+        z = sample_fading_trials(d, active, ALPHA, 20_000, seed=2)
+        _, means = fading_means(d, active, ALPHA)
+        below = (z <= means).mean(axis=0)
+        np.testing.assert_allclose(below, 1 - np.exp(-1), atol=0.015)
+
+    def test_shadowing_raises_variance(self, geometry):
+        """Log-normal shadowing widens every pair's power spread."""
+        d, active = geometry
+        _, means = fading_means(d, active, ALPHA)
+        var = []
+        for sigma in (0, 8):
+            law = f"shadowing:sigma_db={sigma}"
+            z = sample_fading_trials(d, active, ALPHA, 20_000, seed=3, law=law)
+            var.append((z / means).var(axis=0))
+        assert np.all(var[1] > var[0])
 
 
 class TestImportSurface:
@@ -235,10 +282,6 @@ class TestImportSurface:
             "get_channel_law",
             "register_channel_law",
             "channel_law_names",
-            "sample_nakagami_trials",
-            "success_probability_nakagami",
-            "sample_shadowed_trials",
-            "success_probability_shadowed",
         ):
             assert name in channel_pkg.__all__
             assert hasattr(channel_pkg, name)

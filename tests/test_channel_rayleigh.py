@@ -8,12 +8,7 @@ under exponential fading.
 import numpy as np
 import pytest
 
-from repro.channel.rayleigh import (
-    RayleighChannel,
-    received_power_cdf,
-    sample_received_power,
-    success_probability,
-)
+from repro.channel.rayleigh import received_power_cdf, success_probability
 
 
 class TestReceivedPowerCdf:
@@ -35,32 +30,6 @@ class TestReceivedPowerCdf:
         x = np.linspace(0, 1e-2, 100)
         c = received_power_cdf(x, 10.0, 3.0)
         assert (np.diff(c) >= 0).all()
-
-
-class TestSampleReceivedPower:
-    def test_mean_matches_pathloss(self):
-        s = sample_received_power(10.0, alpha=3.0, size=200_000, seed=0)
-        assert np.mean(s) == pytest.approx(10.0**-3, rel=0.02)
-
-    def test_shape_with_matrix(self):
-        d = np.full((3, 3), 10.0)
-        s = sample_received_power(d, alpha=3.0, size=7, seed=0)
-        assert s.shape == (7, 3, 3)
-
-    def test_nonnegative(self):
-        s = sample_received_power(5.0, alpha=3.0, size=1000, seed=1)
-        assert (s >= 0).all()
-
-    def test_reproducible(self):
-        a = sample_received_power(5.0, alpha=3.0, size=10, seed=3)
-        b = sample_received_power(5.0, alpha=3.0, size=10, seed=3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_exponential_distribution(self):
-        # CDF at the mean should be 1 - 1/e.
-        s = sample_received_power(10.0, alpha=3.0, size=100_000, seed=2)
-        frac = np.mean(s <= 10.0**-3)
-        assert frac == pytest.approx(1 - np.exp(-1), abs=0.01)
 
 
 def two_link_distances(own=10.0, cross=50.0):
@@ -151,27 +120,3 @@ class TestLaplaceTransformIdentity:
         samples = rng.exponential(mu, 400_000)
         empirical = np.mean(np.exp(-nu * samples))
         assert empirical == pytest.approx(1.0 / (1.0 + mu * nu), rel=0.01)
-
-
-class TestRayleighChannel:
-    def test_facade_consistency(self):
-        ch = RayleighChannel(alpha=3.0)
-        d = two_link_distances()
-        np.testing.assert_allclose(
-            ch.success_probability(d, np.array([0, 1]), gamma_th=1.0),
-            success_probability(d, np.array([0, 1]), 3.0, 1.0),
-        )
-
-    def test_mean_power(self):
-        ch = RayleighChannel(alpha=2.0, power=3.0)
-        assert ch.mean_power(2.0) == pytest.approx(0.75)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            RayleighChannel(alpha=-1.0)
-        with pytest.raises(ValueError):
-            RayleighChannel(alpha=3.0, power=0.0)
-
-    def test_sample_shape(self):
-        ch = RayleighChannel(alpha=3.0)
-        assert np.asarray(ch.sample(10.0, size=5, seed=0)).shape == (5,)

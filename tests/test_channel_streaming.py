@@ -9,7 +9,7 @@ chunking along the trial axis is invisible to the statistics.
 import numpy as np
 import pytest
 
-from repro.channel.laws import ShadowingLaw, get_channel_law
+from repro.channel.laws import ShadowingLaw, _lognormal_factor, get_channel_law
 from repro.channel.sampling import (
     DEFAULT_MAX_BYTES,
     fading_means,
@@ -18,7 +18,6 @@ from repro.channel.sampling import (
     sample_fading_trials,
     trial_chunk_size,
 )
-from repro.channel.shadowing import _lognormal_factor
 from repro.network.topology import paper_topology
 from repro.utils.rng import spawn_rngs
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,31 +96,23 @@ class TestConstants:
         assert len(out.strip().splitlines()) == 4  # header + rule + 2 rows
 
 
-class TestQueue:
-    def test_runs(self, capsys):
-        assert (
-            main(
-                [
-                    "queue",
-                    "--n-links",
-                    "40",
-                    "--slots",
-                    "50",
-                    "--arrival-rate",
-                    "0.05",
-                    "--algorithm",
-                    "greedy",
-                ]
-            )
-            == 0
+class TestChannelFlag:
+    def test_unusable_spec_exits_without_traceback(self):
+        """A spec the law rejects ends in a one-line ``--channel:`` error."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        args = ["figures", "--panel", "fig5a", "--channel", "shadowing:sigma_db=inf"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
         )
-        out = capsys.readouterr().out
-        assert "slot efficiency" in out
-
-    def test_from_file(self, tmp_path, capsys):
-        links = tmp_path / "links.csv"
-        main(["generate", str(links), "--n-links", "30", "--seed", "4"])
-        assert main(["queue", "--input", str(links), "--slots", "30"]) == 0
+        assert proc.returncode != 0
+        assert "--channel: sigma_db must be a finite number" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerify:

@@ -18,16 +18,19 @@ class TestPowerControlPlusQueues:
         respects the powers, greedy handles non-uniform power."""
         from repro.core.baselines.naive import greedy_fading_schedule
         from repro.core.powercontrol import distance_proportional_powers
-        from repro.sim.network_sim import simulate_queues
+        from repro.workload.generators import PoissonArrivals
+        from repro.workload.queues import simulate_workload
 
         links = paper_topology(50, seed=0)
         base = FadingRLS(links=links, noise=1e-7)
         powered = base.with_powers(
             distance_proportional_powers(links, base.alpha, target_received=1e-3)
         )
-        r = simulate_queues(powered, greedy_fading_schedule, n_slots=120, arrival_rate=0.05, seed=1)
-        assert r.slot_efficiency >= 0.95
-        assert r.deliveries > 0
+        r = simulate_workload(
+            powered, PoissonArrivals(0.05), greedy_fading_schedule, n_slots=120, seed=1
+        )
+        assert r.served / (r.served + r.failed) >= 0.95
+        assert r.served > 0
 
 
 class TestNoisePlusFrames:

@@ -132,8 +132,8 @@ class TestDoctestGate:
             "## Span catalogue\n`a.b`\n\n"
             "## Metric catalogue\n`c.d`\n"
         )
-        spans, metrics = docscheck.catalogued_names(md)
-        assert spans == {"a.b"} and metrics == {"c.d"}
+        assert docscheck.section(md, "Span catalogue").strip() == "`a.b`"
+        assert docscheck.section(md, "Metric catalogue").strip() == "`c.d`"
 
 
 class TestChannelsGate:

@@ -8,7 +8,7 @@ beyond the pinned cases in ``tests/test_channel_laws.py``.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.channel.laws import NakagamiLaw, ShadowingLaw, get_channel_law
@@ -135,25 +135,40 @@ class TestFaultInjection:
         assert m.scenario == scenario.name
 
 
-class TestSpecRoundTripProperties:
-    @given(m=st.floats(min_value=0.1, max_value=32.0, allow_nan=False))
-    @settings(max_examples=40, deadline=None)
-    def test_nakagami_spec_round_trips(self, m):
-        law = NakagamiLaw(m=m)
-        again = get_channel_law(law.spec)
-        assert again == law
-        assert again.spec == law.spec
+def _rejected_or_round_trips(make):
+    """A law built from any value either raises ``ValueError`` or has a
+    spec that parses back to an equal law with the same spec."""
+    try:
+        law = make()
+    except ValueError:
+        return
+    again = get_channel_law(law.spec)
+    assert again == law
+    assert again.spec == law.spec
 
-    @given(
-        sigma=st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
-        static=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
+
+_ANY_VALUE = st.one_of(st.floats(), st.booleans())
+
+
+class TestSpecRoundTripProperties:
+    @given(m=_ANY_VALUE)
+    @example(m=float("inf"))
+    @example(m=float("nan"))
+    @example(m=True)
+    @example(m=np.float64(2.5))
+    @settings(max_examples=100, deadline=None)
+    def test_nakagami_spec_round_trips(self, m):
+        _rejected_or_round_trips(lambda: NakagamiLaw(m=m))
+
+    @given(sigma=_ANY_VALUE, static=_ANY_VALUE)
+    @example(sigma=float("inf"), static=False)
+    @example(sigma=float("nan"), static=False)
+    @example(sigma=True, static=False)
+    @example(sigma=6.0, static=1.0)
+    @example(sigma=np.float64(4.5), static=True)
+    @settings(max_examples=100, deadline=None)
     def test_shadowing_spec_round_trips(self, sigma, static):
-        law = ShadowingLaw(sigma_db=sigma, static=static)
-        again = get_channel_law(law.spec)
-        assert again == law
-        assert again.spec == law.spec
+        _rejected_or_round_trips(lambda: ShadowingLaw(sigma_db=sigma, static=static))
 
 
 class TestStreamContractProperties:

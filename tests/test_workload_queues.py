@@ -71,6 +71,21 @@ class TestSimulateWorkload:
         assert np.all(result.queue_trajectory <= 2)
         assert result.arrived == result.served + result.dropped + result.final_backlog
 
+    def test_fading_resistance_wastes_fewer_attempts(self):
+        """Queue-level claim: RLE keeps nearly every transmission attempt
+        useful, while the fading-susceptible baseline burns attempts on
+        failures that must be retried."""
+        from repro.core.baselines.approx_diversity import approx_diversity_schedule
+        from repro.core.rle import rle_schedule
+
+        p = FadingRLS(links=paper_topology(120, seed=0))
+        rle, div = (
+            simulate_workload(p, PoissonArrivals(0.05), fn, n_slots=300, seed=1)
+            for fn in (rle_schedule, approx_diversity_schedule)
+        )
+        assert rle.served / (rle.served + rle.failed) >= 0.97
+        assert div.failed > rle.failed
+
     def test_scheduler_callable_accepted(self, problem):
         from repro.core.rle import rle_schedule
 
