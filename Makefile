@@ -47,7 +47,7 @@ bench-service:   ## serving smoke bench: 1000 concurrent clients vs a live serve
 	$(PYTHON) -m pytest benchmarks/test_service_smoke.py -q -s
 
 service-smoke:   ## service tier: unit suites + a self-serving CLI load test
-	$(PYTHON) -m pytest tests/test_service_broker.py tests/test_service_server.py tests/test_service_loadgen.py tests/test_verify_service.py -q
+	$(PYTHON) -X dev -m pytest tests/test_service_broker.py tests/test_service_server.py tests/test_service_loadgen.py tests/test_service_concurrency.py tests/test_verify_service.py -q
 	$(PYTHON) -m repro loadtest --clients 200 --ticks 2 --seed 7 --min-ok 200 --min-peak 200 --max-transport-errors 0 >/dev/null
 
 bench-gate:      ## bench-smoke + kernel benches against the committed baseline (fails on >50% regression)

@@ -23,7 +23,7 @@ answers requests from three tiers, cheapest first:
    produces the answer — again feasibility-checked before return.
 
 Anything else is a **miss**: the scheduler runs, and the result is
-inserted (under both keys) for next time.
+inserted for next time.
 
 Transparency
 ------------
@@ -35,6 +35,20 @@ is fully transparent — every answer is bit-identical to the uncached
 one.  The ``cache-vs-fresh`` differential check and the workload
 golden-trace test pin both properties.
 
+Only the canonical and warm tiers read the O(N^2) fingerprint, so a
+transparent cache never computes it: its entries, the policy's ghost
+records and the event labels key on the exact key instead.
+
+Threads
+-------
+One cache may be shared by threads.  Its lock covers the exact-key
+probe, the hit and miss bookkeeping, and the insert with its evictions
+(and, with ``directory=`` set, the entry file).  The fingerprint, the
+canonical and warm tiers' checks and the scheduler run outside it, so
+a hit never waits for another request's compute.  Two threads that
+miss on the same key at once both run the scheduler and both count a
+miss; the first insert wins, as in :func:`functools.lru_cache`.
+
 Eviction and persistence
 ------------------------
 ``capacity`` bounds the entry count; victims are chosen by a
@@ -44,7 +58,8 @@ write: unique temp file + fsync + rename, damaged files read as
 misses) so a serving process can restart warm.  Hits, misses and
 evictions are counted in :mod:`repro.obs` (``cache.*``; catalogued in
 ``docs/OBSERVABILITY.md``) and mirrored in :attr:`ScheduleCache.stats`
-and the ordered :attr:`ScheduleCache.events` log the golden tests pin.
+and in :attr:`ScheduleCache.events`, the ring of the newest
+:data:`EVENTS_MAXLEN` events that the golden tests pin.
 """
 
 from __future__ import annotations
@@ -52,9 +67,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,10 +95,25 @@ SchedulerLike = Union[str, Callable[..., Schedule]]
 #: Version tag of the persisted entry payload shape.
 ENTRY_SCHEMA = 1
 
+#: Number of newest events :attr:`ScheduleCache.events` keeps.
+EVENTS_MAXLEN = 4096
+
+#: The ``order`` of an entry cached without a fingerprint.
+_NO_ORDER = np.empty(0, dtype=np.int64)
+_NO_ORDER.flags.writeable = False
+
 
 @dataclass
 class CacheEntry:
-    """One cached schedule plus everything needed to reuse it."""
+    """One cached schedule plus everything needed to reuse it.
+
+    ``fingerprint`` and ``order`` come from
+    :func:`~repro.cache.fingerprint.fingerprint_with_order`.  A
+    transparent cache never computes them: it stores the exact key as
+    ``fingerprint`` and an empty ``order``.  An exact key never equals
+    a fingerprint (the two hashes are salted apart), so the canonical
+    tier never matches such an entry.
+    """
 
     exact_key: str
     fingerprint: str
@@ -217,14 +249,16 @@ class ScheduleCache:
         self.quality_bound = float(quality_bound)
         self.directory = Path(directory) if directory is not None else None
         self._entries: Dict[str, CacheEntry] = {}
-        self._by_fingerprint: Dict[str, List[str]] = {}
+        self._lock = threading.Lock()
         self._clock = 0
         self._seq = 0
-        #: Ordered (kind, fingerprint-prefix) log of every cache event:
-        #: ``exact`` / ``canonical`` / ``warm`` / ``miss`` / ``evict``.
-        #: Fingerprint prefixes (not exact keys) label the events, so
-        #: the log is invariant under relabeling of the request stream.
-        self.events: List[Tuple[str, str]] = []
+        #: The newest :data:`EVENTS_MAXLEN` cache events, oldest first,
+        #: as ``(kind, label)``: kind ``exact`` / ``canonical`` / ``warm``
+        #: / ``miss`` / ``evict``, label the first 12 hex digits of the
+        #: entry's fingerprint.  With ``warm_start=True`` the log is
+        #: therefore invariant under relabeling of the request stream; a
+        #: transparent cache labels by exact key.
+        self.events: Deque[Tuple[str, str]] = deque(maxlen=EVENTS_MAXLEN)
         self._counters: Dict[str, int] = {
             "exact_hits": 0,
             "canonical_hits": 0,
@@ -243,52 +277,30 @@ class ScheduleCache:
         problem,
         scheduler: SchedulerLike = "rle",
         scheduler_kwargs: Optional[dict] = None,
-    ) -> Schedule:
+        *,
+        return_tier: bool = False,
+    ) -> Union[Schedule, Tuple[Schedule, str]]:
         """The schedule for ``problem``, served from cache when possible.
 
         Drop-in replacement for ``scheduler(problem, **kwargs)``; see
         the module docstring for the tier semantics and the
-        transparency guarantee.
+        transparency guarantee.  With ``return_tier=True`` the result
+        is ``(schedule, tier)``, ``tier`` being the tier that answered:
+        ``"exact"``, ``"canonical"``, ``"warm"`` or ``"miss"``.
         """
-        fn = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        kwargs = dict(scheduler_kwargs or {})
-        sid = scheduler_identity(fn, kwargs)
-        self._clock += 1
-        with span("cache.lookup", n=problem.n_links):
-            key = exact_key(problem, sid)
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._record_hit(entry, "exact")
-                obs_metrics.inc("cache.exact_hits")
-                return entry.schedule
-            fingerprint, order = fingerprint_with_order(problem)
-            if self.warm_start:
-                result = self._canonical_hit(problem, fingerprint, order, sid, key)
-                if result is None:
-                    result = self._warm_hit(problem, fingerprint, order, fn, kwargs, sid, key)
-                if result is not None:
-                    return result
-        self._counters["misses"] += 1
-        obs_metrics.inc("cache.misses")
-        self.events.append(("miss", fingerprint[:12]))
-        result = fn(problem, **kwargs)
-        self._insert(key, fingerprint, order, problem, sid, result)
-        return result
+        result, tier = self._lookup(problem, scheduler, scheduler_kwargs)
+        return (result, tier) if return_tier else result
 
     @property
     def stats(self) -> Dict[str, Any]:
         """Counters plus occupancy, as a plain dict."""
-        out: Dict[str, Any] = dict(self._counters)
-        out["entries"] = len(self._entries)
+        with self._lock:
+            out: Dict[str, Any] = dict(self._counters)
+            out["entries"] = len(self._entries)
         out["capacity"] = self.capacity
         out["policy"] = self.policy
-        lookups = (
-            self._counters["exact_hits"]
-            + self._counters["canonical_hits"]
-            + self._counters["warm_hits"]
-            + self._counters["misses"]
-        )
-        hits = lookups - self._counters["misses"]
+        lookups = out["exact_hits"] + out["canonical_hits"] + out["warm_hits"] + out["misses"]
+        hits = lookups - out["misses"]
         out["hit_rate"] = hits / lookups if lookups else 0.0
         return out
 
@@ -302,16 +314,17 @@ class ScheduleCache:
         """
         if self.directory is None:
             return
-        for key, entry in self._entries.items():
-            if entry.hits > 0:
-                _atomic_write_json(self.directory / f"{key}.json", _entry_payload(entry))
-        payload = {
-            "schema": ENTRY_SCHEMA,
-            "policy": self.policy,
-            "counters": dict(self._counters),
-            "hits": {k: int(e.hits + e.seeded) for k, e in self._entries.items()},
-        }
-        _atomic_write_json(self.directory / "_stats.json", payload)
+        with self._lock:
+            for key, entry in self._entries.items():
+                if entry.hits > 0:
+                    _atomic_write_json(self.directory / f"{key}.json", _entry_payload(entry))
+            payload = {
+                "schema": ENTRY_SCHEMA,
+                "policy": self.policy,
+                "counters": dict(self._counters),
+                "hits": {k: int(e.hits + e.seeded) for k, e in self._entries.items()},
+            }
+            _atomic_write_json(self.directory / "_stats.json", payload)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -321,42 +334,52 @@ class ScheduleCache:
 
     def keys(self) -> List[str]:
         """Sorted exact keys of every cached entry."""
-        return sorted(self._entries)
+        with self._lock:
+            return sorted(self._entries)
 
     # -- tiers --------------------------------------------------------
 
+    def _lookup(
+        self, problem, scheduler: SchedulerLike, scheduler_kwargs: Optional[dict]
+    ) -> Tuple[Schedule, str]:
+        """``(schedule, tier)`` for one request (see :meth:`schedule`)."""
+        fn = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
+        kwargs = dict(scheduler_kwargs or {})
+        sid = scheduler_identity(fn, kwargs)
+        with span("cache.lookup", n=problem.n_links):
+            key = exact_key(problem, sid)
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._record_hit(entry, "exact")
+            if entry is not None:
+                obs_metrics.inc("cache.exact_hits")
+                return entry.schedule, "exact"
+            fingerprint, order = key, _NO_ORDER
+            if self.warm_start:
+                fingerprint, order = fingerprint_with_order(problem)
+                hit = self._fuzzy_hit(problem, fingerprint, order, fn, kwargs, sid, key)
+                if hit is not None:
+                    return hit
+            with self._lock:
+                self._clock += 1
+                self._counters["misses"] += 1
+                self.events.append(("miss", fingerprint[:12]))
+        obs_metrics.inc("cache.misses")
+        result = fn(problem, **kwargs)
+        with self._lock:
+            self._insert(key, fingerprint, order, problem, sid, result)
+        return result, "miss"
+
     def _record_hit(self, entry: CacheEntry, kind: str) -> None:
+        """Count one hit on ``entry`` (caller holds the lock)."""
+        self._clock += 1
         entry.hits += 1
         entry.last_used = self._clock
         self._counters[f"{kind}_hits"] += 1
         self.events.append((kind, entry.fingerprint[:12]))
 
-    def _canonical_hit(
-        self, problem, fingerprint: str, order: np.ndarray, sid: str, key: str
-    ) -> Optional[Schedule]:
-        """Remap a same-fingerprint entry onto the requested labeling."""
-        n = problem.n_links
-        for cached_key in self._by_fingerprint.get(fingerprint, ()):
-            entry = self._entries[cached_key]
-            if entry.scheduler_id != sid or entry.n_links != n:
-                continue
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[entry.order] = np.arange(n, dtype=np.int64)
-            mapped = np.sort(order[inverse[entry.schedule.active]])
-            if not problem.is_feasible(mapped):
-                continue
-            self._record_hit(entry, "canonical")
-            obs_metrics.inc("cache.canonical_hits")
-            result = Schedule(
-                active=mapped,
-                algorithm=entry.schedule.algorithm,
-                diagnostics={"cache": "canonical", "source": entry.exact_key},
-            )
-            self._insert(key, fingerprint, order, problem, sid, result)
-            return result
-        return None
-
-    def _warm_hit(
+    def _fuzzy_hit(
         self,
         problem,
         fingerprint: str,
@@ -365,7 +388,59 @@ class ScheduleCache:
         kwargs: dict,
         sid: str,
         key: str,
-    ) -> Optional[Schedule]:
+    ) -> Optional[Tuple[Schedule, str]]:
+        """The canonical tier, then the warm tier; ``None`` on a miss.
+
+        Both search a snapshot of the entries, so their feasibility
+        checks and repairs run outside the lock.
+        """
+        with self._lock:
+            entries = list(self._entries.values())
+        tier = "canonical"
+        found = self._canonical_hit(problem, fingerprint, order, sid, entries)
+        if found is None:
+            tier = "warm"
+            found = self._warm_hit(problem, fn, kwargs, sid, entries)
+        if found is None:
+            return None
+        source, result = found
+        with self._lock:
+            self._record_hit(source, tier)
+            self._insert(key, fingerprint, order, problem, sid, result)
+        return result, tier
+
+    def _canonical_hit(
+        self, problem, fingerprint: str, order: np.ndarray, sid: str, entries: List[CacheEntry]
+    ) -> Optional[Tuple[CacheEntry, Schedule]]:
+        """Remap a same-fingerprint entry onto the requested labeling."""
+        n = problem.n_links
+        for entry in entries:
+            if entry.fingerprint != fingerprint:
+                continue
+            if entry.scheduler_id != sid or entry.n_links != n:
+                continue
+            inverse = np.empty(n, dtype=np.int64)
+            inverse[entry.order] = np.arange(n, dtype=np.int64)
+            mapped = np.sort(order[inverse[entry.schedule.active]])
+            if not problem.is_feasible(mapped):
+                continue
+            obs_metrics.inc("cache.canonical_hits")
+            result = Schedule(
+                active=mapped,
+                algorithm=entry.schedule.algorithm,
+                diagnostics={"cache": "canonical", "source": entry.exact_key},
+            )
+            return entry, result
+        return None
+
+    def _warm_hit(
+        self,
+        problem,
+        fn: Callable[..., Schedule],
+        kwargs: dict,
+        sid: str,
+        entries: List[CacheEntry],
+    ) -> Optional[Tuple[CacheEntry, Schedule]]:
         """Repair the nearest neighbour's schedule onto the request."""
         from repro.core.incremental import IncrementalScheduler
         from repro.network.delta import LinkDelta
@@ -375,7 +450,7 @@ class ScheduleCache:
         params = _problem_params(problem)
         best: Optional[CacheEntry] = None
         best_dist = float("inf")
-        for entry in self._entries.values():
+        for entry in entries:
             if entry.scheduler_id != sid or entry.n_links != problem.n_links:
                 continue
             if entry.params != params:
@@ -412,15 +487,13 @@ class ScheduleCache:
             repaired = engine.step(delta)
         if not problem.is_feasible(repaired.active):
             return None
-        self._record_hit(best, "warm")
         obs_metrics.inc("cache.warm_hits")
         result = repaired.with_diagnostics(
             cache="warm", source=best.exact_key, distance=best_dist
         )
-        self._insert(key, fingerprint, order, problem, sid, result)
-        return result
+        return best, result
 
-    # -- insertion / eviction -----------------------------------------
+    # -- insertion / eviction (the caller holds the lock) ---------------
 
     def _insert(
         self,
@@ -431,6 +504,8 @@ class ScheduleCache:
         sid: str,
         result: Schedule,
     ) -> None:
+        if key in self._entries:
+            return  # a concurrent miss on the same key inserted first
         links = problem.links
         entry = CacheEntry(
             exact_key=key,
@@ -451,7 +526,6 @@ class ScheduleCache:
         )
         self._seq += 1
         self._entries[key] = entry
-        self._by_fingerprint.setdefault(fingerprint, []).append(key)
         if self.directory is not None:
             _atomic_write_json(self.directory / f"{key}.json", _entry_payload(entry))
         while len(self._entries) > self.capacity:
@@ -461,10 +535,6 @@ class ScheduleCache:
         candidates = {k: e for k, e in self._entries.items() if k != exclude}
         victim_key = self._policy.victim(candidates)
         victim = self._entries.pop(victim_key)
-        siblings = self._by_fingerprint[victim.fingerprint]
-        siblings.remove(victim_key)
-        if not siblings:
-            del self._by_fingerprint[victim.fingerprint]
         if self.directory is not None:
             try:
                 (self.directory / f"{victim_key}.json").unlink()
@@ -493,7 +563,6 @@ class ScheduleCache:
             entry.inserted_seq = self._seq
             self._seq += 1
             self._entries[entry.exact_key] = entry
-            self._by_fingerprint.setdefault(entry.fingerprint, []).append(entry.exact_key)
 
 
 def _problem_params(problem) -> Tuple[float, float, float, float, float]:

@@ -34,7 +34,6 @@ objects for warm repairs without recomputation.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -233,7 +232,9 @@ class ScheduleBroker:
         A :class:`ScheduleCache` fronting the schedulers, or ``None``
         to compute every request from scratch.  The default is a
         transparent (``warm_start=False``) cache, preserving the
-        bit-identity contract with direct scheduling.
+        bit-identity contract with direct scheduling.  The worker
+        threads share it; it locks only around its probe and insert,
+        so a hit never waits for another request's scheduler run.
     max_sessions:
         Cap on concurrently open delta sessions.
     inline:
@@ -281,10 +282,6 @@ class ScheduleBroker:
             self._cache = ScheduleCache(capacity=512, warm_start=False)
         else:
             self._cache = None
-        #: ScheduleCache is not thread-safe; serialize access across
-        #: executor threads.  Hits are O(N) hashing, so the lock is
-        #: cheap except when distinct misses pile up simultaneously.
-        self._cache_lock = threading.Lock()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: Dict[str, asyncio.Future] = {}
         self._buckets: Dict[str, TokenBucket] = {}
@@ -478,11 +475,10 @@ class ScheduleBroker:
         ):
             if self._cache is None:
                 return get_scheduler(request.scheduler)(request.problem), "miss"
-            with self._cache_lock:
-                misses = self._cache.stats["misses"]
-                schedule = self._cache.schedule(request.problem, request.scheduler)
-                hit = self._cache.stats["misses"] == misses
-            return schedule, "cache" if hit else "miss"
+            schedule, tier = self._cache.schedule(
+                request.problem, request.scheduler, return_tier=True
+            )
+            return schedule, "miss" if tier == "miss" else "cache"
 
     # -- delta sessions -----------------------------------------------
 

@@ -7,10 +7,12 @@ the golden-trace test pin the same properties end to end.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.cache import store
 from repro.cache.fingerprint import exact_key, scheduler_identity, topology_fingerprint
 from repro.cache.policy import (
     CACHE_POLICIES,
@@ -18,7 +20,7 @@ from repro.cache.policy import (
     RepetitionAwarePolicy,
     make_policy,
 )
-from repro.cache.store import ScheduleCache, cache_dir_stats
+from repro.cache.store import EVENTS_MAXLEN, ScheduleCache, cache_dir_stats
 from repro.core.incremental import IncrementalScheduler
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
@@ -218,6 +220,69 @@ class TestWarmTier:
         assert cache.stats["misses"] == 3
 
 
+class TestTransparentMode:
+    def test_never_computes_a_fingerprint(self, monkeypatch):
+        def forbidden(problem):
+            raise AssertionError("a transparent cache computed a fingerprint")
+
+        monkeypatch.setattr(store, "fingerprint_with_order", forbidden)
+        cache = ScheduleCache(capacity=2, warm_start=False)
+        a, b, c = (_problem(i) for i in range(3))
+        for p in (a, a, b, c, _relabeled(a), _jittered(b)):
+            assert np.array_equal(cache.schedule(p, "rle").active, rle_schedule(p).active)
+        stats = cache.stats
+        assert (stats["exact_hits"], stats["misses"], stats["evictions"]) == (1, 5, 3)
+
+    def test_return_tier_names_the_answering_tier(self):
+        cache = ScheduleCache(capacity=8)
+        p = _problem()
+        first, tier = cache.schedule(p, "rle", return_tier=True)
+        assert tier == "miss"
+        assert cache.schedule(p, "rle", return_tier=True) == (first, "exact")
+        assert cache.schedule(_relabeled(p), "rle", return_tier=True)[1] == "canonical"
+        assert cache.schedule(_jittered(p), "rle", return_tier=True)[1] == "warm"
+
+    def test_transparent_directory_reloaded_with_warm_start(self, tmp_path):
+        p = _problem()
+        writer = ScheduleCache(capacity=8, warm_start=False, directory=tmp_path)
+        first = writer.schedule(p, "rle")
+        reader = ScheduleCache(capacity=8, warm_start=True, directory=tmp_path)
+        hit, tier = reader.schedule(p, "rle", return_tier=True)
+        assert tier == "exact"
+        assert np.array_equal(hit.active, first.active)
+        # The persisted entry has no fingerprint, so a relabeled copy is
+        # a miss, never a canonical remap.
+        q = _relabeled(p)
+        result, tier = reader.schedule(q, "rle", return_tier=True)
+        assert tier == "miss"
+        assert np.array_equal(result.active, rle_schedule(q).active)
+        assert reader.stats["canonical_hits"] == 0
+
+
+class TestEventLog:
+    def test_events_are_a_bounded_ring_with_exact_counters(self):
+        cache = ScheduleCache(capacity=8, warm_start=False)
+        a, b = _problem(0, n_links=4), _problem(1, n_links=4)
+        cache.schedule(a, "rle")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20_000):
+                cache.schedule(a, "rle")
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cache.schedule(b, "rle")
+        sid = scheduler_identity(rle_schedule, {})
+        assert len(cache.events) == EVENTS_MAXLEN
+        assert cache.events[-1] == ("miss", exact_key(b, sid)[:12])
+        assert cache.events[0] == ("exact", exact_key(a, sid)[:12])
+        assert (cache.stats["exact_hits"], cache.stats["misses"]) == (20_000, 2)
+        # A full ring holds about 0.5 MiB; an unbounded log grows about
+        # 2.4 MiB over these 20,000 hits.
+        assert growth < 2**20
+
+
 # -- eviction -------------------------------------------------------
 
 
@@ -235,9 +300,10 @@ class TestEviction:
         assert exact_key(a, sid) in cache
         assert exact_key(c, sid) in cache
         assert exact_key(b, sid) not in cache
-        # The miss is logged before insertion triggers the eviction.
-        assert cache.events[-1] == ("evict", topology_fingerprint(b)[:12])
-        assert cache.events[-2] == ("miss", topology_fingerprint(c)[:12])
+        # A transparent cache labels events by exact key.  The miss is
+        # logged before insertion triggers the eviction.
+        assert cache.events[-1] == ("evict", exact_key(b, sid)[:12])
+        assert cache.events[-2] == ("miss", exact_key(c, sid)[:12])
 
     def test_repetition_aware_protects_the_hot_entry(self):
         cache = ScheduleCache(capacity=2, policy="repetition_aware", warm_start=False)
@@ -262,12 +328,14 @@ class TestEviction:
         for _ in range(4):
             cache.schedule(a, "rle")
         cache.schedule(b, "rle")  # evicts a -> ghost with 4 hits
-        assert policy.ghosts[topology_fingerprint(a)] == 4
-        cache.schedule(a, "rle")  # re-inserted, seeded from the ghost
+        # A transparent cache keys its ghosts by exact key.
         sid = scheduler_identity(rle_schedule, {})
-        entry = cache._entries[exact_key(a, sid)]
+        key = exact_key(a, sid)
+        assert policy.ghosts[key] == 4
+        cache.schedule(a, "rle")  # re-inserted, seeded from the ghost
+        entry = cache._entries[key]
         assert entry.seeded == 4
-        assert topology_fingerprint(a) not in policy.ghosts  # consumed
+        assert key not in policy.ghosts  # consumed
 
     def test_ghost_capacity_is_bounded_fifo(self):
         policy = RepetitionAwarePolicy(ghost_capacity=2)
