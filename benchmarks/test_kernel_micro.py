@@ -1,4 +1,4 @@
-"""Kernel micro-benchmarks for the compute-backend layer.
+"""Kernel micro-benchmarks for the compute backend.
 
 Times the three hot kernels behind ``repro.backend`` at paper-grade
 sizes and records the results for the regression gate:
@@ -7,7 +7,7 @@ sizes and records the results for the regression gate:
   O(N^2) matvec reduction (``mask @ F``): the tentpole single-core
   speedup target (>= 5x at N=800, K~24);
 - **F-build** — the Eq. 17 interference-matrix build, numpy reference
-  wall time (plus the numba-vs-numpy ratio when numba is installed);
+  wall time;
 - **MC chunk** — the allocation-free success reduction vs a naive
   materialising replica of the historical code;
 - **distance** — the broadcast ``cross_distances`` kernel under every
@@ -30,7 +30,6 @@ import numpy as np
 
 from benchmarks import bench_export
 from repro.backend import kernels
-from repro.backend.numba_backend import NUMBA_AVAILABLE
 from repro.core.problem import FadingRLS
 from repro.geometry.distance import cross_distances
 from repro.network.topology import paper_topology
@@ -107,18 +106,7 @@ def test_fmatrix_build_wall():
         kernels.fmatrix(d, p.alpha, p.gamma_th)
 
     numpy_s = _best_of(build, inner=3)
-    config = {"n_links": N_LINKS, "numba_available": NUMBA_AVAILABLE}
-    if NUMBA_AVAILABLE:
-        from repro.backend import numba_backend
-
-        numba_backend.warmup()
-        ref = kernels.fmatrix(d, p.alpha, p.gamma_th)
-        got = numba_backend.fmatrix(d, p.alpha, p.gamma_th)
-        np.testing.assert_array_equal(got, ref)
-        numba_s = _best_of(lambda: numba_backend.fmatrix(d, p.alpha, p.gamma_th), inner=3)
-        config["speedup_numba_vs_numpy"] = numpy_s / numba_s
-        print(f"\nF-build: numpy {numpy_s * 1e3:.2f}ms, numba {numba_s * 1e3:.2f}ms")
-    bench_export.record("kernel_fmatrix_build", numpy_s, config)
+    bench_export.record("kernel_fmatrix_build", numpy_s, {"n_links": N_LINKS})
     print(f"\nF-build: numpy {numpy_s * 1e3:.2f}ms at N={N_LINKS}")
 
 
@@ -203,17 +191,17 @@ def test_submit_path_probe_overhead_removed():
     """The executor no longer pickles every unit eagerly before submit.
 
     Replicates the removed eager probe (``pickle.dumps`` of the worker
-    function and every work unit, per ``parallel_map`` call) and records
-    what it cost — pure overhead now paid only after a pool-surfaced
+    function and every work unit, per map call) and records what it
+    cost — pure overhead now paid only after a pool-surfaced
     serialization failure, i.e. never on the happy path.
     """
-    from repro.sim import parallel
+    from repro.sim import parallel, resilient
 
     # The eager probe is gone from the submit path...
     assert not hasattr(parallel, "_check_picklable")
     # ...and the lazy diagnosis hooks exist in its place.
-    assert hasattr(parallel, "_looks_like_pickling_error")
-    assert hasattr(parallel, "_raise_pickling_diagnosis")
+    assert hasattr(resilient, "_looks_like_pickling_error")
+    assert hasattr(resilient, "_raise_pickling_diagnosis")
 
     units = build_units(
         {"rle": get_scheduler("rle"), "ldp": get_scheduler("ldp")},

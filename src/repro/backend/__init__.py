@@ -1,28 +1,10 @@
-"""Pluggable compute backends (numpy / sharedmem / numba).
+"""The numpy compute kernels and the one backend that dispatches them.
 
-See :mod:`repro.backend.base` for the selection model and
-:mod:`repro.backend.kernels` for the reference kernels.  The
-shared-memory fan-out plane lives in :mod:`repro.backend.sharedmem`;
-it is imported lazily (it depends on the core problem types) — import
-it directly rather than through this package root.
+See :mod:`repro.backend.kernels` for the kernels and
+:mod:`repro.backend.base` for :func:`get_active`, the call-time seam the
+hot path looks its kernels up through.
 """
 
-from repro.backend.base import (  # noqa: F401
-    BACKEND_NAMES,
-    ComputeBackend,
-    available_backends,
-    get_active,
-    resolve,
-    set_active,
-    use,
-)
+from repro.backend.base import ComputeBackend, get_active  # noqa: F401
 
-__all__ = [
-    "BACKEND_NAMES",
-    "ComputeBackend",
-    "available_backends",
-    "get_active",
-    "resolve",
-    "set_active",
-    "use",
-]
+__all__ = ["ComputeBackend", "get_active"]

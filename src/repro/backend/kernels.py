@@ -1,4 +1,4 @@
-"""Allocation-conscious numpy kernels shared by every compute backend.
+"""Allocation-conscious numpy kernels behind the compute backend.
 
 These are the reference implementations of the three hot-path
 computations the backend layer (:mod:`repro.backend.base`) dispatches:

@@ -128,20 +128,6 @@ def _mc_max_bytes(args: argparse.Namespace) -> int | None:
     return int(mb * 2**20)
 
 
-def _backend(args: argparse.Namespace) -> str | None:
-    """``--backend`` validated (None = keep config default)."""
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return None
-    from repro.backend.base import BACKEND_NAMES
-
-    if backend not in BACKEND_NAMES:
-        raise SystemExit(
-            f"--backend must be one of {', '.join(BACKEND_NAMES)}, got {backend!r}"
-        )
-    return backend
-
-
 def _channel(args: argparse.Namespace) -> str | None:
     """``--channel`` validated/canonicalised (None = keep config default)."""
     spec = getattr(args, "channel", None)
@@ -240,11 +226,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_series
 
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
-    )
+    cfg = cfg.with_execution(n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args))
     cfg = cfg.with_resilience(**_resilience(args))
     cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
     drivers = {
@@ -293,7 +275,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_traffic(args: argparse.Namespace) -> int:
     """``repro traffic``: run a declarative workload scenario."""
-    from repro.backend.base import use as use_backend
     from repro.workload.generators import arrivals_from_spec
     from repro.workload.scenario import WorkloadScenario, run_scenario
 
@@ -341,8 +322,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
-    with use_backend(_backend(args)):
-        payload = run_scenario(scenario, n_jobs=_n_jobs(args) or 1, cache=cache)
+    payload = run_scenario(scenario, n_jobs=_n_jobs(args) or 1, cache=cache)
     stats = payload["stats"]
     print(
         f"{scenario.name}: {scenario.scheduler}/{scenario.policy} over "
@@ -465,11 +445,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
-    )
+    cfg = cfg.with_execution(n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args))
     cfg = cfg.with_resilience(**_resilience(args))
     cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
     text = generate_report(cfg)
@@ -492,9 +468,7 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
     )
 
     cfg = ExperimentConfig().small().with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
+        n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args)
     )
     channels = tuple(args.channel) if args.channel else DEFAULT_CHANNELS
     policies = tuple(args.policy) if args.policy else POWER_POLICIES
@@ -589,7 +563,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the scheduling service until interrupted."""
     import asyncio
 
-    from repro.backend.base import use as use_backend
     from repro.cache.store import ScheduleCache
     from repro.service.broker import ScheduleBroker
     from repro.service.loadgen import raise_nofile_limit
@@ -639,11 +612,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(json.dumps(broker.stats, default=str), file=sys.stderr)
         return 0
 
-    with use_backend(args.backend or "numpy"):
-        try:
-            return asyncio.run(_serve())
-        except KeyboardInterrupt:
-            return 0
+    try:
+        return asyncio.run(_serve())
+    except KeyboardInterrupt:
+        return 0
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
@@ -727,18 +699,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"loadtest: FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """Attach the compute-backend selector shared by sweep commands."""
-    p.add_argument(
-        "--backend",
-        choices=("numpy", "sharedmem", "numba"),
-        default=None,
-        help="compute backend: numpy (reference), sharedmem (zero-copy "
-        "worker fan-out), numba (native kernels); results are "
-        "bit-identical, unavailable backends fall back to numpy",
-    )
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
@@ -858,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
         )
-        _add_backend_flag(p)
         _add_resilience_flags(p)
         _add_channel_flags(p)
         p.add_argument("--output", help="write all series as JSON here")
@@ -940,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for the stability sweep grid",
     )
-    _add_backend_flag(w)
     w.add_argument(
         "--cache",
         metavar="DIR|memory",
@@ -1052,7 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
     )
-    _add_backend_flag(r)
     _add_resilience_flags(r)
     _add_channel_flags(r)
     r.add_argument("--output", help="write markdown here instead of stdout")
@@ -1099,7 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
     )
-    _add_backend_flag(ps)
     ps.add_argument("--output", help="write the JSON grid here")
     ps.set_defaults(fn=cmd_power_sweep)
 
@@ -1184,7 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--quiet", action="store_true", help="suppress the per-request access log"
     )
-    _add_backend_flag(sv)
     sv.set_defaults(fn=cmd_serve)
 
     lt = sub.add_parser(

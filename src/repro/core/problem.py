@@ -69,9 +69,8 @@ def interference_factors(
 
     This is the fixed numpy *reference* (it delegates to
     :func:`repro.backend.kernels.fmatrix`); instance-level builds
-    (:meth:`FadingRLS.interference_matrix`) dispatch through the active
-    compute backend instead, which the ``backend-vs-numpy`` differential
-    check pins bit-identical to this function.
+    (:meth:`FadingRLS.interference_matrix`) look the same kernel up on
+    the compute backend (:func:`repro.backend.get_active`) at call time.
     """
     return backend_kernels.fmatrix(distances, alpha, gamma_th, powers)
 
@@ -163,7 +162,7 @@ class FadingRLS:
         """Cached interference-factor matrix ``F`` (Eq. 17)."""
         if "F" not in self._cache:
             backend = backend_base.get_active()
-            with span("fmatrix.build", n=self.n_links, backend=backend.name):
+            with span("fmatrix.build", n=self.n_links):
                 self._cache["F"] = backend.fmatrix(
                     self.distances(), self.alpha, self.gamma_th, self.powers
                 )
@@ -244,13 +243,12 @@ class FadingRLS:
     def is_feasible(self, active: Sequence[int] | np.ndarray, *, tol: float = 1e-12) -> bool:
         """Corollary 3.1 check: every active receiver is informed.
 
-        Dispatches through the active compute backend's feasibility
-        kernel, which gathers only the ``(K, K)`` active sub-matrix —
-        O(K^2) instead of the O(N^2) masked reduction behind
-        :meth:`informed` — and returns the identical verdict (the
-        ``backend-vs-numpy`` differential check and the kernel tests
-        pin agreement, including on the unserviceable-link edge where
-        noise alone exceeds a receiver's budget).
+        Dispatches through the compute backend's feasibility kernel,
+        which gathers only the ``(K, K)`` active sub-matrix — O(K^2)
+        instead of the O(N^2) masked reduction behind :meth:`informed` —
+        and returns the identical verdict (the kernel tests pin
+        agreement, including on the unserviceable-link edge where noise
+        alone exceeds a receiver's budget).
         """
         mask = self.active_mask(active)
         idx = np.flatnonzero(mask)

@@ -15,17 +15,18 @@ Beyond the paper's four figure panels:
   law its certificates assume (``docs/CHANNELS.md``).
 
 Every driver takes ``n_jobs`` and fans its repetition grid out through
-:func:`repro.sim.parallel.fan_out` (1 = serial, bit-identical results
-for every value); an optional ``policy``
-(:class:`~repro.sim.resilient.RetryPolicy`) upgrades the fan-out to
-fault-tolerant execution — see ``docs/ROBUSTNESS.md``.
+:func:`repro.sim.resilient.resilient_map` (1 = serial, bit-identical
+results for every value) under the keys ``a1/<i>``, ``a2/<i>`` and
+``a3/<i>``; an optional ``policy``
+(:class:`~repro.sim.resilient.RetryPolicy`) adds timeouts and retries
+— see ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +36,8 @@ from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.network.topology import exponential_length_topology, paper_topology
 from repro.obs.trace import span
-from repro.sim.parallel import fan_out
+from repro.sim.resilient import RetryPolicy, resilient_map
 from repro.utils.rng import stable_seed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.resilient import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def ldp_class_ablation(
     root_seed: int = 2017,
     diverse_lengths: bool = True,
     n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> Dict[str, AblationResult]:
     """A1: LDP one-sided vs two-sided classes, expected throughput.
 
@@ -101,8 +99,12 @@ def ldp_class_ablation(
         variants=variants,
     )
     with span("experiment.ablation_a1", reps=n_repetitions):
-        per_rep = fan_out(
-            worker, range(n_repetitions), n_jobs=n_jobs, policy=policy, key_prefix="a1"
+        per_rep = resilient_map(
+            worker,
+            range(n_repetitions),
+            keys=[f"a1/{i}" for i in range(n_repetitions)],
+            n_jobs=n_jobs,
+            policy=policy,
         )
     out: Dict[str, AblationResult] = {}
     for name, _ in variants:
@@ -139,13 +141,19 @@ def rle_c2_ablation(
     alpha: float = 3.0,
     root_seed: int = 2017,
     n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> AblationResult:
     """A2: RLE expected throughput across the ``c2`` budget split."""
     cells = [(float(c2), rep) for c2 in c2_values for rep in range(n_repetitions)]
     worker = partial(_a2_cell, n_links=n_links, alpha=alpha, root_seed=root_seed)
     with span("experiment.ablation_a2", cells=len(cells)):
-        values = fan_out(worker, cells, n_jobs=n_jobs, policy=policy, key_prefix="a2")
+        values = resilient_map(
+            worker,
+            cells,
+            keys=[f"a2/{i}" for i in range(len(cells))],
+            n_jobs=n_jobs,
+            policy=policy,
+        )
     means: List[float] = []
     stds: List[float] = []
     for i in range(len(c2_values)):
@@ -207,7 +215,7 @@ def approximation_quality(
     region_side: float = 200.0,
     root_seed: int = 2017,
     n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ApproximationQuality:
     """A3: empirical approximation ratios on exactly solvable instances.
 
@@ -225,8 +233,12 @@ def approximation_quality(
         root_seed=root_seed,
     )
     with span("experiment.ablation_a3", instances=n_instances):
-        per_instance = fan_out(
-            worker, range(n_instances), n_jobs=n_jobs, policy=policy, key_prefix="a3"
+        per_instance = resilient_map(
+            worker,
+            range(n_instances),
+            keys=[f"a3/{i}" for i in range(n_instances)],
+            n_jobs=n_jobs,
+            policy=policy,
         )
     ratios: Dict[str, List[float]] = {"ldp": [], "rle": []}
     bounds: Dict[str, List[float]] = {"ldp": [], "rle": []}
@@ -257,7 +269,7 @@ def channel_robustness(
     alpha: float = 3.0,
     root_seed: int = 2017,
     n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> Dict[str, Dict[str, "RunResult"]]:
     """A5: the paper schedulers replayed under every channel law.
 

@@ -75,19 +75,16 @@ class ExperimentConfig:
 
     Execution knobs: ``n_jobs`` fans the ``point x rep x scheduler``
     grid out over worker processes (1 = serial, 0 = all CPUs; results
-    are bit-identical either way), ``mc_max_bytes`` bounds each
+    are bit-identical either way), and ``mc_max_bytes`` bounds each
     Monte-Carlo replay's peak memory (``None`` = the sampler's default
-    128 MiB chunk budget), and ``backend`` selects the compute backend
-    (``numpy`` | ``sharedmem`` | ``numba``, see
-    :mod:`repro.backend` and ``docs/PERFORMANCE.md``; every backend is
-    bit-identical, unavailable ones fall back to ``numpy`` with a
-    warning).
+    128 MiB chunk budget).
 
     Resilience knobs (``docs/ROBUSTNESS.md``): ``unit_timeout`` and
-    ``max_retries`` configure the fault-tolerant executor (both unset =
-    the legacy non-resilient path), and ``resume_dir`` checkpoints each
-    completed work unit so an interrupted sweep resumes from where it
-    stopped.
+    ``max_retries`` give the executor a retry policy (both unset = each
+    work unit is tried once and its exception propagates), and
+    ``resume_dir`` checkpoints each completed work unit so an
+    interrupted sweep resumes from where it stopped; a checkpoint adds
+    no retries of its own.
 
     Channel knobs (``docs/CHANNELS.md``): ``channel`` selects the
     fading law every Monte-Carlo replay samples (``rayleigh`` |
@@ -119,7 +116,6 @@ class ExperimentConfig:
     root_seed: int = 2017
     n_jobs: int = 1
     mc_max_bytes: Optional[int] = None
-    backend: str = "numpy"
     unit_timeout: Optional[float] = None
     max_retries: Optional[int] = None
     resume_dir: Optional[str] = None
@@ -178,7 +174,6 @@ class ExperimentConfig:
         *,
         n_jobs: Optional[int] = None,
         mc_max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> "ExperimentConfig":
         """Copy with execution knobs replaced (unspecified ones kept)."""
         out = self
@@ -186,14 +181,6 @@ class ExperimentConfig:
             out = replace(out, n_jobs=n_jobs)
         if mc_max_bytes is not None:
             out = replace(out, mc_max_bytes=mc_max_bytes)
-        if backend is not None:
-            from repro.backend.base import BACKEND_NAMES
-
-            if backend not in BACKEND_NAMES:
-                raise ValueError(
-                    f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
-                )
-            out = replace(out, backend=backend)
         return out
 
     def with_dynamics(
@@ -385,8 +372,8 @@ class ExperimentConfig:
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """The configured :class:`~repro.sim.resilient.RetryPolicy`.
 
-        ``None`` when neither resilience knob is set — the drivers then
-        take the legacy non-resilient execution path unchanged.
+        ``None`` when neither resilience knob is set — the executor then
+        tries each work unit once and lets its exception propagate.
         """
         if self.unit_timeout is None and self.max_retries is None:
             return None

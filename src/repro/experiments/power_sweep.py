@@ -15,7 +15,7 @@ registry includes the exact solvers (``brute_force`` raises above
 :data:`repro.core.exact.BRUTE_FORCE_LIMIT` links); the seeded
 schedulers (``dls``, ``random``, ``protocol_mis``) get identity-derived
 seeds so the whole sweep is deterministic and bit-identical across
-backends and ``n_jobs``.
+``n_jobs``.
 
 CLI: ``python -m repro power-sweep`` (see :mod:`repro.cli`).
 """
@@ -79,7 +79,7 @@ def power_sweep(
     ----------
     config:
         Execution/channel-parameter source (alpha, gamma_th, eps, root
-        seed, n_jobs, backend, resilience knobs); defaults to
+        seed, n_jobs, resilience knobs); defaults to
         ``ExperimentConfig()``.  The config's own ``channel`` /
         ``power_policy`` fields are ignored — the grid supplies them.
     channels, policies:
@@ -142,7 +142,6 @@ def power_sweep(
                     max_bytes=cfg.mc_max_bytes,
                     policy=cfg.retry_policy(),
                     checkpoint=cfg.unit_checkpoint(),
-                    backend=cfg.backend,
                     channel=spec,
                     power_policy=policy_name,
                 )

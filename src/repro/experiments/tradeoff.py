@@ -20,15 +20,16 @@ Execution notes: the sweep is repetition-major — one work unit
 generates a workload once and walks *all* eps values on it via
 :meth:`FadingRLS.with_params`, which carries the cached O(N^2)
 interference matrix across the eps-only changes.  Units fan out over
-processes with ``n_jobs`` (results are bit-identical to the serial
-order for every value).
+processes with ``n_jobs`` through
+:func:`repro.sim.resilient.resilient_map` under the keys ``eps/<i>``
+(results are bit-identical to the serial order for every value).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,11 +38,8 @@ from repro.experiments.config import TopologyWorkload
 from repro.network.links import LinkSet
 from repro.obs.trace import span
 from repro.sim.montecarlo import simulate_schedule
-from repro.sim.parallel import fan_out
+from repro.sim.resilient import RetryPolicy, resilient_map
 from repro.utils.rng import stable_seed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.resilient import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def eps_tradeoff(
     workload: Callable[[int], LinkSet] | None = None,
     n_jobs: Optional[int] = 1,
     max_bytes: Optional[int] = None,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> List[EpsPoint]:
     """Run the eps sweep; returns one :class:`EpsPoint` per cell.
 
@@ -129,8 +127,12 @@ def eps_tradeoff(
         max_bytes=max_bytes,
     )
     with span("experiment.eps_tradeoff", reps=n_repetitions, eps_values=len(eps_values)):
-        per_rep = fan_out(
-            worker, range(n_repetitions), n_jobs=n_jobs, policy=policy, key_prefix="eps"
+        per_rep = resilient_map(
+            worker,
+            range(n_repetitions),
+            keys=[f"eps/{i}" for i in range(n_repetitions)],
+            n_jobs=n_jobs,
+            policy=policy,
         )
     out: List[EpsPoint] = []
     for eps in eps_values:

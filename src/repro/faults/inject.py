@@ -1,17 +1,17 @@
 """Fault activation and the injection point.
 
 Activation is an **environment variable** (:data:`ENV_PLAN` holds the
-plan's JSON), deliberately: worker processes created by a
-``ProcessPoolExecutor`` inherit the parent's environment at spawn time,
-so a plan activated before the pool exists is visible inside every
-worker with no pickling or configuration plumbing.  :data:`ENV_PARENT`
-records the activating process's pid so process-killing faults can be
-downgraded to plain exceptions when they would otherwise take down the
-coordinator itself.
+plan's JSON), deliberately: the executor's pool workers inherit the
+parent's environment at spawn time, so a plan activated before the pool
+exists is visible inside every worker with no pickling or configuration
+plumbing.  :data:`ENV_PARENT` records the activating process's pid so
+process-killing faults can be downgraded to plain exceptions when they
+would otherwise take down the coordinator itself.
 
-:func:`maybe_inject` is called by the resilient executor
-(:mod:`repro.sim.resilient`) with the unit's key and 0-based attempt
-number, *before* the unit body runs.  Faulted attempts therefore
+:func:`maybe_inject` is called by the executor
+(:func:`repro.sim.resilient.resilient_map`) with the unit's key and
+0-based attempt number, *before* each try of the unit body runs, with
+or without a retry policy.  Faulted attempts therefore
 consume no randomness and record no metrics — retrying a unit re-runs
 exactly the computation the fault pre-empted.
 """
@@ -48,6 +48,12 @@ class InjectedFault(RuntimeError):
         super().__init__(f"injected {kind} fault for unit {key!r}")
         self.key = key
         self.kind = kind
+
+    def __reduce__(self):
+        # Rebuild from (key, kind): the default exception pickling passes
+        # only the message, so a fault raised in a pool worker could not
+        # be unpickled in the parent and broke the whole pool instead.
+        return (type(self), (self.key, self.kind))
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,9 @@ def snapshot() -> Dict[str, Any]:
 #: computation: a run that hit two worker crashes recovers bit-identical
 #: results but legitimately different retry counts, so byte-identity
 #: assertions must compare snapshots with these names stripped.  The
-#: backend layer's counters (segments shared, attaches, fallbacks — see
-#: ``docs/PERFORMANCE.md``) describe the *execution plan*: the same
-#: sweep attaches a different number of segments at ``n_jobs=4`` than
-#: serially while producing bit-identical results.
-VOLATILE_PREFIXES = ("resilience.", "backend.", "service.")
+#: serving layer's counters (``service.*``) count request traffic, not
+#: a computation.
+VOLATILE_PREFIXES = ("resilience.", "service.")
 
 
 def stable_snapshot(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -10,11 +10,11 @@ defaults to the paper's Rayleigh law; every entry point takes a
   per schedule,
 - :mod:`repro.sim.metrics` — the evaluation metrics,
 - :mod:`repro.sim.runner` — batched multi-repetition experiment runner,
-- :mod:`repro.sim.parallel` — process-parallel work-unit engine behind
-  the runner (deterministic fan-out, ``n_jobs`` control),
-- :mod:`repro.sim.resilient` — fault-tolerant executor layered on the
-  same work units (timeouts, deterministic-backoff retry, pool
-  replacement, serial degradation).
+- :mod:`repro.sim.parallel` — the work units behind the runner
+  (identity-derived seeds, one geometry per repetition),
+- :mod:`repro.sim.resilient` — the one process-pool executor they run
+  through (``n_jobs`` control, and with a retry policy: timeouts,
+  deterministic-backoff retry, pool replacement, serial degradation).
 """
 
 from repro.sim.metrics import SimulationResult, summarize_trials
@@ -24,8 +24,6 @@ from repro.sim.parallel import (
     available_cpus,
     checkpoint_key,
     execute_units,
-    fan_out,
-    parallel_map,
     resolve_n_jobs,
     unit_key,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "RunResult",
     "WorkUnit",
     "execute_units",
-    "fan_out",
-    "parallel_map",
     "resolve_n_jobs",
     "available_cpus",
     "unit_key",

@@ -23,7 +23,7 @@ The replay defaults to the paper's Rayleigh channel; ``channel=``
 selects any registered :class:`~repro.channel.laws.ChannelLaw`
 (``"nakagami:m=2"``, ``"shadowing:sigma_db=6"``, ``"deterministic"``).
 The law only changes what the trials sample — the success reduction,
-backend kernels, streaming budget and seeding are shared by every law.
+compute kernels, streaming budget and seeding are shared by every law.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def simulate_slot(
     The slotted queue simulator (:mod:`repro.workload.queues`) calls
     this once per time slot with an identity-derived seed, so each
     slot's channel draw is a pure function of ``(problem, active,
-    seed, channel)`` — independent of backend, process and call order.
+    seed, channel)`` — independent of process and call order.
     Returns a ``(K,)`` bool array over the active links in *sorted
     index order* (the same convention as :func:`simulate_trials`).
     """

@@ -3,9 +3,9 @@
 The figure pipeline is embarrassingly parallel: every
 ``(sweep point, workload repetition, scheduler)`` cell generates its own
 workload, runs one scheduler, and replays the schedule through the
-fading channel — no cell reads another's output.  This module fans
-those cells out as :class:`WorkUnit`\\ s over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+fading channel — no cell reads another's output.  This module turns
+those cells into :class:`WorkUnit`\\ s and runs them through the one
+process-pool executor, :func:`repro.sim.resilient.resilient_map`.
 
 Determinism
 -----------
@@ -14,7 +14,7 @@ seed is ``stable_seed("workload", rep, root=root_seed)`` and the fading
 seed ``stable_seed("fading", rep, name, root=root_seed)`` — exactly the
 derivation the serial runner has always used.  Results are reassembled
 in submission order, so ``n_jobs=4`` is **bit-identical** to the serial
-``n_jobs=1`` fallback (the tests assert equality, not closeness).
+``n_jobs=1`` path (the tests assert equality, not closeness).
 
 Pickling
 --------
@@ -22,12 +22,8 @@ Work units cross a process boundary, so the workload factory and the
 scheduler callables must be picklable: module-level functions,
 ``functools.partial`` of them, or dataclass instances like
 :class:`repro.experiments.config.TopologyWorkload` — not closures or
-lambdas.  The executor no longer probe-pickles anything up front (the
-pool already pickles every submission, so an eager probe paid that
-serialization twice — see ``benchmarks/test_kernel_micro.py`` for the
-measured submit overhead); instead, a pickling failure surfacing from
-the pool is diagnosed after the fact and re-raised as the same clear
-``ValueError`` the probe used to produce.
+lambdas.  A pickling failure surfacing from the pool is raised as a
+readable ``ValueError`` (see :mod:`repro.sim.resilient`).
 
 Shared geometry
 ---------------
@@ -40,44 +36,24 @@ builds its N x N distance matrix once rather than once per scheduler.
 Every unit still builds its own F matrix, and the slot is dropped when
 the runner is pickled, so pool workers start empty.
 
-Compute backends
-----------------
-Each :class:`WorkUnit` names the compute backend it executes under
-(:mod:`repro.backend.base`); workers install it before running, so
-``--backend numba`` survives the process boundary.  When the resolved
-backend requests shared fan-out (``sharedmem``), :func:`execute_units`
-materialises each repetition's problem once and ships segment
-references instead of workload factories — see
-:mod:`repro.backend.sharedmem`.  Results are bit-identical across
-backends and ``n_jobs`` either way (the ``backend-vs-numpy``
-differential check pins it).
-
 Observability
 -------------
-When :mod:`repro.obs` is enabled, each work item runs inside the
-worker wrapped by :class:`_ObservedCall`: the worker's registries are
-reset, the item executes, and its metric snapshot plus drained spans
-travel back with the result.  The parent folds the snapshots into its
-own registry **in submission order** and re-attaches the spans (tagged
-with the item index) under its open span.  Because the metric
-instruments only use exact, associative aggregations (see
-:mod:`repro.obs.metrics`), the merged snapshot is *byte-identical* to
-the serial run's — ``n_jobs`` changes neither the results nor the
-metrics.
+Worker metrics and spans travel home with each result and fold into
+the parent's registry in submission order (see
+:mod:`repro.sim.resilient`), so the merged metric snapshot is
+*byte-identical* to the serial run's — ``n_jobs`` changes neither the
+results nor the metrics.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.experiments.store import UnitCheckpoint
-    from repro.sim.resilient import RetryPolicy
 
 import numpy as np
 
@@ -87,15 +63,11 @@ from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
-from repro.obs import state as _obs_state
-from repro.obs import trace as _obs_trace
 from repro.obs.trace import span
 from repro.sim.metrics import SimulationResult
 from repro.sim.montecarlo import simulate_schedule
+from repro.sim.resilient import RetryPolicy, resilient_map
 from repro.utils.rng import stable_seed
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def available_cpus() -> int:
@@ -145,8 +117,7 @@ class WorkUnit:
     workload:
         Picklable factory ``workload(seed) -> LinkSet``.  It must be a
         pure function of its seed: units of one repetition share the
-        link set it returns (:class:`UnitRunner`, and the sharedmem
-        backend's one problem per repetition), so a workload with
+        link set it returns (:class:`UnitRunner`), so a workload with
         hidden state would give the schedulers different instances
         depending on how the units were executed.
     """
@@ -164,9 +135,6 @@ class WorkUnit:
     scheduler_kwargs: Mapping[str, Any] = field(default_factory=dict)
     noise: float = 0.0
     max_bytes: Optional[int] = None
-    #: Compute backend the unit executes under (installed in the worker;
-    #: not part of the checkpoint key — backends are bit-identical).
-    backend: str = "numpy"
     #: Channel-law spec string (``None`` = Rayleigh).  Part of the
     #: checkpoint key — the law changes the sampled trials.
     channel: Optional[str] = None
@@ -302,11 +270,7 @@ class UnitRunner:
         return links, distances
 
     def __call__(self, unit: WorkUnit) -> SimulationResult:
-        from repro.backend import base as backend_base
-
-        with backend_base.use(unit.backend), span(
-            "parallel.unit", rep=unit.rep, algorithm=unit.name
-        ):
+        with span("parallel.unit", rep=unit.rep, algorithm=unit.name):
             links, distances = self._geometry(unit)
             problem = FadingRLS(
                 links=links,
@@ -336,183 +300,32 @@ def execute_unit(unit: WorkUnit) -> SimulationResult:
     return UnitRunner()(unit)
 
 
-def _looks_like_pickling_error(exc: BaseException) -> bool:
-    """Is this pool-surfaced exception a serialization failure?
-
-    Submit-side (and result-side) pickling failures arrive as
-    ``PicklingError``, or as ``AttributeError``/``TypeError`` whose
-    message names pickling (``"Can't pickle local object ..."``,
-    ``"cannot pickle '...' object"``).
-    """
-    if isinstance(exc, pickle.PicklingError):
-        return True
-    return isinstance(exc, (AttributeError, TypeError)) and "pickle" in str(exc).lower()
-
-
-def _raise_pickling_diagnosis(
-    func: Callable[..., Any], items: Sequence[Any], exc: BaseException
-) -> None:
-    """Turn a pool pickling failure into the historical readable error.
-
-    Runs only on the failure path, so the happy path pickles each
-    submission exactly once (in the pool) — the old eager probe paid
-    that cost twice before any work started.  Pinpoints the offender by
-    probing ``func`` first, then each item.
-    """
-    try:
-        pickle.dumps(func)
-    except Exception as func_exc:
-        raise ValueError(
-            f"func must be picklable for n_jobs > 1 (module-level function "
-            f"or functools.partial of one): {func_exc}"
-        ) from exc
-    for i, item in enumerate(items):
-        try:
-            pickle.dumps(item)
-        except Exception as item_exc:
-            raise ValueError(
-                "work units must be picklable for n_jobs > 1: define workload "
-                "factories and schedulers at module level (e.g. "
-                "repro.experiments.config.TopologyWorkload) instead of "
-                f"closures or lambdas (item {i}: {item_exc})"
-            ) from exc
-    # Everything probes clean (e.g. an unpicklable *result*); still a
-    # serialization problem, so keep the readable framing.
-    raise ValueError(
-        f"serialization across the process pool failed for n_jobs > 1: {exc}"
-    ) from exc
-
-
-class _ObservedCall:
-    """Worker-side wrapper that ships metrics and spans home.
-
-    Picklable (wraps a picklable ``func``).  Each call isolates the
-    worker's observability state: enable (workers spawned fresh start
-    disabled), reset both registries, run the item, then return the
-    result together with the item's metric snapshot and span records.
-    """
-
-    def __init__(self, func: Callable[[Any], Any]):
-        self.func = func
-
-    def __call__(self, item: Any):
-        _obs_state.enable()
-        obs_metrics.reset()
-        _obs_trace.reset()
-        result = self.func(item)
-        return result, obs_metrics.snapshot(), _obs_trace.drain_spans()
-
-
-def parallel_map(
-    func: Callable[[T], U],
-    items: Sequence[T],
-    *,
-    n_jobs: Optional[int] = 1,
-    chunksize: int = 1,
-) -> List[U]:
-    """Order-preserving map over a process pool (serial when possible).
-
-    The generic primitive under :func:`execute_units` and the ablation /
-    trade-off drivers: ``n_jobs=1`` (or a single item) runs a plain loop
-    in-process — no pool, no pickling, bit-identical to the historical
-    serial code path.  ``func`` and every item must be picklable for
-    ``n_jobs > 1``.
-
-    With observability enabled, worker metrics and spans are collected
-    per item and folded back in submission order (see the module
-    docstring); the returned values are identical either way.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    items = list(items)
-    obs_metrics.inc("parallel.items_mapped", len(items))
-    if jobs == 1 or len(items) <= 1:
-        with span("parallel.map", items=len(items), jobs=1):
-            return [func(item) for item in items]
-    workers = min(jobs, len(items))
-    with span("parallel.map", items=len(items), jobs=workers):
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if not _obs_state.enabled:
-                    return list(pool.map(func, items, chunksize=max(1, chunksize)))
-                wrapped = list(
-                    pool.map(_ObservedCall(func), items, chunksize=max(1, chunksize))
-                )
-        except Exception as exc:
-            if _looks_like_pickling_error(exc):
-                _raise_pickling_diagnosis(func, items, exc)
-            raise
-        results: List[U] = []
-        for i, (result, snap, spans) in enumerate(wrapped):
-            obs_metrics.merge_into_registry(snap)
-            _obs_trace.absorb_spans(spans, proc=i)
-            results.append(result)
-        return results
-
-
-def _plan_execution(units: Sequence[WorkUnit]):
-    """Resolve the units' backend into ``(worker_func, items, arena)``.
-
-    The plain and numba backends execute the units as-is (each worker
-    installs the unit's backend); the sharedmem backend materialises
-    each distinct problem once and maps the units to
-    :class:`~repro.backend.sharedmem.SharedUnit`\\ s.  The returned
-    arena (``None`` unless shared) must be closed by the caller after
-    the map finishes — workers attach lazily, so the segments have to
-    outlive the last retry.  Shared fan-out is used even at
-    ``n_jobs=1`` so metric snapshots stay invariant in ``n_jobs`` for a
-    fixed backend.
-    """
-    if not units:
-        return UnitRunner(), list(units), None
-    from repro.backend import base as backend_base
-
-    resolved, reason = backend_base.resolve(units[0].backend)
-    if reason is not None:
-        import warnings
-
-        warnings.warn(reason, RuntimeWarning, stacklevel=3)
-    if resolved.shared_fanout:
-        from repro.backend import sharedmem
-
-        shared, arena = sharedmem.materialize_units(units)
-        return sharedmem.execute_shared_unit, shared, arena
-    return UnitRunner(), list(units), None
-
-
 def execute_units(
     units: Sequence[WorkUnit],
     *,
     n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
+    policy: Optional[RetryPolicy] = None,
     checkpoint: Optional["UnitCheckpoint"] = None,
 ) -> List[SimulationResult]:
-    """Execute work units, preserving input order.
+    """Execute work units through :func:`resilient_map`, preserving order.
 
-    ``n_jobs=1`` is the serial fallback (same process, same iteration
-    order as the historical runner); ``n_jobs=0``/``None`` uses all
-    CPUs.  Results land at the same index as their unit regardless of
-    completion order, so aggregation downstream is order-stable.
+    ``n_jobs=1`` runs in-process, in the same iteration order as the
+    historical runner; ``n_jobs=0``/``None`` uses all CPUs.  Results
+    land at the same index as their unit regardless of completion
+    order, so aggregation downstream is order-stable.  Fault plans
+    address the units by :func:`unit_key`.
 
-    With a ``policy``, execution routes through the fault-tolerant
-    executor (:func:`repro.sim.resilient.resilient_map`): per-unit
+    ``policy=None`` tries each unit once and lets its exception
+    propagate; a :class:`~repro.sim.resilient.RetryPolicy` adds per-unit
     timeout, bounded deterministic-backoff retry, dead-worker pool
     replacement, and serial degradation — results stay bit-identical
     because retried units re-derive the same identity seeds.  With a
     ``checkpoint``, each unit's result persists on first success and
     already-checkpointed units are served from disk, so an interrupted
-    sweep resumes from its completed cells.
+    sweep resumes from its completed cells; the checkpoint never adds
+    retries of its own.
     """
-    if policy is None and checkpoint is None:
-        func, mapped, arena = _plan_execution(units)
-        try:
-            return parallel_map(func, mapped, n_jobs=n_jobs)
-        finally:
-            if arena is not None:
-                arena.close()
-    from repro.sim.resilient import RetryPolicy, resilient_map
-
     units = list(units)
-    keys = [unit_key(u) for u in units]
     results: List[Optional[SimulationResult]] = [None] * len(units)
     pending = list(range(len(units)))
     ck_keys: List[str] = []
@@ -526,57 +339,22 @@ def execute_units(
                 obs_metrics.inc("resilience.units_from_checkpoint")
             else:
                 pending.append(i)
-    if pending:
 
-        def _persist(sub_idx: int, value: SimulationResult) -> None:
-            if checkpoint is not None:
-                checkpoint.put(ck_keys[pending[sub_idx]], value)
+    def _persist(sub_idx: int, value: SimulationResult) -> None:
+        checkpoint.put(ck_keys[pending[sub_idx]], value)
 
-        func, mapped, arena = _plan_execution([units[i] for i in pending])
-        try:
-            computed = resilient_map(
-                func,
-                mapped,
-                keys=[keys[i] for i in pending],
-                n_jobs=n_jobs,
-                policy=policy or RetryPolicy(),
-                validate=valid_simulation_result,
-                on_result=_persist,
-            )
-        finally:
-            if arena is not None:
-                arena.close()
-        for i, value in zip(pending, computed):
-            results[i] = value
-    return results  # type: ignore[return-value]
-
-
-def fan_out(
-    func: Callable[[T], U],
-    items: Sequence[T],
-    *,
-    n_jobs: Optional[int] = 1,
-    policy: Optional["RetryPolicy"] = None,
-    key_prefix: str = "item",
-) -> List[U]:
-    """Route a generic map through the plain or resilient executor.
-
-    The ablation and trade-off drivers use this so one ``policy`` knob
-    upgrades their repetition fan-out to fault-tolerant execution; with
-    ``policy=None`` it is exactly :func:`parallel_map`.
-    """
-    items = list(items)
-    if policy is None:
-        return parallel_map(func, items, n_jobs=n_jobs)
-    from repro.sim.resilient import resilient_map
-
-    return resilient_map(
-        func,
-        items,
-        keys=[f"{key_prefix}/{i}" for i in range(len(items))],
+    computed = resilient_map(
+        UnitRunner(),
+        [units[i] for i in pending],
+        keys=[unit_key(units[i]) for i in pending],
         n_jobs=n_jobs,
         policy=policy,
+        validate=valid_simulation_result,
+        on_result=_persist if checkpoint is not None else None,
     )
+    for i, value in zip(pending, computed):
+        results[i] = value
+    return results  # type: ignore[return-value]
 
 
 def build_units(
@@ -593,7 +371,6 @@ def build_units(
     scheduler_kwargs: Optional[Mapping[str, dict]] = None,
     noise: float = 0.0,
     max_bytes: Optional[int] = None,
-    backend: str = "numpy",
     channel: Optional[str] = None,
     power_policy: str = "uniform",
 ) -> List[WorkUnit]:
@@ -619,7 +396,6 @@ def build_units(
             scheduler_kwargs=kwargs_map.get(name, {}),
             noise=noise,
             max_bytes=max_bytes,
-            backend=backend,
             channel=channel,
             power_policy=power_policy,
         )

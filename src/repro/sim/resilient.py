@@ -1,12 +1,25 @@
-"""Fault-tolerant process-pool execution.
+"""The process-pool executor: one order-preserving map for every fan-out.
 
-:func:`resilient_map` is the hardened sibling of
-:func:`repro.sim.parallel.parallel_map`: same order-preserving map over
-a process pool, but a worker crash, hang, dead process, or poisoned
-result costs one retry instead of the whole sweep.
+:func:`resilient_map` is the only way the library runs a grid of
+independent items — the figure sweeps' work units
+(:func:`repro.sim.parallel.execute_units`), the ablation and trade-off
+repetitions, the workload stability probes and the
+``serial-vs-parallel`` differential check.  ``n_jobs=1`` (or a single
+item) is a plain loop in the calling process; otherwise the items run
+on a :class:`~concurrent.futures.ProcessPoolExecutor`.  Results come
+back in submission order either way.
 
-Supervision model
------------------
+Policy
+------
+``policy=None`` (the default) tries each item once: the item's own
+exception propagates unchanged (a dead worker surfaces as
+``BrokenProcessPool``), there is no backoff, no serial fallback and no
+``resilience.*`` counter.  A :class:`RetryPolicy` turns a worker crash,
+hang, dead process or poisoned result into one retry instead of the
+loss of the whole sweep.
+
+Supervision model (with a policy)
+---------------------------------
 Every item gets ``max_retries + 2`` total tries: the initial attempt,
 ``max_retries`` pool retries with deterministic exponential backoff,
 and — once pool retries are exhausted — one final **serial** attempt in
@@ -27,7 +40,8 @@ Failure detection, per kind:
   retry (bounded blast radius) and the pool is rebuilt.
 - **poison** — the future returns, but the value fails validation
   (``validate`` or an injected :class:`~repro.faults.inject.PoisonResult`);
-  charged like an exception.
+  charged like an exception.  Without a policy a poisoned value raises
+  :class:`UnitExecutionError` at once.
 
 Determinism under retry
 -----------------------
@@ -37,19 +51,40 @@ from the attempt number or worker, so a recovered run is bit-identical
 to a fault-free run.  Backoff delays derive from
 ``stable_seed(unit key, attempt)`` — deterministic, monotone
 non-decreasing per attempt, and capped — so even retry *timing* is
-reproducible.  Results fold in submission order regardless of
-completion order, and worker observability payloads fold the same way,
-so metric snapshots match the serial run byte-for-byte (execution-plan
-events land in volatile ``resilience.*`` counters, excluded from the
-byte-identity contract — see ``docs/OBSERVABILITY.md``).
+reproducible.
 
 Serial mode (``n_jobs=1``) applies the same retry budget in-process;
 ``unit_timeout`` is not enforceable without preemption there, but hang
 faults still terminate because injected hangs sleep-then-raise.
+
+Observability
+-------------
+Every call records one ``parallel.map`` span and adds the item count to
+the ``parallel.items_mapped`` counter.  With :mod:`repro.obs` enabled,
+each pool try resets the worker's registries, runs, and ships its
+metric snapshot and drained spans home with the value.  The parent
+folds the payloads of the successful tries into its own registry **in
+submission order** and re-attaches their spans (tagged with the item
+index) under its open span.  Because the metric instruments only use
+exact, associative aggregations (see :mod:`repro.obs.metrics`), the
+merged snapshot is *byte-identical* to the serial run's — ``n_jobs``
+changes neither the results nor the metrics.  Execution-plan events
+land in volatile ``resilience.*`` counters, excluded from that contract
+(see ``docs/OBSERVABILITY.md``).
+
+Pickling
+--------
+For ``n_jobs > 1`` the function and every item must be picklable:
+module-level functions, ``functools.partial`` of them, or dataclass
+instances — not closures or lambdas.  Nothing is probe-pickled up
+front (the pool pickles every submission anyway); a pickling failure
+surfacing from the pool is diagnosed after the fact and raised as a
+readable ``ValueError`` instead of being charged as a retry.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -167,9 +202,8 @@ def _run_task(
 ) -> Tuple[Any, Any, Any]:
     """Worker-process entry point (module-level, hence picklable).
 
-    With observability on, mirrors ``parallel._ObservedCall``: fresh
-    registries per try, and the try's metric snapshot plus drained
-    spans ride home with the value.
+    With observability on: fresh registries per try, and the try's
+    metric snapshot plus drained spans ride home with the value.
     """
     if not observed:
         return _invoke(func, item, key, attempt), None, None
@@ -178,6 +212,52 @@ def _run_task(
     _obs_trace.reset()
     value = _invoke(func, item, key, attempt)
     return value, obs_metrics.snapshot(), _obs_trace.drain_spans()
+
+
+def _looks_like_pickling_error(exc: BaseException) -> bool:
+    """Is this pool-surfaced exception a serialization failure?
+
+    Submit-side (and result-side) pickling failures arrive as
+    ``PicklingError``, or as ``AttributeError``/``TypeError`` whose
+    message names pickling (``"Can't pickle local object ..."``,
+    ``"cannot pickle '...' object"``).
+    """
+    if isinstance(exc, pickle.PicklingError):
+        return True
+    return isinstance(exc, (AttributeError, TypeError)) and "pickle" in str(exc).lower()
+
+
+def _raise_pickling_diagnosis(
+    func: Callable[..., Any], items: Sequence[Any], exc: BaseException
+) -> None:
+    """Turn a pool pickling failure into a readable ``ValueError``.
+
+    Runs only on the failure path, so the happy path pickles each
+    submission exactly once (in the pool).  Pinpoints the offender by
+    probing ``func`` first, then each item.
+    """
+    try:
+        pickle.dumps(func)
+    except Exception as func_exc:
+        raise ValueError(
+            f"func must be picklable for n_jobs > 1 (module-level function "
+            f"or functools.partial of one): {func_exc}"
+        ) from exc
+    for i, item in enumerate(items):
+        try:
+            pickle.dumps(item)
+        except Exception as item_exc:
+            raise ValueError(
+                "work units must be picklable for n_jobs > 1: define workload "
+                "factories and schedulers at module level (e.g. "
+                "repro.experiments.config.TopologyWorkload) instead of "
+                f"closures or lambdas (item {i}: {item_exc})"
+            ) from exc
+    # Everything probes clean (e.g. an unpicklable *result*); still a
+    # serialization problem, so keep the readable framing.
+    raise ValueError(
+        f"serialization across the process pool failed for n_jobs > 1: {exc}"
+    ) from exc
 
 
 def _poison_reason(value: Any, validate: Optional[Callable[[Any], bool]]) -> Optional[str]:
@@ -244,11 +324,19 @@ def _serial_unit(
     item: Any,
     key: str,
     index: int,
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
     validate: Optional[Callable[[Any], bool]],
     on_result: Optional[Callable[[int, Any], None]],
 ) -> Any:
-    """The in-process retry loop (``n_jobs=1`` path)."""
+    """The in-process path (``n_jobs=1``): one try, or the retry loop."""
+    if policy is None:
+        value = _invoke(func, item, key, 0)
+        reason = _poison_reason(value, validate)
+        if reason is not None:
+            raise UnitExecutionError(key, index, [UnitFailure(key, 0, "poison", reason)])
+        if on_result is not None:
+            on_result(index, value)
+        return value
     failures: List[UnitFailure] = []
     for attempt in range(policy.total_tries):
         if attempt:
@@ -285,22 +373,28 @@ def resilient_map(
     validate: Optional[Callable[[Any], bool]] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
-    """Order-preserving, fault-tolerant map (see the module docstring).
+    """Order-preserving map over a process pool (see the module docstring).
 
     Parameters
     ----------
-    func, items, n_jobs:
-        As :func:`repro.sim.parallel.parallel_map`; both ``func`` and
-        the items must be picklable for ``n_jobs > 1``.
+    func, items:
+        The map; both must be picklable for ``n_jobs > 1``.
+    n_jobs:
+        Worker processes (:func:`repro.sim.parallel.resolve_n_jobs`):
+        ``1`` (or a single item) runs in the calling process with no
+        pickling, ``0``/``None`` uses all CPUs.
     keys:
         Stable per-item identity strings (fault-plan addressing,
         backoff derivation, error messages).  Defaults to
         ``"item-<index>"``.
     policy:
-        Retry/timeout knobs; default :class:`RetryPolicy`.
+        ``None`` tries each item once and lets its exception propagate
+        unchanged; a :class:`RetryPolicy` adds timeouts, retries, pool
+        replacement and the serial fallback.
     validate:
         Optional result predicate; a falsy verdict counts as a poison
-        failure and triggers a retry.
+        failure (a retry under a policy, :class:`UnitExecutionError`
+        without one).
     on_result:
         Parent-side hook ``(index, value)`` invoked once per item on
         its first success, in *completion* order — the checkpoint
@@ -308,24 +402,20 @@ def resilient_map(
     """
     from repro.sim.parallel import resolve_n_jobs
 
-    policy = policy or RetryPolicy()
     items = list(items)
     if keys is None:
         keys = [f"item-{i}" for i in range(len(items))]
     keys = [str(k) for k in keys]
     if len(keys) != len(items):
         raise ValueError(f"got {len(keys)} keys for {len(items)} items")
-    jobs = resolve_n_jobs(n_jobs)
-    workers = max(1, min(jobs, len(items)))
-    with span("parallel.resilient", items=len(items), jobs=workers):
-        if jobs == 1 or len(items) <= 1:
+    workers = max(1, min(resolve_n_jobs(n_jobs), len(items)))
+    obs_metrics.inc("parallel.items_mapped", len(items))
+    with span("parallel.map", items=len(items), jobs=workers):
+        if workers == 1:
             return [
                 _serial_unit(func, item, key, i, policy, validate, on_result)
                 for i, (item, key) in enumerate(zip(items, keys))
             ]
-        # No eager pickling probe: the pool serializes every submission
-        # anyway, and _pool_map converts a pickling failure into the
-        # readable ValueError instead of charging retries for it.
         return _pool_map(func, items, keys, workers, policy, validate, on_result)
 
 
@@ -334,13 +424,14 @@ def _pool_map(
     items: List[Any],
     keys: List[str],
     workers: int,
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
     validate: Optional[Callable[[Any], bool]],
     on_result: Optional[Callable[[int, Any], None]],
 ) -> List[Any]:
-    """Supervised pool execution with retry, timeout, and pool rebuild."""
-    from repro.sim.parallel import _looks_like_pickling_error, _raise_pickling_diagnosis
-
+    """Supervised pool execution: one try per item, or with a policy
+    retry, timeout, and pool rebuild."""
+    unit_timeout = policy.unit_timeout if policy is not None else None
+    poll_interval = policy.poll_interval if policy is not None else None
     n = len(items)
     observed = _obs_state.enabled
     results: Dict[int, Any] = {}
@@ -361,8 +452,17 @@ def _pool_map(
         if on_result is not None:
             on_result(idx, value)
 
-    def fail(idx: int, kind: str, detail: str) -> None:
-        """Charge one failed try; retry in-pool or degrade to serial."""
+    def fail(idx: int, kind: str, detail: str, exc: Optional[BaseException] = None) -> None:
+        """Charge one failed try; retry in-pool or degrade to serial.
+
+        Without a policy the first failure ends the map: ``exc`` (the
+        item's own exception, or the broken pool) propagates unchanged,
+        and a poisoned value raises :class:`UnitExecutionError`.
+        """
+        if policy is None:
+            if exc is not None:
+                raise exc
+            raise UnitExecutionError(keys[idx], idx, [UnitFailure(keys[idx], 0, kind, detail)])
         failures[idx].append(UnitFailure(keys[idx], attempts[idx], kind, detail))
         obs_metrics.inc("resilience.failures")
         attempts[idx] += 1
@@ -406,18 +506,14 @@ def _pool_map(
                 fut = pool.submit(_run_task, func, items[idx], keys[idx], attempt, observed)
                 futures[fut] = idx
                 deadlines[fut] = (
-                    time.monotonic() + policy.unit_timeout
-                    if policy.unit_timeout is not None
-                    else None
+                    time.monotonic() + unit_timeout if unit_timeout is not None else None
                 )
             needs_submit.clear()
             if not futures:
                 if len(results) < n:  # pragma: no cover - supervision invariant
                     raise RuntimeError("resilient pool lost track of unfinished units")
                 break
-            done, _ = wait(
-                set(futures), timeout=policy.poll_interval, return_when=FIRST_COMPLETED
-            )
+            done, _ = wait(set(futures), timeout=poll_interval, return_when=FIRST_COMPLETED)
             broken = False
             for fut in done:
                 idx = futures.pop(fut)
@@ -426,7 +522,7 @@ def _pool_map(
                     value, snap, spans = fut.result()
                 except BrokenExecutor as exc:
                     broken = True
-                    fail(idx, "pool-broken", f"{type(exc).__name__}: {exc}")
+                    fail(idx, "pool-broken", f"{type(exc).__name__}: {exc}", exc)
                 except Exception as exc:
                     if _looks_like_pickling_error(exc):
                         # Deterministic environment error, not a fault:
@@ -435,7 +531,7 @@ def _pool_map(
                         # would mask it.  Fail fast with the readable
                         # diagnosis instead.
                         _raise_pickling_diagnosis(func, items, exc)
-                    fail(idx, "error", f"{type(exc).__name__}: {exc}")
+                    fail(idx, "error", f"{type(exc).__name__}: {exc}", exc)
                 else:
                     reason = _poison_reason(value, validate)
                     if reason is not None:
@@ -452,7 +548,7 @@ def _pool_map(
                 deadlines.clear()
                 rebuild()
                 continue
-            if policy.unit_timeout is not None and futures:
+            if unit_timeout is not None and futures:
                 now = time.monotonic()
                 hung = [f for f, dl in deadlines.items() if dl is not None and now >= dl]
                 if hung:
@@ -463,7 +559,7 @@ def _pool_map(
                         fail(
                             idx,
                             "timeout",
-                            f"unit exceeded unit_timeout={policy.unit_timeout}s",
+                            f"unit exceeded unit_timeout={unit_timeout}s",
                         )
                     # Hung tasks hold their workers hostage — abandon the
                     # pool; in-flight innocents resubmit at their current

@@ -8,10 +8,11 @@ reproducible in isolation.
 
 Execution is delegated to :mod:`repro.sim.parallel`: the
 ``rep x scheduler`` grid becomes independent work units that run
-serially (``n_jobs=1``, the bit-identical default) or fan out over a
-process pool.  :func:`run_sweep` extends the same fan-out across *all*
-points of a figure sweep, so a whole panel parallelises as one flat
-unit list instead of point-by-point.
+serially (``n_jobs=1``, the bit-identical default) or fan out over the
+process pool of :func:`repro.sim.resilient.resilient_map`.
+:func:`run_sweep` extends the same fan-out across *all* points of a
+figure sweep, so a whole panel parallelises as one flat unit list
+instead of point-by-point.
 
 Both entry points accept a :class:`~repro.sim.resilient.RetryPolicy`
 (fault-tolerant execution: per-unit timeouts, bounded retry, worker
@@ -108,7 +109,6 @@ def run_schedulers(
     max_bytes: Optional[int] = None,
     policy: Optional["RetryPolicy"] = None,
     checkpoint: Optional["UnitCheckpoint"] = None,
-    backend: str = "numpy",
     channel: Optional[str] = None,
     power_policy: str = "uniform",
 ) -> Dict[str, RunResult]:
@@ -144,18 +144,14 @@ def run_schedulers(
         Memory budget per Monte-Carlo replay chunk (see
         :func:`repro.sim.montecarlo.simulate_schedule`).
     policy:
-        Optional retry policy — routes execution through the
-        fault-tolerant executor (timeouts, bounded deterministic-backoff
-        retry, pool replacement) with results still bit-identical.
+        Optional retry policy — adds timeouts, bounded
+        deterministic-backoff retry and pool replacement to the
+        executor, with results still bit-identical; ``None`` tries each
+        unit once.
     checkpoint:
         Optional per-unit result store — completed units persist and an
         interrupted run resumed with the same checkpoint recomputes only
         the missing ones.
-    backend:
-        Compute backend name (``numpy`` / ``sharedmem`` / ``numba``,
-        see :mod:`repro.backend`); unavailable backends fall back to
-        ``numpy`` with a warning.  Results are bit-identical across
-        backends.
     channel:
         Channel-law spec for the Monte-Carlo replay
         (:func:`repro.channel.laws.get_channel_law`); ``None`` is the
@@ -184,7 +180,6 @@ def run_schedulers(
             root_seed=root_seed,
             scheduler_kwargs=scheduler_kwargs,
             max_bytes=max_bytes,
-            backend=backend,
             channel=channel,
             power_policy=power_policy,
         )
@@ -328,7 +323,6 @@ def run_sweep(
     max_bytes: Optional[int] = None,
     policy: Optional["RetryPolicy"] = None,
     checkpoint: Optional["UnitCheckpoint"] = None,
-    backend: str = "numpy",
     channel: Optional[str] = None,
     power_policy: str = "uniform",
 ) -> List[Dict[str, RunResult]]:
@@ -338,7 +332,7 @@ def run_sweep(
     :class:`SweepPoint` (same seeds, same results, in order) — but all
     ``point x rep x scheduler`` cells share a single process pool, so
     small per-point grids still saturate the workers.  ``policy``,
-    ``checkpoint``, ``backend``, ``channel`` and ``power_policy`` behave
+    ``checkpoint``, ``channel`` and ``power_policy`` behave
     as in :func:`run_schedulers`.
     """
     with span("runner.run_sweep", points=len(points), schedulers=len(schedulers)):
@@ -357,7 +351,6 @@ def run_sweep(
                     root_seed=point.root_seed,
                     scheduler_kwargs=scheduler_kwargs,
                     max_bytes=max_bytes,
-                    backend=backend,
                     channel=channel,
                     power_policy=power_policy,
                 )
@@ -386,15 +379,14 @@ def run_workload(
     The :class:`~repro.experiments.config.ExperimentConfig` bridge into
     :mod:`repro.workload`: the ``workload_*`` knobs (set via
     ``config.with_workload``) pick the arrival family, mean offered
-    load, horizon, and service policy; the channel parameters and the
-    compute backend come from the same config that drives the figure
-    sweeps.  ``links`` defaults to one paper-style topology of
-    ``config.n_links_fixed`` links drawn from ``config.root_seed``.
+    load, horizon, and service policy; the channel parameters come from
+    the same config that drives the figure sweeps.  ``links`` defaults
+    to one paper-style topology of ``config.n_links_fixed`` links drawn
+    from ``config.root_seed``.
     When ``config.cache`` is set (``config.with_cache``), the per-slot
     scheduler runs are answered through a
     :class:`~repro.cache.store.ScheduleCache`.
     """
-    from repro.backend.base import use as use_backend
     from repro.workload.analyzers import summarize_workload
     from repro.workload.queues import simulate_workload
 
@@ -408,17 +400,16 @@ def run_workload(
     )
     cache = config.schedule_cache()
     with span("runner.run_workload", links=problem.n_links):
-        with use_backend(config.backend):
-            result = simulate_workload(
-                problem,
-                config.arrival_process(),
-                scheduler,
-                n_slots=config.workload_slots,
-                seed=config.root_seed if seed is None else seed,
-                policy=config.workload_policy,
-                channel=config.channel,
-                cache=cache,
-            )
+        result = simulate_workload(
+            problem,
+            config.arrival_process(),
+            scheduler,
+            n_slots=config.workload_slots,
+            seed=config.root_seed if seed is None else seed,
+            policy=config.workload_policy,
+            channel=config.channel,
+            cache=cache,
+        )
     if cache is not None:
         cache.flush()
     return result, summarize_workload(result)

@@ -26,12 +26,7 @@ reports structured :class:`~repro.verify.report.Mismatch` records:
 - ``incremental-vs-scratch`` — the incremental engine's O(kN)-updated
   interference matrix against a from-scratch rebuild after a fuzzed
   delta sequence (bit-identical), plus feasibility and quality of its
-  warm-start-repaired schedules;
-- ``backend-vs-numpy`` — every *available* compute backend
-  (:mod:`repro.backend`) against the numpy reference: bit-identical F
-  matrices and Monte-Carlo success bits, identical feasibility
-  verdicts, and a sharedmem fan-out whose per-unit results are
-  bit-identical to the serial numpy path for ``n_jobs`` in {1, 2, 4}.
+  warm-start-repaired schedules.
 
 Checks are callables ``(Scenario) -> list[Mismatch]`` registered in
 :data:`DIFFERENTIAL_CHECKS`; the harness composes them with the
@@ -53,9 +48,8 @@ from repro.core.exact import (
     milp_schedule,
 )
 from repro.core.problem import FadingRLS
-from repro.network.links import LinkSet
 from repro.sim.montecarlo import simulate_schedule, simulate_trials
-from repro.sim.parallel import parallel_map
+from repro.sim.resilient import resilient_map
 from repro.utils.rng import stable_seed
 from repro.verify.fuzz import Scenario, witness_set
 from repro.verify.report import Mismatch
@@ -74,10 +68,6 @@ CODE_CACHE_CARRY = "cache-carry-divergence"
 CODE_INCREMENTAL_F = "incremental-f-divergence"
 CODE_INCREMENTAL_INFEASIBLE = "incremental-infeasible-repair"
 CODE_INCREMENTAL_QUALITY = "incremental-quality-divergence"
-CODE_BACKEND_F = "backend-f-divergence"
-CODE_BACKEND_VERDICT = "backend-verdict-divergence"
-CODE_BACKEND_MC = "backend-mc-divergence"
-CODE_BACKEND_FANOUT = "backend-fanout-divergence"
 
 #: Exact solvers are exponential; differential scenarios restrict to
 #: this many links before enumerating.
@@ -220,8 +210,8 @@ def check_serial_vs_parallel(scenario: Scenario) -> List[Mismatch]:
         )
         for rep in range(2)
     ]
-    serial = parallel_map(_run_probe, probes, n_jobs=1)
-    parallel = parallel_map(_run_probe, probes, n_jobs=2)
+    serial = resilient_map(_run_probe, probes, n_jobs=1)
+    parallel = resilient_map(_run_probe, probes, n_jobs=2)
     out: List[Mismatch] = []
     for rep, ((s_fail, s_tput, s_link), (p_fail, p_tput, p_link)) in enumerate(
         zip(serial, parallel)
@@ -511,156 +501,4 @@ def check_with_params_cache_carry(scenario: Scenario) -> List[Mismatch]:
                 active=[int(i) for i in active],
             )
         )
-    return out
-
-
-@dataclass(frozen=True)
-class _FixedLinks:
-    """Picklable workload returning a fixed link set (backend fan-out)."""
-
-    links: "LinkSet"
-
-    def __call__(self, seed: int) -> "LinkSet":
-        return self.links
-
-
-def _fresh_problem(p: FadingRLS) -> FadingRLS:
-    """A cache-free copy of ``p`` (forces a from-scratch F build)."""
-    return FadingRLS(
-        links=p.links,
-        alpha=p.alpha,
-        gamma_th=p.gamma_th,
-        eps=p.eps,
-        noise=p.noise,
-        power=p.power,
-        powers=p.powers,
-    )
-
-
-@register_differential("backend-vs-numpy")
-def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
-    """Every available compute backend against the numpy reference.
-
-    Three contracts, per backend that resolves without fallback:
-
-    1. the F matrix built under the backend is *bit-identical* to the
-       numpy reference (the kernels share one elementwise op order);
-    2. feasibility verdicts agree on a feasible witness set and on a
-       deliberately overloaded set (verdict equality is the contract —
-       the O(K^2) gathered reduction may differ from the reference
-       matvec in the last ulp, the boolean answer may not);
-    3. Monte-Carlo success bits are identical (one RNG stream layout,
-       one reduction recipe).
-
-    A fourth contract covers the sharedmem zero-copy fan-out: the same
-    unit grid executed with ``backend='sharedmem'`` must return results
-    bit-identical to the serial numpy path for ``n_jobs`` in {1, 2, 4}.
-    """
-    from repro.backend import base as backend_base
-    from repro.core.rle import rle_schedule
-    from repro.sim.parallel import build_units, execute_units
-
-    p = scenario.problem
-    out: List[Mismatch] = []
-
-    witness = witness_set(p)
-    probes = [witness, np.arange(p.n_links)]
-    mc_seed = stable_seed("backend-mc", root=scenario.seed)
-    with backend_base.use("numpy"):
-        ref = _fresh_problem(p)
-        ref_f = ref.interference_matrix()
-        ref_verdicts = [ref.is_feasible(a) for a in probes]
-        ref_success = (
-            simulate_trials(ref, witness, 48, seed=mc_seed) if witness.size else None
-        )
-
-    for name in backend_base.BACKEND_NAMES:
-        if name == "numpy":
-            continue
-        _, fallback = backend_base.resolve(name)
-        if fallback is not None:
-            continue  # unavailable here; CI's matrix legs cover it
-        fresh = _fresh_problem(p)
-        with backend_base.use(name):
-            f = fresh.interference_matrix()
-            if not np.array_equal(f, ref_f):
-                delta = float(np.abs(f - ref_f).max())
-                out.append(
-                    _mismatch(
-                        "backend-vs-numpy",
-                        scenario,
-                        CODE_BACKEND_F,
-                        f"backend {name!r}: F matrix is not bit-identical to "
-                        f"the numpy reference (max |delta| = {delta:.3e})",
-                        backend=name,
-                        max_abs_delta=delta,
-                    )
-                )
-            for k, (active, ref_verdict) in enumerate(zip(probes, ref_verdicts)):
-                verdict = fresh.is_feasible(active)
-                if verdict != ref_verdict:
-                    out.append(
-                        _mismatch(
-                            "backend-vs-numpy",
-                            scenario,
-                            CODE_BACKEND_VERDICT,
-                            f"backend {name!r}: probe {k} feasibility verdict "
-                            f"{verdict} != numpy reference {ref_verdict}",
-                            backend=name,
-                            probe=k,
-                            active=[int(i) for i in active],
-                        )
-                    )
-            if ref_success is not None:
-                success = simulate_trials(fresh, witness, 48, seed=mc_seed)
-                if not np.array_equal(success, ref_success):
-                    out.append(
-                        _mismatch(
-                            "backend-vs-numpy",
-                            scenario,
-                            CODE_BACKEND_MC,
-                            f"backend {name!r}: Monte-Carlo success bits "
-                            f"diverge from the numpy reference",
-                            backend=name,
-                            n_trials=48,
-                        )
-                    )
-
-    def _grid(backend: str) -> List:
-        units = build_units(
-            {"rle": rle_schedule},
-            _FixedLinks(p.links),
-            n_repetitions=2,
-            n_trials=32,
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-            root_seed=stable_seed("backend-fanout", root=scenario.seed),
-            noise=p.noise,
-            backend=backend,
-        )
-        return execute_units(units, n_jobs=1) if backend == "numpy" else units
-
-    ref_results = _grid("numpy")
-    for n_jobs in (1, 2, 4):
-        results = execute_units(_grid("sharedmem"), n_jobs=n_jobs)
-        for i, (a, b) in enumerate(zip(ref_results, results)):
-            if (
-                a.mean_failed != b.mean_failed
-                or a.mean_throughput != b.mean_throughput
-                or not np.array_equal(a.per_link_success, b.per_link_success)
-            ):
-                out.append(
-                    _mismatch(
-                        "backend-vs-numpy",
-                        scenario,
-                        CODE_BACKEND_FANOUT,
-                        f"sharedmem fan-out (n_jobs={n_jobs}) unit {i} diverged "
-                        f"from the serial numpy path (failed {b.mean_failed} vs "
-                        f"{a.mean_failed})",
-                        backend="sharedmem",
-                        n_jobs=n_jobs,
-                        unit=i,
-                    )
-                )
     return out

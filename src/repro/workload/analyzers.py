@@ -6,7 +6,7 @@ Three layers on top of :func:`repro.workload.queues.simulate_workload`:
   statistics (delay percentiles, backlog averages, drift);
 - :func:`sweep_rates` fans one scenario out over an offered-load grid
   (``arrivals.scaled(factor)`` per point) through
-  :func:`repro.sim.parallel.parallel_map` — each point's seed is
+  :func:`repro.sim.resilient.resilient_map` — each point's seed is
   derived from the *factor value*, not the execution order, so the
   sweep is bit-identical for every ``n_jobs``;
 - :func:`stability_region` locates the empirical divergence threshold
@@ -33,11 +33,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import base as backend_base
 from repro.core.problem import FadingRLS
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.sim.parallel import parallel_map
+from repro.sim.resilient import resilient_map
 from repro.utils.rng import stable_seed
 from repro.workload.generators import ArrivalProcess
 from repro.workload.queues import WorkloadResult, simulate_workload
@@ -158,7 +157,6 @@ class _SweepPoint:
     seed: int
     policy: str
     max_queue: Optional[int]
-    backend: str
     scheduler_kwargs: Tuple[Tuple[str, object], ...] = ()
 
 
@@ -170,17 +168,16 @@ def _point_seed(root: int, factor: float) -> int:
 
 
 def _simulate_point(point: _SweepPoint) -> WorkloadResult:
-    with backend_base.use(point.backend):
-        return simulate_workload(
-            point.problem,
-            point.arrivals.scaled(point.factor),
-            point.scheduler,
-            n_slots=point.n_slots,
-            seed=_point_seed(point.seed, point.factor),
-            policy=point.policy,
-            max_queue=point.max_queue,
-            scheduler_kwargs=dict(point.scheduler_kwargs),
-        )
+    return simulate_workload(
+        point.problem,
+        point.arrivals.scaled(point.factor),
+        point.scheduler,
+        n_slots=point.n_slots,
+        seed=_point_seed(point.seed, point.factor),
+        policy=point.policy,
+        max_queue=point.max_queue,
+        scheduler_kwargs=dict(point.scheduler_kwargs),
+    )
 
 
 def sweep_rates(
@@ -214,13 +211,12 @@ def sweep_rates(
             seed=seed,
             policy=policy,
             max_queue=max_queue,
-            backend=backend_base.get_active().name,
             scheduler_kwargs=tuple(sorted((scheduler_kwargs or {}).items())),
         )
         for f in factors
     ]
     with span("workload.sweep", points=len(points), policy=policy):
-        results = parallel_map(_simulate_point, points, n_jobs=n_jobs)
+        results = resilient_map(_simulate_point, points, n_jobs=n_jobs)
     obs_metrics.inc("workload.sweep_points", len(points))
     return results
 
@@ -390,7 +386,6 @@ def stability_region(
                         seed=seed,
                         policy=policy,
                         max_queue=None,
-                        backend=backend_base.get_active().name,
                         scheduler_kwargs=tuple(
                             sorted((scheduler_kwargs or {}).items())
                         ),

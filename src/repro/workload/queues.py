@@ -23,10 +23,9 @@ The coupling loop of the workload subsystem.  Each slot ``t``:
      fill — link churn driven by the traffic itself;
 
 3. **transmission** — one Monte-Carlo fading realisation (through the
-   active :mod:`repro.backend` kernels, bit-identical across backends)
-   decides per-link success; each scheduled link attempts its
-   head-of-line packet, successes drain the FIFO, failures stay queued
-   and retry.
+   :mod:`repro.backend` kernels) decides per-link success; each
+   scheduled link attempts its head-of-line packet, successes drain the
+   FIFO, failures stay queued and retry.
 
 Determinism contract
 --------------------
@@ -36,9 +35,9 @@ randomness is *identity-derived* via
 :func:`~repro.utils.rng.stable_seed`: the arrival trace from
 ``("workload.arrivals", seed)`` and each slot's fading draw from
 ``("workload.fading", t, seed)`` — never from a shared sequential
-stream — so trajectories are **bit-identical** across compute
-backends, process boundaries and any ``n_jobs`` fan-out of a
-surrounding sweep.  The property suite asserts equality on
+stream — so trajectories are **bit-identical** across process
+boundaries and any ``n_jobs`` fan-out of a surrounding sweep.  The
+property suite asserts equality on
 :meth:`WorkloadResult.trajectory_bytes`, not closeness.
 """
 
@@ -151,7 +150,7 @@ class WorkloadResult:
         """Canonical bytes of the queue trajectory (C-order int64).
 
         The invariance tests compare exactly these bytes across
-        backends and ``n_jobs`` values.
+        ``n_jobs`` values.
         """
         return np.ascontiguousarray(self.queue_trajectory, dtype=np.int64).tobytes()
 

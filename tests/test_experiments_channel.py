@@ -1,9 +1,8 @@
 """Channel/power threading through the experiment pipeline.
 
 ``with_channel`` validation, checkpoint-key sensitivity, the
-``power_sweep`` grid, and — the PR's acceptance bar — bit-identical
-``run_schedulers``/fig5 results across backends and worker counts for
-a non-default (channel, power_policy) pair.
+``power_sweep`` grid, and bit-identical ``run_schedulers``/fig5 results
+across worker counts for a non-default (channel, power_policy) pair.
 """
 
 import json
@@ -87,13 +86,8 @@ class TestCheckpointKey:
             _unit(channel="shadowing:sigma_db=6,static=false")
         )
 
-    def test_backend_excluded(self):
-        assert checkpoint_key(_unit(backend="numpy")) == checkpoint_key(
-            _unit(backend="sharedmem")
-        )
 
-
-def _run(*, backend="numpy", n_jobs=1):
+def _run(*, n_jobs=1):
     return run_schedulers(
         SCHEDULERS,
         WORKLOAD,
@@ -101,7 +95,6 @@ def _run(*, backend="numpy", n_jobs=1):
         n_trials=50,
         root_seed=11,
         n_jobs=n_jobs,
-        backend=backend,
         channel="shadowing:sigma_db=6",
         power_policy="distance_proportional",
     )
@@ -119,16 +112,15 @@ def _assert_identical(got, want):
 
 class TestBitInvariance:
     """Acceptance: non-default channel+policy results are bit-identical
-    across compute backends and worker counts."""
+    across worker counts."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return _run(backend="numpy", n_jobs=1)
+        return _run(n_jobs=1)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("backend", ["numpy", "sharedmem"])
-    def test_backend_jobs_grid(self, baseline, backend, n_jobs):
-        _assert_identical(_run(backend=backend, n_jobs=n_jobs), baseline)
+    def test_jobs_grid(self, baseline, n_jobs):
+        _assert_identical(_run(n_jobs=n_jobs), baseline)
 
     def test_channel_actually_changes_results(self, baseline):
         rayleigh = run_schedulers(
@@ -188,13 +180,13 @@ TINY = ExperimentConfig(
 
 class TestCliAcceptance:
     """`repro fig5 --channel shadowing --power-policy distance_proportional`
-    end-to-end, bit-identical across backends and worker counts."""
+    end-to-end, bit-identical across worker counts."""
 
     @pytest.fixture(autouse=True)
     def tiny_cfg(self, monkeypatch):
         monkeypatch.setattr(ExperimentConfig, "small", lambda self: TINY)
 
-    def _fig5(self, tmp_path, tag, backend, jobs):
+    def _fig5(self, tmp_path, tag, jobs):
         out = tmp_path / f"fig5-{tag}.json"
         assert (
             main(
@@ -204,8 +196,6 @@ class TestCliAcceptance:
                     "shadowing",
                     "--power-policy",
                     "distance_proportional",
-                    "--backend",
-                    backend,
                     "--jobs",
                     str(jobs),
                     "--output",
@@ -216,15 +206,14 @@ class TestCliAcceptance:
         )
         return json.loads(out.read_text())
 
-    def test_bit_identical_across_backends_and_jobs(self, tmp_path):
-        baseline = self._fig5(tmp_path, "base", "numpy", 1)
+    def test_bit_identical_across_jobs(self, tmp_path):
+        baseline = self._fig5(tmp_path, "base", 1)
         assert set(baseline) >= {"fig5a", "fig5b"}
-        for backend, jobs in (("numpy", 2), ("sharedmem", 1), ("sharedmem", 4)):
-            got = self._fig5(tmp_path, f"{backend}{jobs}", backend, jobs)
-            assert got == baseline
+        for jobs in (2, 4):
+            assert self._fig5(tmp_path, f"jobs{jobs}", jobs) == baseline
 
     def test_banner_names_channel(self, tmp_path, capsys):
-        self._fig5(tmp_path, "banner", "numpy", 1)
+        self._fig5(tmp_path, "banner", 1)
         out = capsys.readouterr().out
         assert "shadowing:sigma_db=6,static=false" in out
         assert "distance_proportional" in out

@@ -99,6 +99,14 @@ class TestMaybeInject:
         assert err.value.key == "u/crash"
         assert err.value.kind == "crash"
 
+    def test_fault_survives_pickling(self):
+        # A fault raised in a pool worker crosses back to the parent.
+        import pickle
+
+        fault = pickle.loads(pickle.dumps(InjectedFault("u/crash", "crash")))
+        assert (fault.key, fault.kind) == ("u/crash", "crash")
+        assert str(fault) == "injected crash fault for unit 'u/crash'"
+
     def test_poison_returns_poison_result(self):
         with injected(PLAN):
             value = maybe_inject("u/poison", 0)

@@ -14,6 +14,7 @@ from repro import obs
 from repro.core.base import get_scheduler
 from repro.experiments.config import TopologyWorkload
 from repro.obs import metrics as obs_metrics
+from repro.sim.resilient import RetryPolicy
 from repro.sim.runner import run_schedulers
 
 SCHEDULERS = {"ldp": get_scheduler("ldp"), "rle": get_scheduler("rle"),
@@ -23,7 +24,7 @@ SCHEDULERS = {"ldp": get_scheduler("ldp"), "rle": get_scheduler("rle"),
 KWARGS = {"dls": {"seed": 11}}
 
 
-def _run(n_jobs):
+def _run(n_jobs, policy=None):
     return run_schedulers(
         SCHEDULERS,
         TopologyWorkload(n_links=40),
@@ -31,14 +32,15 @@ def _run(n_jobs):
         n_trials=50,
         n_jobs=n_jobs,
         scheduler_kwargs=KWARGS,
+        policy=policy,
     )
 
 
-def _observed_run(n_jobs):
+def _observed_run(n_jobs, policy=None):
     obs.enable()
     obs.reset()
     try:
-        results = _run(n_jobs)
+        results = _run(n_jobs, policy)
         return results, obs_metrics.snapshot_json(), obs.drain_spans()
     finally:
         obs.disable()
@@ -51,6 +53,14 @@ class TestSnapshotByteIdentity:
         _, serial_snap, _ = _observed_run(1)
         _, parallel_snap, _ = _observed_run(jobs)
         assert parallel_snap == serial_snap
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_policy_leaves_snapshot_unchanged(self, jobs):
+        # One executor: a fault-free run under a retry policy folds the
+        # same metrics as the one-try path.
+        _, plain, _ = _observed_run(1)
+        _, retried, _ = _observed_run(jobs, RetryPolicy(backoff_base=0.0))
+        assert retried == plain
 
     def test_snapshot_contains_instrumented_counters(self):
         _, snap_json, _ = _observed_run(1)

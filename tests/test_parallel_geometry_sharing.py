@@ -7,13 +7,12 @@ once instead of once per scheduler.  These tests pin that it does, and
 that it changes no bit:
 
 - the call counts of a serial sweep (6 instead of 24);
-- bit-identity with ``n_jobs=2`` and with the sharedmem backend;
+- bit-identity with ``n_jobs=2``;
 - the shared matrix is read-only and never pickled;
 - a crashed-and-retried unit still reuses its repetition's geometry
   and returns the clean run's bits;
-- workloads are compared with ``==`` (never by name), in the runner
-  and in the sharedmem backend alike — two closures from one factory
-  are two workloads.
+- workloads are compared with ``==`` (never by name) — two closures
+  from one factory are two workloads.
 """
 
 import pickle
@@ -114,9 +113,6 @@ class TestOneGeometryPerRepetition:
 
     def test_pool_matches_serial(self, serial_sweep):
         _assert_identical(_sweep(n_jobs=2), serial_sweep)
-
-    def test_sharedmem_matches_serial(self, serial_sweep):
-        _assert_identical(_sweep(backend="sharedmem"), serial_sweep)
 
     def test_crash_on_a_repetitions_second_unit(self, call_counts, serial_sweep, obs_enabled):
         # Fault keys are tag/rep/scheduler; rle is the second unit of
@@ -226,16 +222,13 @@ class TestWorkloadIdentity:
         assert not same_geometry(_unit(w, rep=0), _unit(w, rep=1))
         assert not same_geometry(_unit(w, root_seed=5), _unit(w, root_seed=6))
 
-    @pytest.mark.parametrize("backend", ["numpy", "sharedmem"])
-    def test_closure_points_keep_their_own_topology(self, backend):
+    def test_closure_points_keep_their_own_topology(self):
         # Same rep, root seed and channel: only the workload differs.
         points = [
             SweepPoint(x=n, workload=_closure_factory(n), alpha=3.0, root_seed=7)
             for n in (20, 40)
         ]
-        out = run_sweep(
-            {"rle": rle_schedule}, points, n_repetitions=1, n_trials=20, backend=backend
-        )
+        out = run_sweep({"rle": rle_schedule}, points, n_repetitions=1, n_trials=20)
         seed = stable_seed("workload", 0, root=7)
         for n, point in zip((20, 40), out):
             want = rle_schedule(FadingRLS(links=paper_topology(n, seed=seed), alpha=3.0))

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.base import get_scheduler
 from repro.experiments.config import TopologyWorkload
-from repro.faults import FaultPlan, FaultSpec, injected
+from repro.faults import FaultPlan, FaultSpec, InjectedFault, injected
 from repro.obs import metrics as obs_metrics
 from repro.sim.parallel import build_units, unit_key
 from repro.sim.resilient import (
@@ -80,12 +80,16 @@ def _assert_identical(got, want):
 
 @pytest.fixture(scope="module")
 def clean_run():
-    """The fault-free serial reference (legacy executor, no policy)."""
+    """The fault-free serial reference (no policy)."""
     return _run(1)
 
 
 def _double(x):
     return 2 * x
+
+
+def _divide_by_zero(x):
+    return x / 0
 
 
 class TestResilientMapBasics:
@@ -131,6 +135,47 @@ class TestResilientMapBasics:
                 policy=policy,
                 validate=lambda v: v != 4,
             )
+
+
+class TestNoPolicy:
+    """``policy=None``: one try, the item's own exception, no retry machinery."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_own_exception_propagates_unchanged(self, n_jobs, obs_enabled):
+        with pytest.raises(ZeroDivisionError):
+            resilient_map(_divide_by_zero, [1, 2, 3], n_jobs=n_jobs)
+        counters = obs_metrics.snapshot()["counters"]
+        assert not any(name.startswith("resilience.") for name in counters)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_armed_fault_fires_once(self, n_jobs):
+        # Fault plans address items by key on every map; without a
+        # policy the fault is the item's exception.
+        plan = FaultPlan({"item-1": FaultSpec("crash", attempts=1)})
+        with injected(plan):
+            with pytest.raises(InjectedFault, match="'item-1'"):
+                resilient_map(_double, [1, 2, 3], n_jobs=n_jobs)
+
+    def test_dead_worker_surfaces_as_broken_pool(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with injected(FaultPlan({"item-0": FaultSpec("die")})):
+            with pytest.raises(BrokenProcessPool):
+                resilient_map(_double, [1, 2], n_jobs=2)
+
+    def test_poisoned_value_fails_after_one_try(self):
+        with pytest.raises(UnitExecutionError) as err:
+            resilient_map(_double, [1, 2], n_jobs=1, validate=lambda v: v != 4)
+        assert err.value.key == "item-1"
+        assert [f.kind for f in err.value.failures] == ["poison"]
+
+    @pytest.mark.parametrize(
+        "policy", [None, RetryPolicy(backoff_base=0.0)], ids=["no-policy", "policy"]
+    )
+    def test_every_map_records_the_one_span_and_counter(self, policy, obs_enabled):
+        resilient_map(_double, [1, 2, 3], n_jobs=1, policy=policy)
+        assert obs_metrics.snapshot()["counters"]["parallel.items_mapped"] == 3
+        assert [s.name for s in obs_enabled.drain_spans()] == ["parallel.map"]
 
 
 class TestStructuredFailure:
@@ -302,6 +347,6 @@ class TestObservabilityUnderChaos:
         assert obs_metrics.snapshot()["counters"]["resilience.retries"] == 3
 
     def test_legacy_path_records_no_resilience_metrics(self, obs_enabled):
-        _run(1)  # no policy -> parallel_map path
+        _run(1)  # no policy: one try per unit
         counters = obs_metrics.snapshot()["counters"]
         assert not any(name.startswith("resilience.") for name in counters)

@@ -15,9 +15,9 @@ from repro.sim.parallel import (
     build_units,
     execute_unit,
     execute_units,
-    parallel_map,
     resolve_n_jobs,
 )
+from repro.sim.resilient import resilient_map
 from repro.sim.runner import SweepPoint, run_schedulers, run_sweep
 
 
@@ -57,25 +57,32 @@ class TestResolveNJobs:
 
 
 class TestParallelMap:
+    """The one executor's plain map: ``resilient_map`` with no policy."""
+
     def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], n_jobs=1) == [1, 4, 9]
+        assert resilient_map(_square, [1, 2, 3], n_jobs=1) == [1, 4, 9]
 
     def test_parallel_preserves_order(self):
-        assert parallel_map(_square, list(range(10)), n_jobs=3) == [
+        assert resilient_map(_square, list(range(10)), n_jobs=3) == [
             i * i for i in range(10)
         ]
 
     def test_single_item_stays_in_process(self):
         # A lambda would break pickling — a single item must not need it.
-        assert parallel_map(lambda x: x + 1, [41], n_jobs=4) == [42]
+        assert resilient_map(lambda x: x + 1, [41], n_jobs=4) == [42]
 
+    # The pool's queue-feeder thread reports the (intentional) pickling
+    # failure as an unhandled thread exception; the readable ValueError
+    # is what callers see.
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_unpicklable_items_raise_clear_error(self):
         with pytest.raises(ValueError, match="picklable"):
-            parallel_map(_square, [lambda: 1, lambda: 2], n_jobs=2)
+            resilient_map(_square, [lambda: 1, lambda: 2], n_jobs=2)
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_unpicklable_func_raises_clear_error(self):
         with pytest.raises(ValueError, match="picklable"):
-            parallel_map(lambda x: x, [1, 2], n_jobs=2)
+            resilient_map(lambda x: x, [1, 2], n_jobs=2)
 
 
 class TestRunSchedulersParallel:

@@ -107,9 +107,9 @@ WORKLOAD = TopologyWorkload(n_links=20)
 SCHEDULERS = {"rle": get_scheduler("rle"), "ldp": get_scheduler("ldp")}
 
 
-def _units():
+def _units(schedulers=SCHEDULERS):
     return build_units(
-        SCHEDULERS,
+        schedulers,
         WORKLOAD,
         n_repetitions=2,
         n_trials=30,
@@ -118,6 +118,14 @@ def _units():
         eps=0.01,
         root_seed=5,
     )
+
+
+_SCHEDULER_CALLS = []
+
+
+def _failing_scheduler(problem, **kwargs):
+    _SCHEDULER_CALLS.append(problem.n_links)
+    raise ZeroDivisionError("scheduler failed")
 
 
 class TestCheckpointKey:
@@ -190,6 +198,15 @@ class TestResume:
         assert snap["counters"]["resilience.units_from_checkpoint"] == len(units)
         # nothing was recomputed, so no unit-level metrics were recorded
         assert "scheduler.links_admitted" not in snap["counters"]
+
+    def test_checkpoint_without_policy_tries_each_unit_once(self, tmp_path):
+        # A checkpoint persists results; it must not turn on retries.
+        _SCHEDULER_CALLS.clear()
+        with pytest.raises(ZeroDivisionError, match="scheduler failed"):
+            execute_units(
+                _units({"boom": _failing_scheduler}), checkpoint=UnitCheckpoint(tmp_path)
+            )
+        assert len(_SCHEDULER_CALLS) == 1
 
     def test_checkpoint_composes_with_policy_and_jobs(self, tmp_path):
         units = _units()

@@ -29,7 +29,6 @@ class TestRegistry:
             "batched-vs-streaming",
             "with-params-cache-carry",
             "incremental-vs-scratch",
-            "backend-vs-numpy",
             "channel-vs-rayleigh",
             "cache-vs-fresh",
             "service-vs-direct",

@@ -18,13 +18,12 @@ class TestCheckResolution:
         names = set(all_checks())
         assert "exact-vs-ilp" in names  # differential
         assert "eps-monotonicity" in names  # metamorphic
-        assert "backend-vs-numpy" in names  # backend bit-identity
         assert "lambda-drain" in names  # queue stability
         assert "channel-vs-rayleigh" in names  # channel laws
         assert "nakagami-unit-closed-form" in names
         assert "cache-vs-fresh" in names  # schedule cache
         assert "service-vs-direct" in names  # serving layer
-        assert len(names) == 21
+        assert len(names) == 20
 
     def test_subset_selection(self):
         selected = resolve_checks(["eps-monotonicity", "cached-vs-certificate"])

@@ -6,8 +6,7 @@ traffic run served through a small :class:`repro.cache.ScheduleCache`:
 the backlogged policy re-submits recurring backlog sets, so the stream
 exercises every tier and — with the deliberately tiny capacity —
 forces evictions.  ``tests/test_cache_goldens.py`` additionally
-asserts the same bytes come out for every available compute backend
-and for ``n_jobs`` in {1, 2, 4}.
+asserts the same bytes come out for ``n_jobs`` in {1, 2, 4}.
 
 Run only when the determinism contract *deliberately* changes:
 ``PYTHONPATH=src python tools/regen_cache_goldens.py``.  The byte
