@@ -1,34 +1,24 @@
 """Repetition-aware schedule cache for serving scale (ROADMAP O5).
 
-At serving scale topologies repeat and deltas are small, so most
-requests should never touch a scheduler.  This package provides:
+At serving scale topologies repeat, so many requests should never touch
+a scheduler.  This package provides:
 
 - :mod:`repro.cache.fingerprint` — the shared content-hash
   canonicalisation machinery (grown out of the checkpoint keys of
-  :mod:`repro.sim.parallel` / :mod:`repro.experiments.store`) plus
-  canonicalized topology fingerprints invariant under link relabeling,
-  translation, rotation and — when the instance is noise-free and
-  therefore scale-invariant — uniform scaling;
+  :mod:`repro.sim.parallel` / :mod:`repro.experiments.store`) plus the
+  cache's :func:`exact_key`;
 - :mod:`repro.cache.policy` — pluggable eviction policies
   (:data:`CACHE_POLICIES`): plain LRU and a repetition-aware policy
-  that learns which fingerprints recur;
+  that learns which keys recur;
 - :mod:`repro.cache.store` — :class:`ScheduleCache`, the
-  content-addressed store with bit-identical exact hits,
-  pose-invariant canonical hits and nearest-fingerprint warm starts
-  that feed :class:`repro.core.incremental.IncrementalScheduler`'s
-  repair path.
+  content-addressed store whose every answer is bit-identical to a
+  direct run of the scheduler.
 
-See ``docs/CACHING.md`` for the fingerprint contract, the eviction
-policies and the transparency guarantee.
+See ``docs/CACHING.md`` for the key contract, the eviction policies and
+the transparency guarantee.
 """
 
-from repro.cache.fingerprint import (
-    config_key,
-    describe_callable,
-    exact_key,
-    geometry_distance,
-    topology_fingerprint,
-)
+from repro.cache.fingerprint import config_key, describe_callable, exact_key
 from repro.cache.policy import CACHE_POLICIES, make_policy
 from repro.cache.store import CacheEntry, ScheduleCache, cache_dir_stats
 
@@ -40,7 +30,5 @@ __all__ = [
     "config_key",
     "describe_callable",
     "exact_key",
-    "geometry_distance",
     "make_policy",
-    "topology_fingerprint",
 ]

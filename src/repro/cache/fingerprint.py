@@ -1,4 +1,4 @@
-"""Content-hash canonicalisation and topology fingerprints.
+"""Content-hash canonicalisation and the schedule cache's key.
 
 This module is the single home of the repo's content-addressed key
 machinery.  The first half (:func:`config_key`,
@@ -8,50 +8,16 @@ the checkpoint keys in :mod:`repro.experiments.store` and
 key values are pinned unchanged by ``tests/test_cache_fingerprint.py``
 so existing checkpoint/result directories keep resuming.
 
-The second half is new for the schedule cache
-(:mod:`repro.cache.store`) and defines two keys per scheduling
-request:
+The second half is the key of the schedule cache
+(:mod:`repro.cache.store`):
 
 ``exact_key``
     A hash of the *raw* link arrays, channel parameters and scheduler
     identity.  Two requests share it only when they are the same
-    problem bit for bit, which is what makes exact cache hits safe to
-    return without any verification: the cached schedule *is* the
-    schedule the scheduler would produce.  Computing it is O(N) — no
-    distance matrix — so the hot hit path never pays the O(N^2)
-    canonicalisation below.
-
-``topology_fingerprint``
-    A canonicalized key invariant under link relabeling, translation,
-    rotation/reflection and — when ``noise == 0`` makes the instance
-    scale-invariant (the same gate the geometry-scale metamorphic
-    relation uses) — uniform scaling.  It hashes the quantized
-    cross-distance matrix ``D[i, j] = d(s_i, r_j)`` conjugated into a
-    canonical link order, so any rigid motion of the plane and any
-    permutation of the link labels map to the same fingerprint.
-    Distances are normalised by the mean link length and quantized to
-    ``QUANTUM`` (1e-9) relative precision, absorbing the few-ulp wobble
-    a floating-point rotation introduces while keeping genuinely
-    different geometries apart.
-
-The canonical link order sorts links by a per-link invariant key:
-own length, rate, then the link's sorted distance row and sorted
-distance column.  One ``np.lexsort`` over the first two fields
-decides almost every instance; only when two links still tie on both
-does a second ``np.lexsort`` run over the full key.  Both sorts are
-stable, so links whose full keys tie keep their input order — exactly
-the order a stable sort of the per-link key tuples gives, so
-fingerprints and orders are bit-identical to that definition (the
-loop-reference test pins it).  For fully symmetric geometries two
-relabelings can therefore hash differently (a miss, never a wrong
-hit); the Hypothesis suite checks invariance on the adversarial
-fuzzer families, where ties do not survive quantization.
-
-Cost: quantizing and hashing the N x N matrix is O(N^2) NumPy work,
-the primary order O(N log N); the full-key fallback adds O(N^2 log N)
-sorting, also in NumPy.  The distance matrix is the problem's own cached
-:meth:`~repro.core.problem.FadingRLS.distances`, so a cache miss
-builds it once and the scheduler's F build reuses it.
+    problem bit for bit, which is what makes cache hits safe to return
+    without any verification: the cached schedule *is* the schedule the
+    scheduler would produce.  Computing it is O(N) — no distance
+    matrix.
 """
 
 from __future__ import annotations
@@ -59,22 +25,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.network.links import LinkSet
-
 __all__ = [
-    "QUANTUM",
     "canonical_channel",
     "config_key",
     "describe_callable",
     "exact_key",
-    "fingerprint_with_order",
-    "geometry_distance",
     "scheduler_identity",
-    "topology_fingerprint",
 ]
 
 
@@ -136,22 +96,9 @@ def scheduler_identity(scheduler: Any, scheduler_kwargs: Optional[Mapping[str, A
     return f"{describe_callable(scheduler)}|{kwargs!r}"
 
 
-# -- schedule-cache keys -------------------------------------------------
-
-#: Relative quantization step of fingerprint distances.  Far above the
-#: ~1e-16 relative wobble of a float rotation/translation, far below
-#: any geometric perturbation the cache should distinguish.
-QUANTUM = 1e-9
+# -- schedule-cache key --------------------------------------------------
 
 _EXACT_SALT = b"repro.cache.exact:1\n"
-_FINGERPRINT_SALT = b"repro.cache.fingerprint:1\n"
-
-
-def _link_arrays(links: LinkSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    senders = np.ascontiguousarray(links.senders, dtype=np.float64)
-    receivers = np.ascontiguousarray(links.receivers, dtype=np.float64)
-    rates = np.ascontiguousarray(links.rates, dtype=np.float64)
-    return senders, receivers, rates
 
 
 def exact_key(problem, scheduler_id: str) -> str:
@@ -162,97 +109,17 @@ def exact_key(problem, scheduler_id: str) -> str:
     scheduler would run on *identical* inputs, so the cached schedule
     can be returned bit for bit.
     """
-    senders, receivers, rates = _link_arrays(problem.links)
+    links = problem.links
     h = hashlib.sha256()
     h.update(_EXACT_SALT)
     params = (problem.alpha, problem.gamma_th, problem.eps, problem.noise, problem.power)
     h.update(repr(params).encode())
     h.update(scheduler_id.encode())
-    h.update(senders.tobytes())
-    h.update(receivers.tobytes())
-    h.update(rates.tobytes())
+    for array in (links.senders, links.receivers, links.rates):
+        h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
     if problem.powers is None:
         h.update(b"|uniform")
     else:
         h.update(b"|powers:")
         h.update(np.ascontiguousarray(problem.powers, dtype=np.float64).tobytes())
     return h.hexdigest()[:24]
-
-
-def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
-    """Canonical fingerprint plus the canonical link order.
-
-    Returns ``(fingerprint, order)`` where ``order[p]`` is the original
-    index of the link at canonical position ``p``.  Two problems with
-    equal fingerprints are the same geometry up to relabeling and rigid
-    motion (and uniform scale when ``noise == 0``), and their canonical
-    orders align link for link — which is what lets a cached schedule
-    be remapped onto a differently-labelled copy.
-    """
-    _, _, rates = _link_arrays(problem.links)
-    n = rates.shape[0]
-    dist = problem.distances()
-    own = np.diag(dist)
-    scale = float(own.mean()) if n else 1.0
-    quanta = np.rint(dist / (scale * QUANTUM)).astype(np.int64)
-    rate_q = np.rint(rates / QUANTUM).astype(np.int64)
-    order = _canonical_order(quanta, rate_q)
-
-    h = hashlib.sha256()
-    h.update(_FINGERPRINT_SALT)
-    h.update(repr((problem.alpha, problem.gamma_th, problem.eps, problem.noise)).encode())
-    if problem.noise != 0.0:
-        # Noise breaks scale invariance (budgets see absolute lengths
-        # and the transmit power), so the absolute scale and power join
-        # the fingerprint — mirroring the geometry-scale metamorphic
-        # relation, which only asserts invariance at noise == 0.
-        h.update(repr((problem.power, int(round(scale / QUANTUM)))).encode())
-    canonical = quanta[np.ix_(order, order)]
-    h.update(np.ascontiguousarray(canonical).tobytes())
-    h.update(np.ascontiguousarray(rate_q[order]).tobytes())
-    if problem.powers is not None:
-        powers_q = np.rint(np.asarray(problem.powers, dtype=np.float64) / QUANTUM)
-        h.update(np.ascontiguousarray(powers_q.astype(np.int64)[order]).tobytes())
-    return h.hexdigest()[:24], order
-
-
-def _canonical_order(quanta: np.ndarray, rate_q: np.ndarray) -> np.ndarray:
-    """Stable order of links by ``(own, rate, sorted row, sorted column)``.
-
-    ``np.lexsort`` treats its *last* key as primary.  The full key is
-    only built when the primary pair leaves adjacent ties.
-    """
-    own_q = np.diagonal(quanta)
-    order = np.lexsort((rate_q, own_q))
-    first, rest = order[:-1], order[1:]
-    if np.any((own_q[first] == own_q[rest]) & (rate_q[first] == rate_q[rest])):
-        rows = np.sort(quanta, axis=1).T  # rows[k, i]: k-th smallest of row i
-        cols = np.sort(quanta, axis=0)  # cols[k, i]: k-th smallest of column i
-        order = np.lexsort(np.vstack((cols[::-1], rows[::-1], rate_q, own_q)))
-    return order.astype(np.int64, copy=False)
-
-
-def topology_fingerprint(problem) -> str:
-    """Canonicalized topology fingerprint (see :func:`fingerprint_with_order`)."""
-    return fingerprint_with_order(problem)[0]
-
-
-def geometry_distance(a: LinkSet, b: LinkSet) -> float:
-    """Mean endpoint displacement between two same-size link sets,
-    normalised by the mean link length of ``b``.
-
-    This is the label-space nearness measure the warm-start tier uses:
-    0.0 means identical geometry, and a value around 1.0 means the
-    endpoints moved by about one link length on average.  Requires
-    equal link counts (labels must align for delta synthesis).
-    """
-    if len(a) != len(b):
-        raise ValueError(f"link sets differ in size: {len(a)} vs {len(b)}")
-    sa, ra, _ = _link_arrays(a)
-    sb, rb, _ = _link_arrays(b)
-    if sa.shape[0] == 0:
-        return 0.0
-    ds = np.linalg.norm(sa - sb, axis=1)
-    dr = np.linalg.norm(ra - rb, axis=1)
-    mean_len = float(np.linalg.norm(rb - sb, axis=1).mean())
-    return float((ds + dr).mean() / (2.0 * mean_len))

@@ -13,9 +13,9 @@ Two policies, selected by name (:data:`CACHE_POLICIES`):
     entry with the fewest lifetime hits (ties: least recently used,
     then oldest insertion), so topologies that keep coming back are
     protected from one-off requests churning the cache.  Evicted
-    entries leave a bounded **ghost** record of their fingerprint and
-    hit count; when a previously-evicted fingerprint is inserted again,
-    its remembered repetition count seeds the new entry — a recurring
+    entries leave a bounded **ghost** record of their exact key and
+    hit count; when a previously-evicted key is inserted again, its
+    remembered repetition count seeds the new entry — a recurring
     topology regains its protection immediately instead of re-earning
     it from zero.
 
@@ -44,8 +44,8 @@ class LRUPolicy:
 
     name = "lru"
 
-    def seed_hits(self, fingerprint: str) -> int:
-        """Initial repetition credit for a newly-inserted fingerprint."""
+    def seed_hits(self, key: str) -> int:
+        """Initial repetition credit for a newly-inserted key."""
         return 0
 
     def record_eviction(self, entry: "CacheEntry") -> None:
@@ -59,8 +59,8 @@ class LRUPolicy:
 class RepetitionAwarePolicy(LRUPolicy):
     """Evict the least-repeated entry; remember evictees' repetition.
 
-    ``ghost_capacity`` bounds the memory of evicted fingerprints (FIFO:
-    the oldest ghost is forgotten first).
+    ``ghost_capacity`` bounds the memory of evicted keys (FIFO: the
+    oldest ghost is forgotten first).
     """
 
     name = "repetition_aware"
@@ -73,19 +73,19 @@ class RepetitionAwarePolicy(LRUPolicy):
 
     @property
     def ghosts(self) -> Mapping[str, int]:
-        """Read-only view of the remembered fingerprint → hit counts."""
+        """Read-only view of the remembered exact key → hit counts."""
         return dict(self._ghosts)
 
-    def seed_hits(self, fingerprint: str) -> int:
-        """Consume the ghost record for ``fingerprint`` (0 if none)."""
-        return self._ghosts.pop(fingerprint, 0)
+    def seed_hits(self, key: str) -> int:
+        """Consume the ghost record for ``key`` (0 if none)."""
+        return self._ghosts.pop(key, 0)
 
     def record_eviction(self, entry: "CacheEntry") -> None:
         """Remember the evictee's repetition count as a bounded ghost."""
         if self.ghost_capacity == 0:
             return
-        self._ghosts[entry.fingerprint] = entry.hits + entry.seeded
-        self._ghosts.move_to_end(entry.fingerprint)
+        self._ghosts[entry.exact_key] = entry.hits + entry.seeded
+        self._ghosts.move_to_end(entry.exact_key)
         while len(self._ghosts) > self.ghost_capacity:
             self._ghosts.popitem(last=False)
 

@@ -348,9 +348,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     if cache_stats is not None:
         print(
             f"  cache [{cache_stats['policy']}]: "
-            f"{cache_stats['exact_hits']} exact / "
-            f"{cache_stats['canonical_hits']} canonical / "
-            f"{cache_stats['warm_hits']} warm hits, "
+            f"{cache_stats['exact_hits']} exact hits, "
             f"{cache_stats['misses']} misses "
             f"({100 * cache_stats['hit_rate']:.1f}% hit rate), "
             f"{cache_stats['evictions']} evictions, "
@@ -552,8 +550,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     if counters is not None:
         print(
             f"  last session [{stats.get('policy')}]: "
-            f"{counters['exact_hits']} exact / {counters['canonical_hits']} canonical / "
-            f"{counters['warm_hits']} warm hits, {counters['misses']} misses, "
+            f"{counters['exact_hits']} exact hits, {counters['misses']} misses, "
             f"{counters['evictions']} evictions"
         )
     return 0
@@ -570,13 +567,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     raise_nofile_limit()
     cache = None
-    use_cache = not args.no_cache
-    if use_cache and (args.cache_dir or args.cache_warm):
-        cache = ScheduleCache(
-            capacity=args.cache_capacity,
-            warm_start=args.cache_warm,
-            directory=args.cache_dir,
-        )
+    if not args.no_cache:
+        try:
+            cache = ScheduleCache(capacity=args.cache_capacity, directory=args.cache_dir)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
 
     async def _serve() -> int:
         broker = ScheduleBroker(
@@ -587,7 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
             cache=cache,
-            use_cache=use_cache,
+            use_cache=cache is not None,
             max_sessions=args.max_sessions,
         )
         access = None if args.quiet else (lambda line: print(line, file=sys.stderr))
@@ -1118,12 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="compute every request from scratch (no ScheduleCache front)",
-    )
-    sv.add_argument(
-        "--cache-warm",
-        action="store_true",
-        help="enable the cache's canonical/warm tiers (answers may be "
-        "remapped/repaired instead of bit-identical to direct runs)",
     )
     sv.add_argument(
         "--cache-dir", default=None, help="persist the schedule cache under DIR"

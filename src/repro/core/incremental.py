@@ -347,30 +347,6 @@ class IncrementalScheduler:
 
     # -- scheduling ---------------------------------------------------
 
-    def warm_start(self, active, reference_rate: float) -> None:
-        """Adopt an externally-supplied schedule as the repair baseline.
-
-        Installs ``active`` (indices into the current link set) as the
-        engine's schedule and ``reference_rate`` as the from-scratch
-        anchor the quality fallback compares against, resyncing the
-        ledger through the same exact reduction a full run uses.  The
-        next :meth:`schedule` call then takes the repair path instead
-        of an initial from-scratch run — this is how the schedule
-        cache (:mod:`repro.cache.store`) seeds the engine with a cached
-        schedule before applying a synthesized delta.
-
-        The supplied schedule should be feasible on the engine's
-        current geometry (a cached schedule for the same geometry is);
-        an infeasible one is not an error — the repair pass simply
-        evicts its violations first.
-        """
-        check_positive(float(reference_rate), "reference_rate", strict=False)
-        prob = self.problem
-        self._active = prob.active_mask(active)
-        self._ledger = prob.interference_on(self._active)
-        self._reference_rate = float(reference_rate)
-        self._dirty[:] = False
-
     def schedule(self) -> Schedule:
         """Current step's schedule: warm-start repair, or full run.
 

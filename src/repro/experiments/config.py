@@ -140,9 +140,6 @@ class ExperimentConfig:
     cache: Optional[str] = None
     cache_capacity: int = 256
     cache_policy: str = "repetition_aware"
-    #: Enable the canonical/warm cache tiers; ``False`` keeps the cache
-    #: fully transparent (bit-identical exact hits only).
-    cache_warm_start: bool = True
 
     def workload(self, n_links: int) -> TopologyWorkload:
         """Per-repetition workload factory for ``n_links`` links.
@@ -289,7 +286,6 @@ class ExperimentConfig:
         cache: Optional[str] = None,
         capacity: Optional[int] = None,
         policy: Optional[str] = None,
-        warm_start: Optional[bool] = None,
     ) -> "ExperimentConfig":
         """Copy with schedule-cache knobs replaced (unspecified kept).
 
@@ -316,8 +312,6 @@ class ExperimentConfig:
                     f"unknown cache policy {policy!r}; choose from {CACHE_POLICIES}"
                 )
             out = replace(out, cache_policy=policy)
-        if warm_start is not None:
-            out = replace(out, cache_warm_start=warm_start)
         return out
 
     def schedule_cache(self):
@@ -329,8 +323,6 @@ class ExperimentConfig:
         return ScheduleCache(
             capacity=self.cache_capacity,
             policy=self.cache_policy,
-            warm_start=self.cache_warm_start,
-            quality_bound=self.quality_bound,
             directory=None if self.cache == "memory" else self.cache,
         )
 

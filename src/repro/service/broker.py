@@ -23,8 +23,8 @@ request bit-identical to one already in flight attaches to its future
 instead of occupying a queue slot — a thousand clients asking for the
 same topology cost one scheduler run.  Workers drain the queue in
 batches and compute through a :class:`~repro.cache.ScheduleCache`
-(transparent mode by default, so every answer is bit-identical to a
-direct scheduler call) into :mod:`repro.backend`'s kernels.
+(whose every answer is bit-identical to a direct scheduler call) into
+:mod:`repro.backend`'s kernels.
 
 Sessions wrap :class:`~repro.core.incremental.IncrementalScheduler`:
 open with a topology, then stream :class:`~repro.network.delta.LinkDelta`
@@ -229,12 +229,13 @@ class ScheduleBroker:
         Per-tenant token-bucket parameters.  ``tenant_rate=None``
         disables rate limiting entirely.
     cache:
-        A :class:`ScheduleCache` fronting the schedulers, or ``None``
-        to compute every request from scratch.  The default is a
-        transparent (``warm_start=False``) cache, preserving the
-        bit-identity contract with direct scheduling.  The worker
-        threads share it; it locks only around its probe and insert,
-        so a hit never waits for another request's scheduler run.
+        The :class:`ScheduleCache` fronting the schedulers.  ``None``
+        with ``use_cache=True`` (the default) builds a 512-entry cache;
+        with ``use_cache=False`` every request is computed from
+        scratch.  Either way every answer is bit-identical to direct
+        scheduling.  The worker threads share the cache; it locks only
+        around its probe and insert, so a hit never waits for another
+        request's scheduler run.
     max_sessions:
         Cap on concurrently open delta sessions.
     inline:
@@ -279,7 +280,7 @@ class ScheduleBroker:
         if cache is not None:
             self._cache: Optional[ScheduleCache] = cache
         elif use_cache:
-            self._cache = ScheduleCache(capacity=512, warm_start=False)
+            self._cache = ScheduleCache(capacity=512)
         else:
             self._cache = None
         self._queue: asyncio.Queue = asyncio.Queue()
@@ -466,7 +467,7 @@ class ScheduleBroker:
         return results
 
     def _schedule_one(self, request: ScheduleRequest) -> Tuple[Schedule, str]:
-        """The schedule and its tier: ``"cache"`` for any cache hit,
+        """The schedule and its tier: ``"cache"`` for a cache hit,
         ``"miss"`` when the scheduler ran (a cache miss, or no cache)."""
         with span(
             "service.request",

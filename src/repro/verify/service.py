@@ -2,8 +2,8 @@
 
 One registered differential check over
 :class:`repro.service.broker.ScheduleBroker`, driving the whole broker
-path — admission, coalescing, batching, the worker pool, the
-transparent cache — on each fuzzed scenario and comparing against a
+path — admission, coalescing, batching, the worker pool, the schedule
+cache — on each fuzzed scenario and comparing against a
 direct scheduler call:
 
 - **serving bit-identity** — every answer the broker returns (the

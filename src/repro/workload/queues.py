@@ -337,10 +337,8 @@ def simulate_workload(
         Rayleigh default, bit-identical to the historical behaviour.
     cache:
         Optional :class:`~repro.cache.store.ScheduleCache` answering
-        the per-slot scheduler runs (``backlogged`` policy only).
-        With ``warm_start=False`` the trajectory is bit-identical to
-        the uncached run; warm-started caches may serve different (but
-        feasibility-certified) schedules.
+        the per-slot scheduler runs (``backlogged`` policy only).  The
+        trajectory is bit-identical to the uncached run.
 
     Returns
     -------

@@ -1,9 +1,9 @@
 """Golden hit/miss trace for the schedule cache.
 
 ``tests/goldens/cache_events.json`` pins — byte for byte — the event
-sequence (exact/canonical/miss/evict, by fingerprint prefix), the
-cache counters and the workload summary of a repeating-topology
-traffic run served through a small cache.  The trace must not depend
+sequence (exact/miss/evict, by exact-key prefix), the cache counters
+and the workload summary of a repeating-topology traffic run served
+through a small cache.  The trace must not depend
 on the process fan-out, so the same bytes are asserted for ``n_jobs``
 in {1, 2, 4}.
 
@@ -20,9 +20,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from regen_cache_goldens import GOLDEN_PATH, build_payload  # noqa: E402
+from regen_cache_goldens import (  # noqa: E402
+    CAPACITY,
+    GOLDEN_PATH,
+    build_payload,
+    build_scenario,
+)
 
-EVENT_KINDS = {"exact", "canonical", "warm", "miss", "evict"}
+from repro.cache import store  # noqa: E402
+from repro.workload.scenario import run_scenario  # noqa: E402
+
+EVENT_KINDS = {"exact", "miss", "evict"}
 
 
 def _golden_bytes() -> bytes:
@@ -50,8 +58,8 @@ class TestGoldenShape:
         kinds = [kind for kind, _ in golden["events"]]
         assert set(kinds) <= EVENT_KINDS
         # The scenario was tuned so the trace exercises repetition
-        # (exact), congruence (canonical) and pressure (evict) at once.
-        for required in ("exact", "canonical", "miss", "evict"):
+        # (exact) and pressure (evict) at once.
+        for required in ("exact", "miss", "evict"):
             assert required in kinds, f"golden trace lost its {required} events"
 
     def test_counters_agree_with_the_event_log(self):
@@ -59,14 +67,21 @@ class TestGoldenShape:
         kinds = [kind for kind, _ in golden["events"]]
         cache = golden["cache"]
         assert cache["exact_hits"] == kinds.count("exact")
-        assert cache["canonical_hits"] == kinds.count("canonical")
-        assert cache["warm_hits"] == kinds.count("warm")
+        assert cache["canonical_hits"] == cache["warm_hits"] == 0
         assert cache["misses"] == kinds.count("miss")
         assert cache["evictions"] == kinds.count("evict")
         assert cache["entries"] <= cache["capacity"]
 
-    def test_fingerprint_prefixes_are_hex(self):
+    def test_event_labels_are_exact_key_prefixes(self, monkeypatch):
+        keys = set()
+        real = store.exact_key
+
+        def recording(problem, scheduler_id):
+            key = real(problem, scheduler_id)
+            keys.add(key)
+            return key
+
+        monkeypatch.setattr(store, "exact_key", recording)
+        run_scenario(build_scenario(), cache=store.ScheduleCache(capacity=CAPACITY))
         golden = json.loads(_golden_bytes())
-        for _, prefix in golden["events"]:
-            assert len(prefix) == 12
-            int(prefix, 16)
+        assert {prefix for _, prefix in golden["events"]} <= {key[:12] for key in keys}

@@ -1,9 +1,9 @@
-"""Unit tests for the schedule cache: tiers, eviction, persistence.
+"""Unit tests for the schedule cache: hits, eviction, persistence.
 
-The transparency contract (``warm_start=False`` answers are
-bit-identical to uncached runs; exact hits always are) is exercised
-here at the unit level; the ``cache-vs-fresh`` differential check and
-the golden-trace test pin the same properties end to end.
+The transparency contract (every answer is bit-identical to an uncached
+run) is exercised here at the unit level; the ``cache-vs-fresh``
+differential check and the golden-trace test pin the same property end
+to end.
 """
 
 import json
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cache import store
-from repro.cache.fingerprint import exact_key, scheduler_identity, topology_fingerprint
+from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.policy import (
     CACHE_POLICIES,
     LRUPolicy,
@@ -21,10 +21,10 @@ from repro.cache.policy import (
     make_policy,
 )
 from repro.cache.store import EVENTS_MAXLEN, ScheduleCache, cache_dir_stats
-from repro.core.incremental import IncrementalScheduler
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.network.links import LinkSet
+from repro.network.topology import paper_topology
 from repro.verify.fuzz import make_scenario
 
 
@@ -50,7 +50,7 @@ def _relabeled(problem, seed=7):
 
 
 def _jittered(problem, seed=5, sigma_fraction=0.02):
-    """Slightly-moved endpoints: close enough for the warm tier."""
+    """Slightly-moved endpoints: a different exact key, nearby geometry."""
     links = problem.links
     senders = np.asarray(links.senders, dtype=float)
     receivers = np.asarray(links.receivers, dtype=float)
@@ -82,7 +82,7 @@ def _counting_scheduler():
     return scheduler, calls
 
 
-# -- tiers ----------------------------------------------------------
+# -- hits and misses ------------------------------------------------
 
 
 class TestExactTier:
@@ -121,117 +121,48 @@ class TestExactTier:
         assert cache.stats["misses"] == 2
         assert cache.stats["exact_hits"] == 0
 
-
-class TestCanonicalTier:
-    def test_relabeled_problem_hits_canonically(self):
+    def test_relabeled_and_jittered_copies_miss(self):
         cache = ScheduleCache(capacity=8)
-        p = _problem()
-        cache.schedule(p, "rle")
-        q = _relabeled(p)
-        assert topology_fingerprint(p) == topology_fingerprint(q)
-        result = cache.schedule(q, "rle")
-        assert cache.stats["canonical_hits"] == 1
-        assert result.diagnostics["cache"] == "canonical"
-        assert q.is_feasible(result.active)
-
-    def test_canonical_hit_is_reinserted_under_the_new_exact_key(self):
-        scheduler, calls = _counting_scheduler()
-        cache = ScheduleCache(capacity=8)
-        p = _problem()
-        q = _relabeled(p)
-        cache.schedule(p, scheduler)
-        cache.schedule(q, scheduler)
-        third = cache.schedule(q, scheduler)  # now an exact hit
-        assert len(calls) == 1
-        assert cache.stats["exact_hits"] == 1
-        assert third.diagnostics["cache"] == "canonical"
-
-    def test_canonical_remap_preserves_the_selected_links(self):
-        cache = ScheduleCache(capacity=8)
-        p = _problem()
-        base = cache.schedule(p, "rle")
-        perm = np.random.default_rng(11).permutation(p.n_links)
-        links = p.links
-        q = FadingRLS(
-            links=LinkSet(
-                senders=np.asarray(links.senders)[perm],
-                receivers=np.asarray(links.receivers)[perm],
-                rates=np.asarray(links.rates)[perm],
-            ),
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-        )
-        mapped = cache.schedule(q, "rle")
-        # The physical links selected are the same set: q's label j is
-        # p's label perm[j].
-        assert set(perm[mapped.active]) == set(np.asarray(base.active))
-
-
-class TestWarmTier:
-    def test_jittered_geometry_hits_warm(self):
-        cache = ScheduleCache(capacity=8)
-        p = _problem()
-        cache.schedule(p, "rle")
-        q = _jittered(p)
-        result = cache.schedule(q, "rle")
-        assert cache.stats["warm_hits"] == 1
-        assert result.diagnostics["cache"] == "warm"
-        assert result.diagnostics["distance"] <= cache.warm_threshold
-        assert q.is_feasible(result.active)
-
-    def test_far_geometry_misses(self):
-        cache = ScheduleCache(capacity=8, warm_threshold=0.05)
-        p = _problem()
-        cache.schedule(p, "rle")
-        q = _jittered(p, sigma_fraction=0.5)
-        cache.schedule(q, "rle")
-        assert cache.stats["warm_hits"] == 0
-        assert cache.stats["misses"] == 2
-
-    def test_different_rates_never_warm_start(self):
-        cache = ScheduleCache(capacity=8)
-        p = _problem()
-        cache.schedule(p, "rle")
-        links = _jittered(p).links
-        q = FadingRLS(
-            links=LinkSet(
-                senders=np.asarray(links.senders),
-                receivers=np.asarray(links.receivers),
-                rates=2.0 * np.asarray(links.rates),
-            ),
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-        )
-        cache.schedule(q, "rle")
-        assert cache.stats["warm_hits"] == 0
-
-    def test_warm_start_false_disables_both_fuzzy_tiers(self):
-        cache = ScheduleCache(capacity=8, warm_start=False)
         p = _problem()
         cache.schedule(p, "rle")
         for q in (_relabeled(p), _jittered(p)):
             result = cache.schedule(q, "rle")
             fresh = rle_schedule(q)
             assert np.array_equal(result.active, fresh.active)  # transparent
-        assert cache.stats["canonical_hits"] == 0
-        assert cache.stats["warm_hits"] == 0
+        assert cache.stats["exact_hits"] == 0
         assert cache.stats["misses"] == 3
+
+    def test_cache_miss_builds_the_distance_matrix_once(self, monkeypatch):
+        calls = []
+        original = LinkSet.sender_receiver_distances
+
+        def counting(self):
+            calls.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(LinkSet, "sender_receiver_distances", counting)
+        cache = ScheduleCache()
+        problem = FadingRLS(links=paper_topology(30, seed=5))
+        cache.schedule(problem, "rle")
+        assert cache.stats["misses"] == 1
+        assert calls == [30]
 
 
 class TestTransparentMode:
     def test_never_computes_a_fingerprint(self, monkeypatch):
+        # ``store.fingerprint_with_order`` survives only as a name the
+        # benchmark's layer tracer rebinds; nothing may call it.
         def forbidden(problem):
-            raise AssertionError("a transparent cache computed a fingerprint")
+            raise AssertionError("the cache computed a fingerprint")
 
         monkeypatch.setattr(store, "fingerprint_with_order", forbidden)
-        cache = ScheduleCache(capacity=2, warm_start=False)
+        cache = ScheduleCache(capacity=2)
         a, b, c = (_problem(i) for i in range(3))
         for p in (a, a, b, c, _relabeled(a), _jittered(b)):
             assert np.array_equal(cache.schedule(p, "rle").active, rle_schedule(p).active)
         stats = cache.stats
         assert (stats["exact_hits"], stats["misses"], stats["evictions"]) == (1, 5, 3)
+        assert (stats["canonical_hits"], stats["warm_hits"]) == (0, 0)
 
     def test_return_tier_names_the_answering_tier(self):
         cache = ScheduleCache(capacity=8)
@@ -239,29 +170,13 @@ class TestTransparentMode:
         first, tier = cache.schedule(p, "rle", return_tier=True)
         assert tier == "miss"
         assert cache.schedule(p, "rle", return_tier=True) == (first, "exact")
-        assert cache.schedule(_relabeled(p), "rle", return_tier=True)[1] == "canonical"
-        assert cache.schedule(_jittered(p), "rle", return_tier=True)[1] == "warm"
-
-    def test_transparent_directory_reloaded_with_warm_start(self, tmp_path):
-        p = _problem()
-        writer = ScheduleCache(capacity=8, warm_start=False, directory=tmp_path)
-        first = writer.schedule(p, "rle")
-        reader = ScheduleCache(capacity=8, warm_start=True, directory=tmp_path)
-        hit, tier = reader.schedule(p, "rle", return_tier=True)
-        assert tier == "exact"
-        assert np.array_equal(hit.active, first.active)
-        # The persisted entry has no fingerprint, so a relabeled copy is
-        # a miss, never a canonical remap.
-        q = _relabeled(p)
-        result, tier = reader.schedule(q, "rle", return_tier=True)
-        assert tier == "miss"
-        assert np.array_equal(result.active, rle_schedule(q).active)
-        assert reader.stats["canonical_hits"] == 0
+        assert cache.schedule(_relabeled(p), "rle", return_tier=True)[1] == "miss"
+        assert cache.schedule(_jittered(p), "rle", return_tier=True)[1] == "miss"
 
 
 class TestEventLog:
     def test_events_are_a_bounded_ring_with_exact_counters(self):
-        cache = ScheduleCache(capacity=8, warm_start=False)
+        cache = ScheduleCache(capacity=8)
         a, b = _problem(0, n_links=4), _problem(1, n_links=4)
         cache.schedule(a, "rle")
         tracemalloc.start()
@@ -288,7 +203,7 @@ class TestEventLog:
 
 class TestEviction:
     def test_lru_evicts_the_least_recently_used(self):
-        cache = ScheduleCache(capacity=2, policy="lru", warm_start=False)
+        cache = ScheduleCache(capacity=2, policy="lru")
         a, b, c = (_problem(i) for i in range(3))
         cache.schedule(a, "rle")
         cache.schedule(b, "rle")
@@ -300,13 +215,13 @@ class TestEviction:
         assert exact_key(a, sid) in cache
         assert exact_key(c, sid) in cache
         assert exact_key(b, sid) not in cache
-        # A transparent cache labels events by exact key.  The miss is
-        # logged before insertion triggers the eviction.
+        # Events are labelled by exact key.  The miss is logged before
+        # insertion triggers the eviction.
         assert cache.events[-1] == ("evict", exact_key(b, sid)[:12])
         assert cache.events[-2] == ("miss", exact_key(c, sid)[:12])
 
     def test_repetition_aware_protects_the_hot_entry(self):
-        cache = ScheduleCache(capacity=2, policy="repetition_aware", warm_start=False)
+        cache = ScheduleCache(capacity=2, policy="repetition_aware")
         a, b, c = (_problem(i) for i in range(3))
         cache.schedule(a, "rle")
         for _ in range(3):
@@ -321,14 +236,14 @@ class TestEviction:
 
     def test_ghost_memory_seeds_reinserted_fingerprints(self):
         policy = RepetitionAwarePolicy()
-        cache = ScheduleCache(capacity=1, warm_start=False)
+        cache = ScheduleCache(capacity=1)
         cache._policy = policy  # inject to inspect the ghosts
         a, b = _problem(0), _problem(1)
         cache.schedule(a, "rle")
         for _ in range(4):
             cache.schedule(a, "rle")
         cache.schedule(b, "rle")  # evicts a -> ghost with 4 hits
-        # A transparent cache keys its ghosts by exact key.
+        # Ghosts are keyed by exact key.
         sid = scheduler_identity(rle_schedule, {})
         key = exact_key(a, sid)
         assert policy.ghosts[key] == 4
@@ -342,14 +257,14 @@ class TestEviction:
         fake = type("E", (), {})
         for i in range(4):
             entry = fake()
-            entry.fingerprint = f"fp{i}"
+            entry.exact_key = f"key{i}"
             entry.hits, entry.seeded = i, 0
             policy.record_eviction(entry)
-        assert set(policy.ghosts) == {"fp2", "fp3"}
+        assert set(policy.ghosts) == {"key2", "key3"}
 
     def test_eviction_is_deterministic(self):
         def trace():
-            cache = ScheduleCache(capacity=3, policy="repetition_aware", warm_start=False)
+            cache = ScheduleCache(capacity=3, policy="repetition_aware")
             for i in range(6):
                 cache.schedule(_problem(i % 4), "rle")
             return cache.events
@@ -374,6 +289,36 @@ class TestPersistence:
         assert second.stats["misses"] == 0
         assert np.array_equal(result.active, schedule.active)
         assert result.diagnostics == {"cache": "persisted"}
+
+    def test_entry_with_fingerprint_and_order_gives_an_exact_hit(self, tmp_path):
+        # Entry files written while the cache had canonical and warm
+        # tiers also carry ``fingerprint`` and ``order``; they still load.
+        p = _problem()
+        fresh = rle_schedule(p)
+        key = exact_key(p, scheduler_identity(rle_schedule, {}))
+        links = p.links
+        payload = {
+            "schema": 1,
+            "exact_key": key,
+            "fingerprint": "0123456789abcdef01234567",
+            "order": list(range(p.n_links)),
+            "senders": np.asarray(links.senders, dtype=float).tolist(),
+            "receivers": np.asarray(links.receivers, dtype=float).tolist(),
+            "rates": np.asarray(links.rates, dtype=float).tolist(),
+            "params": [p.alpha, p.gamma_th, p.eps, p.noise, p.power],
+            "scheduler_id": scheduler_identity(rle_schedule, {}),
+            "active": [int(x) for x in fresh.active],
+            "algorithm": fresh.algorithm,
+            "rate": float(np.asarray(links.rates)[fresh.active].sum()),
+            "hits": 2,
+        }
+        (tmp_path / f"{key}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        cache = ScheduleCache(capacity=8, directory=tmp_path)
+        result, tier = cache.schedule(p, "rle", return_tier=True)
+        assert tier == "exact"
+        assert np.array_equal(result.active, fresh.active)
+        assert cache._entries[key].seeded == 2
+        assert cache_dir_stats(tmp_path)["damaged"] == 0
 
     def test_damaged_files_are_skipped(self, tmp_path):
         first = ScheduleCache(capacity=8, directory=tmp_path)
@@ -400,7 +345,7 @@ class TestPersistence:
         assert len(ScheduleCache(capacity=2, directory=tmp_path)) == 2
 
     def test_eviction_removes_the_persisted_file(self, tmp_path):
-        cache = ScheduleCache(capacity=1, warm_start=False, directory=tmp_path)
+        cache = ScheduleCache(capacity=1, directory=tmp_path)
         cache.schedule(_problem(0), "rle")
         cache.schedule(_problem(1), "rle")
         entries = [p for p in tmp_path.glob("*.json") if p.name != "_stats.json"]
@@ -461,8 +406,6 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             ScheduleCache(capacity=0)
         with pytest.raises(ValueError):
-            ScheduleCache(warm_threshold=-1.0)
-        with pytest.raises(ValueError):
             ScheduleCache(policy="fifo")
 
     def test_policy_registry(self):
@@ -473,45 +416,3 @@ class TestBookkeeping:
             make_policy("arc")
         with pytest.raises(ValueError):
             RepetitionAwarePolicy(ghost_capacity=-1)
-
-
-# -- warm-start engine seam -----------------------------------------
-
-
-class TestEngineWarmStart:
-    def test_warm_start_takes_the_repair_path(self):
-        p = _problem()
-        base = rle_schedule(p)
-        engine = IncrementalScheduler(
-            p.links,
-            scheduler="rle",
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-        )
-        rate = float(np.asarray(p.links.rates)[base.active].sum())
-        engine.warm_start(base.active, rate)
-        result = engine.schedule()
-        assert result.diagnostics["mode"] == "repair"
-        assert np.array_equal(result.active, np.asarray(base.active))
-        assert engine.stats["full_runs"] == 0
-
-    def test_warm_start_with_infeasible_input_repairs(self):
-        p = _problem()
-        engine = IncrementalScheduler(
-            p.links,
-            scheduler="rle",
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-            quality_bound=1e-9,  # keep the repair result, however small
-        )
-        engine.warm_start(np.arange(p.n_links), reference_rate=0.0)
-        result = engine.schedule()
-        assert p.is_feasible(result.active)
-
-    def test_warm_start_rejects_negative_reference_rate(self):
-        p = _problem()
-        engine = IncrementalScheduler(p.links)
-        with pytest.raises(ValueError):
-            engine.warm_start([0], reference_rate=-1.0)

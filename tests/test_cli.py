@@ -88,6 +88,31 @@ class TestSchedule:
             main(["schedule", "--algorithm", "nope", "--n-links", "5"])
 
 
+class TestCacheCommands:
+    def test_traffic_with_a_cache_dir_then_cache_stats(self, tmp_path, capsys):
+        cache_dir, payload_path = tmp_path / "cache", tmp_path / "traffic.json"
+        argv = ["traffic", "--n-links", "8", "--slots", "60", "--cache", str(cache_dir)]
+        assert main([*argv, "--output", str(payload_path)]) == 0
+        cache = json.loads(payload_path.read_text())["cache"]
+        counts = f"{cache['exact_hits']} exact hits, {cache['misses']} misses"
+        assert f"{counts} ({100 * cache['hit_rate']:.1f}% hit rate), " in capsys.readouterr().out
+        assert cache["exact_hits"] > 0
+        assert main(["cache", "stats", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"{cache['entries']} cached schedules (0 damaged)" in out
+        assert f"[{cache['policy']}]: {counts}, {cache['evictions']} evictions" in out
+
+    def test_cache_stats_reads_counters_with_the_old_tiers(self, tmp_path, capsys):
+        # ``_stats.json`` as written while the cache had canonical and
+        # warm tiers: its counters carry both.
+        counters = {"exact_hits": 5, "canonical_hits": 2, "warm_hits": 1, "misses": 4}
+        stats = {"schema": 1, "policy": "lru", "counters": {**counters, "evictions": 3}}
+        (tmp_path / "_stats.json").write_text(json.dumps({**stats, "hits": {}}))
+        assert main(["cache", "stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "last session [lru]: 5 exact hits, 4 misses, 3 evictions" in out
+
+
 class TestConstants:
     def test_prints_table(self, capsys):
         assert main(["constants", "--alpha", "3.0", "4.0"]) == 0

@@ -95,6 +95,17 @@ class TestFMatrixMaintenance:
         engine.apply(delta)
         _assert_state_matches_fresh(engine, apply_delta(links, delta))
 
+    def test_stretching_moves_under_noise_refresh_their_budgets(self):
+        links = _links(20)
+        engine = IncrementalScheduler(links, noise=1e-7)
+        idx = np.array([3, 7])
+        delta = LinkDelta.move(idx, links.senders[idx], links.receivers[idx] + [4.0, 3.0])
+        engine.apply(delta)
+        fresh = FadingRLS(links=apply_delta(links, delta), noise=1e-7)
+        before = FadingRLS(links=links, noise=1e-7).effective_budgets()
+        assert not np.allclose(fresh.effective_budgets()[idx], before[idx])
+        np.testing.assert_allclose(engine._budgets(), fresh.effective_budgets(), rtol=1e-12)
+
     def test_zero_length_move_rejected(self):
         links = _links(5)
         engine = IncrementalScheduler(links)

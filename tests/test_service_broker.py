@@ -152,7 +152,7 @@ class TestServingBitIdentity:
 
     def test_tier_follows_evictions(self):
         p1, p2 = _problem(8, 5), _problem(8, 6)
-        cache = ScheduleCache(capacity=1, warm_start=False)
+        cache = ScheduleCache(capacity=1)
         broker = ScheduleBroker(cache=cache, inline=True)
         tiers = self._tiers(broker, [p1, p1, p2, p1])
         # p2 evicts p1, so the last p1 is computed afresh.

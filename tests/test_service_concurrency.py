@@ -29,7 +29,6 @@ from repro.cache.store import ScheduleCache
 from repro.core import base as core_base
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
-from repro.network.links import LinkSet
 from repro.network.topology import paper_topology
 from repro.service.broker import ScheduleBroker
 
@@ -39,18 +38,6 @@ TIMEOUT = 60.0
 
 def _problem(n: int, seed: int) -> FadingRLS:
     return FadingRLS(links=paper_topology(n, seed=seed))
-
-
-def _relabeled(problem: FadingRLS, seed: int) -> FadingRLS:
-    perm = np.random.default_rng(seed).permutation(problem.n_links)
-    links = problem.links
-    return FadingRLS(
-        links=LinkSet(
-            senders=np.asarray(links.senders)[perm],
-            receivers=np.asarray(links.receivers)[perm],
-            rates=np.asarray(links.rates)[perm],
-        )
-    )
 
 
 def _threads() -> int:
@@ -84,7 +71,7 @@ class TestSharedCache:
             rendezvous.wait()  # both lookups missed before either inserts
             return rle_schedule(problem, **kwargs)
 
-        cache = ScheduleCache(capacity=4, warm_start=False)
+        cache = ScheduleCache(capacity=4)
         p = _problem(10, 4)
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(cache.schedule, p, scheduler) for _ in range(2)]
@@ -103,7 +90,7 @@ class TestSharedCache:
     def test_threads_share_a_transparent_cache(self, fast_switching):
         problems, stream = _stream(n_distinct=16, n_requests=160, seed=1)
         directs = {id(p): rle_schedule(p) for p in problems}
-        cache = ScheduleCache(capacity=10, warm_start=False)
+        cache = ScheduleCache(capacity=10)
         with ThreadPoolExecutor(max_workers=_threads()) as pool:
             futures = [pool.submit(cache.schedule, p, "rle") for p in stream]
             results = [f.result(timeout=TIMEOUT) for f in futures]
@@ -118,21 +105,6 @@ class TestSharedCache:
         # that a miss racing another on the same key finds it inserted.
         assert stats["misses"] - stats["evictions"] >= len(cache)
 
-    def test_threads_share_a_warm_start_cache(self, fast_switching):
-        base = [_problem(10, 200 + i) for i in range(4)]
-        stream = [p for p in base for _ in range(3)]
-        stream += [_relabeled(p, seed) for seed in range(3) for p in base]
-        cache = ScheduleCache(capacity=32, warm_start=True)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            futures = [pool.submit(cache.schedule, p, "rle") for p in stream]
-            results = [f.result(timeout=TIMEOUT) for f in futures]
-        for p, result in zip(stream, results):
-            assert p.is_feasible(result.active)
-        stats = cache.stats
-        lookups = stats["exact_hits"] + stats["canonical_hits"] + stats["warm_hits"]
-        assert lookups + stats["misses"] == len(stream)
-        assert stats["evictions"] == 0
-
 
 class TestBrokerConcurrency:
     def test_cached_hit_does_not_wait_for_a_running_miss(self, monkeypatch):
@@ -146,7 +118,7 @@ class TestBrokerConcurrency:
         # Registered for this test only; monkeypatch removes the entry.
         monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
         small, large = _problem(12, 1), _problem(40, 2)
-        cache = ScheduleCache(capacity=8, warm_start=False)
+        cache = ScheduleCache(capacity=8)
 
         async def wait_started():
             while not started.is_set():
@@ -178,7 +150,7 @@ class TestBrokerConcurrency:
     def test_worker_threads_share_the_cache(self, fast_switching):
         problems, stream = _stream(n_distinct=20, n_requests=200, seed=2)
         directs = {id(p): rle_schedule(p) for p in problems}
-        cache = ScheduleCache(capacity=12, warm_start=False)
+        cache = ScheduleCache(capacity=12)
         waves = [stream[i : i + 20] for i in range(0, len(stream), 20)]
 
         async def drive():

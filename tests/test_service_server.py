@@ -434,20 +434,9 @@ class TestShutdown:
 
     def test_sigterm_with_open_keep_alive_connection_exits_cleanly(self):
         """`repro serve` ends on SIGTERM with exit 0 and no traceback."""
-        env = dict(os.environ)
-        src = str(Path(__file__).parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        proc = _serve_process()
         try:
-            line = proc.stdout.readline()
-            assert "listening on http://" in line, line
-            port = int(line.rsplit(":", 1)[1])
+            port = _listening_port(proc)
             with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
                 conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
                 response = b""
@@ -462,6 +451,68 @@ class TestShutdown:
                 proc.communicate()
         assert proc.returncode == 0, stderr
         assert "Traceback" not in stderr, stderr
+
+
+def _serve_process(*flags: str) -> subprocess.Popen:
+    """`repro serve` on an ephemeral port, in a child process."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def _listening_port(proc: subprocess.Popen) -> int:
+    line = proc.stdout.readline()
+    assert "listening on http://" in line, line
+    return int(line.rsplit(":", 1)[1])
+
+
+def _serve_statz(*flags: str) -> dict:
+    """The ``/v1/statz`` body of a `repro serve` started with ``flags``."""
+    proc = _serve_process(*flags)
+    try:
+        port = _listening_port(proc)
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+            conn.sendall(b"GET /v1/statz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=10.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return json.loads(response.split(b"\r\n\r\n", 1)[1])
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("with_dir", [False, True])
+    def test_cache_capacity_flag_sizes_the_cache(self, tmp_path, with_dir):
+        flags = ["--cache-capacity", "8"] + (["--cache-dir", str(tmp_path)] if with_dir else [])
+        assert _serve_statz(*flags)["broker"]["cache"]["capacity"] == 8
+
+    def test_no_cache_turns_the_cache_off(self):
+        assert _serve_statz("--no-cache", "--cache-capacity", "0")["broker"]["cache"] is None
+
+    @pytest.mark.parametrize("with_dir", [False, True])
+    def test_bad_cache_capacity_is_a_one_line_error(self, tmp_path, with_dir):
+        flags = ["--cache-capacity", "0"] + (["--cache-dir", str(tmp_path)] if with_dir else [])
+        proc = _serve_process(*flags)
+        try:
+            _, stderr = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1
+        assert stderr == "capacity must be >= 1, got 0\n"
 
 
 class TestHeadParser:

@@ -85,6 +85,14 @@ class TestSimulateWorkload:
         )
         assert rle.served / (rle.served + rle.failed) >= 0.97
         assert div.failed > rle.failed
+        # The numbers EXPERIMENTS.md quotes ("Queue level"), at the
+        # precision it prints them: RLE wastes no attempt but its backlog
+        # keeps growing; ApproxDiversity keeps up at 13 failed attempts.
+        assert (rle.served, rle.failed) == (1228, 0)
+        assert round(rle.mean_backlog(), 1) == 313.5
+        assert rle.final_backlog == 626 > rle.mean_backlog()
+        assert round(div.mean_backlog(), 1) == 1.7
+        assert div.failed == 13
 
     def test_scheduler_callable_accepted(self, problem):
         from repro.core.rle import rle_schedule

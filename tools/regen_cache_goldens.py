@@ -4,8 +4,8 @@ The golden pins the byte-exact hit/miss/evict event sequence (plus the
 cache counters and the workload summary) of a repeating-topology
 traffic run served through a small :class:`repro.cache.ScheduleCache`:
 the backlogged policy re-submits recurring backlog sets, so the stream
-exercises every tier and — with the deliberately tiny capacity —
-forces evictions.  ``tests/test_cache_goldens.py`` additionally
+has exact hits and — with the deliberately tiny capacity — forces
+evictions.  Event labels are exact-key prefixes.  ``tests/test_cache_goldens.py`` additionally
 asserts the same bytes come out for ``n_jobs`` in {1, 2, 4}.
 
 Run only when the determinism contract *deliberately* changes:
