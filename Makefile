@@ -40,7 +40,7 @@ bench-channels:  ## channel x power grid smoke bench (pluggable-law replay path)
 bench-cache:     ## schedule-cache smoke bench (exact-hit serving vs uncached)
 	$(PYTHON) -m pytest benchmarks/test_cache_smoke.py -q -s
 
-bench-kernels:   ## compute-kernel micro-benchmarks (feasibility/F-build/MC/submit path)
+bench-kernels:   ## compute-kernel micro-benchmarks (feasibility/F-build/distance/submit path)
 	$(PYTHON) -m pytest benchmarks/test_kernel_micro.py -q -s
 
 bench-service:   ## serving smoke bench: 1000 concurrent clients vs a live server

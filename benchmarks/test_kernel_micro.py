@@ -1,15 +1,13 @@
 """Kernel micro-benchmarks for the compute backend.
 
-Times the three hot kernels behind ``repro.backend`` at paper-grade
-sizes and records the results for the regression gate:
+Times the hot kernels behind ``repro.backend`` (and two neighbours)
+at paper-grade sizes and records the results for the regression gate:
 
 - **feasibility** — the O(K^2) gathered verdict kernel vs the legacy
   O(N^2) matvec reduction (``mask @ F``): the tentpole single-core
   speedup target (>= 5x at N=800, K~24);
 - **F-build** — the Eq. 17 interference-matrix build, numpy reference
   wall time;
-- **MC chunk** — the allocation-free success reduction vs a naive
-  materialising replica of the historical code;
 - **distance** — the broadcast ``cross_distances`` kernel under every
   distance matrix vs the ``(N, N, 2)`` einsum form it replaced
   (bit-identical output);
@@ -141,50 +139,6 @@ def test_distance_kernel():
     # Measured ~4x at N=800 on a 2-vCPU x86 VM; the guard only catches a
     # kernel that lost its advantage, the gate tracks the ratio.
     assert speedup >= 1.5
-
-
-def test_mc_chunk_kernel():
-    rng = np.random.default_rng(3)
-    t_c, k = 256, K_ACTIVE
-    z = rng.exponential(size=(t_c, k, k))
-    gamma_th, noise = 1.0, 0.0
-    out = np.empty((t_c, k), dtype=bool)
-    scratch = kernels.MCScratch()
-
-    def naive():
-        # Historical shape: materialise SINR, then threshold (two fresh
-        # (T, K) float allocations per chunk).
-        signal = np.diagonal(z, axis1=1, axis2=2)
-        denom = z.sum(axis=1) - signal + noise
-        with np.errstate(divide="ignore"):
-            sinr = np.where(denom > 0, signal / denom, np.inf)
-        return sinr >= gamma_th
-
-    def kernel():
-        kernels.mc_success_chunk(z, gamma_th, noise, out=out, scratch=scratch)
-        return out
-
-    np.testing.assert_array_equal(naive(), kernel())
-    naive_s = _best_of(naive)
-    kernel_s = _best_of(kernel)
-    ratio = naive_s / kernel_s
-    bench_export.record(
-        "kernel_mc_chunk",
-        kernel_s,
-        {
-            "chunk_trials": t_c,
-            "k_active": k,
-            "naive_seconds": naive_s,
-            "speedup_vs_naive": ratio,
-        },
-    )
-    print(
-        f"\nmc chunk: naive {naive_s * 1e6:.1f}us, kernel {kernel_s * 1e6:.1f}us, "
-        f"ratio {ratio:.2f}x"
-    )
-    # The win is allocation removal, not asymptotics — guard against
-    # regression rather than demanding a large constant factor.
-    assert ratio >= 0.8
 
 
 def test_submit_path_probe_overhead_removed():

@@ -1,4 +1,4 @@
-"""Allocation-conscious numpy kernels behind the compute backend.
+"""The numpy kernels behind the compute backend.
 
 These are the reference implementations of the three hot-path
 computations the backend layer (:mod:`repro.backend.base`) dispatches:
@@ -14,19 +14,13 @@ computations the backend layer (:mod:`repro.backend.base`) dispatches:
   columns, so the kernel gathers the ``(K, K)`` sub-matrix and reduces
   it — O(K^2) — which is the single biggest win for the schedulers'
   ``K << N`` regime;
-- :class:`MCScratch` + :func:`mc_success_chunk` — the Monte-Carlo
-  success reduction for one streamed fading chunk, writing through
-  preallocated buffers so the per-chunk temporaries (interference sums,
-  SINR, positivity mask) are materialised once per replay instead of
-  once per chunk.
+- :func:`mc_success_chunk` — the Monte-Carlo success reduction for one
+  streamed fading chunk, written into the caller's success slab: it is
+  :func:`~repro.channel.sampling.instantaneous_sinr` against the
+  threshold, so the replay and the one-shot reference share one SINR.
 
 Bit-identity contract
 ---------------------
-``mc_success_chunk`` produces the *same bits* as the historical
-``instantaneous_sinr(z) >= gamma_th`` path: the reductions use the same
-numpy pairwise summation (``np.sum`` with ``out=`` equals the allocating
-form), division happens only where the denominator is positive, and
-zero-denominator receivers decode with SINR ``inf`` exactly as before.
 ``feasible_verdict`` reproduces the historical *verdict* (a boolean),
 not the historical partial sums: summing ``K`` gathered rows groups the
 pairwise reduction differently from the masked ``N``-row matvec, so the
@@ -43,6 +37,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+
+from repro.channel.sampling import instantaneous_sinr
 
 
 def fmatrix(
@@ -123,68 +119,14 @@ def feasible_verdict(
     return bool(np.all(load <= budgets[idx] + tol))
 
 
-class MCScratch:
-    """Reusable reduction buffers for a Monte-Carlo replay.
-
-    One replay streams equal-size fading chunks (the tail chunk may be
-    smaller); the scratch allocates its ``(T_c, K)`` buffers on first
-    use and hands out views, so subsequent chunks reduce with **zero**
-    new array allocations.  Not thread-safe; use one scratch per replay
-    (or per worker — shapes re-grow on demand).
-    """
-
-    __slots__ = ("_interference", "_sinr", "_positive")
-
-    def __init__(self) -> None:
-        self._interference: Optional[np.ndarray] = None
-        self._sinr: Optional[np.ndarray] = None
-        self._positive: Optional[np.ndarray] = None
-
-    def buffers(self, t: int, k: int):
-        """``(interference, sinr, positive)`` views of shape ``(t, k)``."""
-        cur = self._interference
-        if cur is None or cur.shape[0] < t or cur.shape[1] != k:
-            rows = t if cur is None or cur.shape[1] != k else max(t, cur.shape[0])
-            self._interference = np.empty((rows, k), dtype=float)
-            self._sinr = np.empty((rows, k), dtype=float)
-            self._positive = np.empty((rows, k), dtype=bool)
-        return (
-            self._interference[:t],
-            self._sinr[:t],
-            self._positive[:t],
-        )
-
-
-def mc_success_chunk(
-    z: np.ndarray,
-    gamma_th: float,
-    noise: float,
-    out: np.ndarray,
-    scratch: Optional[MCScratch] = None,
-) -> np.ndarray:
+def mc_success_chunk(z: np.ndarray, gamma_th: float, noise: float, out: np.ndarray) -> np.ndarray:
     """Per-trial decode successes for one ``(T_c, K, K)`` fading chunk.
 
     Writes ``out[t, a] = (SINR of active link a in trial t) >= gamma_th``
-    into the caller's boolean slab and returns it.  Bit-identical to
-    ``instantaneous_sinr(z, noise=noise) >= gamma_th`` (see the module
-    docstring); with a :class:`MCScratch` the reduction allocates
-    nothing beyond the scratch's one-time buffers.
+    into the caller's boolean slab and returns it — exactly
+    ``instantaneous_sinr(z, noise=noise) >= gamma_th``.
     """
-    zz = np.asarray(z, dtype=float)
-    if zz.ndim != 3 or zz.shape[1] != zz.shape[2]:
-        raise ValueError(f"z must have shape (T, K, K), got {zz.shape}")
-    t_c, k = zz.shape[0], zz.shape[1]
-    if out.shape != (t_c, k):
-        raise ValueError(f"out must have shape ({t_c}, {k}), got {out.shape}")
-    if scratch is None:
-        scratch = MCScratch()
-    interference, sinr, positive = scratch.buffers(t_c, k)
-    signal = np.diagonal(zz, axis1=1, axis2=2)
-    np.sum(zz, axis=1, out=interference)
-    np.subtract(interference, signal, out=interference)
-    np.add(interference, noise, out=interference)  # denom = I + N0
-    np.greater(interference, 0.0, out=positive)
-    sinr.fill(np.inf)  # zero-denominator receivers decode: SINR = inf
-    np.divide(signal, interference, out=sinr, where=positive)
-    np.greater_equal(sinr, gamma_th, out=out)
-    return out
+    sinr = instantaneous_sinr(z, noise=noise)
+    if out.shape != sinr.shape:
+        raise ValueError(f"out must have shape {sinr.shape}, got {out.shape}")
+    return np.greater_equal(sinr, gamma_th, out=out)

@@ -173,7 +173,8 @@ class ScheduleCache:
         :data:`repro.cache.policy.CACHE_POLICIES`.
     directory:
         Optional persistence directory (created if missing).  Existing
-        entries are loaded eagerly; damaged files are skipped.
+        entries are loaded eagerly, then evicted past ``capacity`` by
+        the policy (their files deleted); damaged files are skipped.
     """
 
     def __init__(
@@ -333,7 +334,7 @@ class ScheduleCache:
         while len(self._entries) > self.capacity:
             self._evict_one(exclude=key)
 
-    def _evict_one(self, exclude: str) -> None:
+    def _evict_one(self, exclude: Optional[str]) -> None:
         candidates = {k: e for k, e in self._entries.items() if k != exclude}
         victim_key = self._policy.victim(candidates)
         victim = self._entries.pop(victim_key)
@@ -359,12 +360,15 @@ class ScheduleCache:
                 entry = _entry_from_payload(payload)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
                 continue  # damaged entries read as misses
-            if len(self._entries) >= self.capacity:
-                break
             entry.last_used = self._clock
             entry.inserted_seq = self._seq
             self._seq += 1
             self._entries[entry.exact_key] = entry
+            # Past capacity the policy picks a victim among every loaded
+            # entry (this one included) and its file goes, so the opened
+            # directory holds at most ``capacity`` entries.
+            if len(self._entries) > self.capacity:
+                self._evict_one(exclude=None)
 
 
 def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
@@ -375,6 +379,8 @@ def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
     entries = 0
     damaged = 0
     hits = 0
+    # Temp files of writers killed before their rename (never loaded).
+    stale_tmp = sum(1 for _ in root.glob(".*.tmp"))
     algorithms: Dict[str, int] = {}
     sizes: List[int] = []
     for path in sorted(root.glob("*.json")):
@@ -394,6 +400,7 @@ def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
         "directory": str(root),
         "entries": entries,
         "damaged": damaged,
+        "stale_tmp": stale_tmp,
         "persisted_hits": hits,
         "algorithms": dict(sorted(algorithms.items())),
         "mean_links": float(np.mean(sizes)) if sizes else 0.0,

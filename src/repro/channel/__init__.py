@@ -31,13 +31,7 @@ from repro.channel.laws import (
 )
 from repro.channel.pathloss import mean_received_power, pathloss_matrix
 from repro.channel.rayleigh import received_power_cdf, success_probability
-from repro.channel.sampling import (
-    DEFAULT_MAX_BYTES,
-    fading_means,
-    iter_fading_trials,
-    sample_fading_trials,
-    trial_chunk_size,
-)
+from repro.channel.sampling import fading_means, iter_fading_trials, sample_fading_trials
 
 __all__ = [
     "mean_received_power",
@@ -49,8 +43,6 @@ __all__ = [
     "sample_fading_trials",
     "iter_fading_trials",
     "fading_means",
-    "trial_chunk_size",
-    "DEFAULT_MAX_BYTES",
     # channel-law interface (docs/CHANNELS.md)
     "ChannelLaw",
     "RayleighLaw",

@@ -30,15 +30,14 @@ Each law consumes its generator(s) element-wise in C order over the
 concatenates to the same bits as one ``(t1 + t2, K, K)`` draw:
 
 - ``rayleigh`` uses the single exponential stream of
-  :mod:`repro.channel.sampling` (bit-identical to the legacy inline
-  draw, which remains the fast path);
+  :mod:`repro.channel.sampling`'s layout contract;
 - ``nakagami`` fills one gamma stream the same way;
 - ``shadowing`` splits the root generator into **two** spawned
   sub-streams (shadow gains, then Rayleigh variates), each consumed in
   C order, so per-chunk interleaving cannot shift either stream.  At
-  ``sigma_db = 0`` it skips the split and delegates to the exact
-  Rayleigh draw — the ``shadowing-zero-recovers-rayleigh`` relation
-  pins bit-level recovery;
+  ``sigma_db = 0`` it skips the split and is the Rayleigh law's own
+  draw — the ``shadowing-zero-recovers-rayleigh`` relation pins
+  bit-level recovery;
 - ``deterministic`` consumes no randomness at all.
 
 Feasibility contract
@@ -184,10 +183,10 @@ def _closed_form_rayleigh(problem, active) -> np.ndarray:
 class RayleighLaw(ChannelLaw):
     """The paper's channel: exponential power around the mean (Eq. 5).
 
-    Closed form: Thm 3.1.  The sampler is bit-identical to the legacy
-    inline draw of :mod:`repro.channel.sampling` (one exponential
-    stream, C order, means scaled in after the draw); the streaming
-    sampler short-circuits to that inline path when it sees this law.
+    Closed form: Thm 3.1.  The sampler is the stream layout of
+    :mod:`repro.channel.sampling` (one exponential stream, C order,
+    means scaled in after the draw) and the default law of every
+    replay; :class:`ShadowingLaw` reuses it.
     """
 
     name = "rayleigh"
@@ -200,12 +199,19 @@ class RayleighLaw(ChannelLaw):
         """Thm 3.1 exactly (the paper's closed form)."""
         return _closed_form_rayleigh(problem, active)
 
+    @staticmethod
+    def unit_power(rng: np.random.Generator, t_c: int, k: int) -> np.ndarray:
+        """``(t_c, K, K)`` unit-mean powers: Exp(1) variates in C order."""
+        return rng.standard_exponential(size=(t_c, k, k))
+
     def sample_chunk(self, state, means: np.ndarray, t_c: int) -> np.ndarray:
         """One exponential stream in C order, means scaled in after."""
-        k = means.shape[0]
-        z = state.standard_exponential(size=(t_c, k, k))
+        z = self.unit_power(state, t_c, means.shape[0])
         z *= means[None, :, :]
         return z
+
+
+_RAYLEIGH = RayleighLaw()
 
 
 @dataclass(frozen=True)
@@ -294,13 +300,11 @@ class ShadowingLaw(ChannelLaw):
 
     def sample_chunk(self, state, means: np.ndarray, t_c: int) -> np.ndarray:
         """Rayleigh chunk times the (per-trial or frozen) shadow factor."""
-        k = means.shape[0]
         if self.sigma_db == 0.0:
-            z = state.standard_exponential(size=(t_c, k, k))
-            z *= means[None, :, :]
-            return z
+            return _RAYLEIGH.sample_chunk(state, means, t_c)
+        k = means.shape[0]
         shadow_state, ray_rng = state
-        z = ray_rng.standard_exponential(size=(t_c, k, k))
+        z = RayleighLaw.unit_power(ray_rng, t_c, k)
         if self.static:
             z *= shadow_state[None, :, :]
         else:

@@ -2,27 +2,32 @@
 
 The simulator needs many independent realisations of the full
 interference matrix restricted to an active set.  Sampling the ``(K, K)``
-sub-matrix ``T`` times in one exponential draw keeps the hot path inside
-NumPy (guide: one big vectorised draw beats ``T`` small ones) — but the
-dense ``(T, K, K)`` tensor is ~20 GB at paper-grade settings
-(``K = 500``, ``T = 10_000``).  :func:`iter_fading_trials` therefore
-streams the same draw in trial chunks under a byte budget; consumers
-reduce each chunk (SINR, success counts) and discard it.
+sub-matrix ``T`` times in one vectorised draw keeps the hot path inside
+NumPy — but the dense ``(T, K, K)`` tensor is ~20 GB at paper-grade
+settings (``K = 500``, ``T = 10_000``).  :func:`iter_fading_trials`
+therefore streams the same draw in trial chunks of at most
+:data:`CHUNK_BYTES`; consumers reduce each chunk (SINR, success counts)
+and discard it.
+
+Every draw goes through a :class:`~repro.channel.laws.ChannelLaw`:
+``start_stream`` once per replay, then ``sample_chunk`` per chunk.  The
+default law is Rayleigh.
 
 RNG stream layout
 -----------------
-All fading variates come from **one** exponential stream consumed in C
-order over the ``(T, K, K)`` index space: trial-major, then sender ``a``,
-then receiver ``b``.  The diagonal own-signal variates ``Z[t, a, a]``
-are *interleaved* members of that stream (drawn in their natural
-position, not in a separate pass), and the deterministic mean scaling
-``Z *= means`` happens **after** the draw, so it consumes no random
-numbers.  The draw is ``rng.standard_exponential(size)``: NumPy computes
+The Rayleigh law draws all fading variates from **one** exponential
+stream consumed in C order over the ``(T, K, K)`` index space:
+trial-major, then sender ``a``, then receiver ``b``.  The diagonal
+own-signal variates ``Z[t, a, a]`` are *interleaved* members of that
+stream (drawn in their natural position, not in a separate pass), and
+the deterministic mean scaling ``Z *= means`` happens **after** the
+draw, so it consumes no random numbers.  The draw is
+``rng.standard_exponential(size)``: NumPy computes
 ``exponential(scale)`` as ``scale * standard_exponential()`` per
 element, so it is the same stream, bit for bit and position for
 position, as the ``rng.exponential(1.0, size)`` recorded results were
-drawn with — minus the per-element scale call.  Two consequences the
-chunked sampler relies on (and the tests pin down):
+drawn with.  Two consequences the chunked sampler relies on (and the
+tests pin down):
 
 1. chunking along the trial axis is *exact*: drawing ``(t1, K, K)`` then
    ``(t2, K, K)`` from the same generator concatenates to the identical
@@ -32,11 +37,9 @@ chunked sampler relies on (and the tests pin down):
    that drew the diagonal separately, or scaled before drawing) would
    silently break seed-compatibility with recorded results.
 
-The default draw is Rayleigh (one exponential stream).  Passing ``law=``
-swaps in any registered :class:`~repro.channel.laws.ChannelLaw`
-(Nakagami-m, Suzuki shadowing, deterministic); every law honours the
-same chunk-invariance contract — see :mod:`repro.channel.laws` for how
-each one lays out its stream(s).
+Every other registered law (Nakagami-m, Suzuki shadowing,
+deterministic) honours the same chunk-invariance contract — see
+:mod:`repro.channel.laws` for how each one lays out its stream(s).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 
 from repro.channel.pathloss import pathloss_matrix
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
 from repro.utils.rng import SeedLike, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (laws uses fading_means)
@@ -55,16 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (laws uses fading_mea
 
 LawLike = Union[None, str, "ChannelLaw"]
 
-#: Default byte budget for one streamed chunk of fading trials
-#: (see :func:`iter_fading_trials`).  It is a memory ceiling, not a
-#: cache size: at 128 MiB a whole Fig. 5(a) N=500 replay (about 32 MB
-#: for ``approx_diversity``) is a single chunk.  Smaller chunks give the
-#: same bits and a lower peak memory, but no speed-up: on a 2-vCPU Xeon
-#: VM with a 105 MiB L3, 512 KiB or 4 MiB chunks cut the fig5-sweep
-#: benchmark's peak RSS from 162 to 95-99 MB while its ops/s fell
-#: slightly (13.58 to 13.33).  The time goes to the exponential draws
-#: themselves, not to cache misses.
-DEFAULT_MAX_BYTES: int = 128 * 2**20
+#: Byte cap on one streamed chunk of fading trials, reduction
+#: temporaries included (see :func:`_trials_per_chunk`).  It bounds a
+#: replay's transient memory whatever ``T``: a Fig. 5(a) N=500
+#: ``approx_diversity`` replay (K = 90, T = 500) peaks at about 2 MiB
+#: instead of the 32 MB of one whole-replay draw.  The chunk size never
+#: changes a result (stream layout, point 1).
+CHUNK_BYTES: int = 4 * 2**20
 
 
 def _resolve_active(distances: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -110,42 +109,35 @@ def fading_means(
     return idx, means
 
 
-def _resolve_law(law: LawLike):
-    """Resolve ``law`` to a :class:`~repro.channel.laws.ChannelLaw`, or
-    ``None`` for the default Rayleigh fast path.
+def _trials_per_chunk(k: int) -> int:
+    """Trials per streamed chunk: the one place the chunk size is decided.
 
-    The Rayleigh law's ``sample_chunk`` is bit-identical to the inline
-    draw below, but the inline path skips the law dispatch, the
-    ``channel.sample`` span and the ``channel.chunks_sampled`` counter —
-    keeping the legacy hot path's bits *and* observability snapshots
-    untouched.  Imported lazily: :mod:`repro.channel.laws` itself imports
-    :func:`fading_means` from this module.
+    Half of :data:`CHUNK_BYTES` goes to the ``(chunk, K, K)`` float64
+    draw itself; the other half covers the reduction temporaries
+    (per-trial row sums, SINR, success masks), so one chunk's whole
+    transient footprint stays within the cap.  Always at least 1 — a
+    single trial matrix larger than the cap is drawn anyway (there is
+    no smaller unit of work).
     """
-    if law is None:
-        return None
-    from repro.channel.laws import RayleighLaw, get_channel_law
+    return max(1, (CHUNK_BYTES // 2) // (8 * k * k))
+
+
+def _open_stream(distances, active, alpha, n_trials, power, seed, law):
+    """Resolve ``law`` and start its stream for one replay.
+
+    Returns ``(law, state, means)``; ``state`` is ``None`` when the
+    replay is empty (no trial or no active link) and draws nothing.
+    """
+    if n_trials < 0:
+        raise ValueError("n_trials must be >= 0")
+    # Imported here: repro.channel.laws imports fading_means from this module.
+    from repro.channel.laws import get_channel_law
 
     resolved = get_channel_law(law)
-    if type(resolved) is RayleighLaw:
-        return None
-    return resolved
-
-
-def trial_chunk_size(k: int, max_bytes: int | None) -> int:
-    """Trials per streamed chunk under a byte budget.
-
-    Half the budget is reserved for the ``(chunk, K, K)`` float64 draw
-    itself; the other half covers the reduction temporaries (per-trial
-    row sums, SINR, success masks) so the *total* transient footprint of
-    one chunk stays within ``max_bytes``.  Always at least 1 — a single
-    trial matrix larger than the budget is drawn anyway (there is no
-    smaller unit of work).
-    """
-    budget = DEFAULT_MAX_BYTES if max_bytes is None else int(max_bytes)
-    if budget <= 0:
-        raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-    per_trial = 8 * max(k, 1) * max(k, 1)
-    return max(1, (budget // 2) // per_trial)
+    _, means = fading_means(distances, active, alpha, power=power)
+    if means.size == 0 or n_trials == 0:
+        return resolved, None, means
+    return resolved, resolved.start_stream(as_rng(seed), means), means
 
 
 def iter_fading_trials(
@@ -156,7 +148,6 @@ def iter_fading_trials(
     *,
     power: float | np.ndarray = 1.0,
     seed: SeedLike = None,
-    max_bytes: int | None = None,
     chunk_trials: int | None = None,
     law: LawLike = None,
 ) -> Iterator[np.ndarray]:
@@ -165,49 +156,29 @@ def iter_fading_trials(
     Yields ``(t_c, K, K)`` arrays whose concatenation is *bit-identical*
     to ``sample_fading_trials(...)`` with the same seed (see the module
     docstring's RNG stream layout) — the chunk boundaries are invisible
-    to the statistics.  Peak memory is one chunk, sized by
-    :func:`trial_chunk_size` from ``max_bytes`` (default
-    :data:`DEFAULT_MAX_BYTES`) unless ``chunk_trials`` pins it
-    explicitly.
+    to the statistics.  Peak memory is one chunk of at most
+    :data:`CHUNK_BYTES`, unless ``chunk_trials`` pins the size.
 
     Parameters match :func:`sample_fading_trials` plus:
 
-    max_bytes:
-        Approximate byte budget for one chunk *including* reduction
-        temporaries; ``None`` uses :data:`DEFAULT_MAX_BYTES`.
     chunk_trials:
-        Explicit trials-per-chunk override (``>= 1``); wins over
-        ``max_bytes``.
-    law:
-        Channel law (spec string or :class:`~repro.channel.laws.ChannelLaw`)
-        supplying the random factor; ``None``/Rayleigh keeps the inline
-        exponential draw.  Every registered law honours the same
-        chunk-invariant stream contract.
+        Explicit trials per chunk (``>= 1``) in place of the
+        :data:`CHUNK_BYTES` sizing — the seam the chunk-invariance
+        checks and tests use.
     """
-    if n_trials < 0:
-        raise ValueError("n_trials must be >= 0")
-    resolved = _resolve_law(law)
-    idx, means = fading_means(distances, active, alpha, power=power)
-    k = idx.size
-    if k == 0 or n_trials == 0:
+    law, state, means = _open_stream(distances, active, alpha, n_trials, power, seed, law)
+    k = means.shape[0]
+    if state is None:
         yield np.zeros((n_trials, k, k), dtype=float)
         return
     if chunk_trials is None:
-        chunk_trials = trial_chunk_size(k, max_bytes)
+        chunk_trials = _trials_per_chunk(k)
     elif chunk_trials < 1:
         raise ValueError(f"chunk_trials must be >= 1, got {chunk_trials}")
-    rng = as_rng(seed)
-    state = None if resolved is None else resolved.start_stream(rng, means)
     done = 0
     while done < n_trials:
         t_c = min(chunk_trials, n_trials - done)
-        if resolved is None:
-            z = rng.standard_exponential(size=(t_c, k, k))
-            z *= means[None, :, :]
-        else:
-            with span("channel.sample", law=resolved.name, trials=t_c):
-                z = resolved.sample_chunk(state, means, t_c)
-            obs_metrics.inc("channel.chunks_sampled")
+        z = law.sample_chunk(state, means, t_c)
         obs_metrics.inc("mc.chunks_sampled")
         yield z
         # Drop our reference before drawing the next chunk so only one
@@ -229,10 +200,10 @@ def sample_fading_trials(
 ) -> np.ndarray:
     """Sample instantaneous power matrices for an active set.
 
-    Materialises the full ``(T, K, K)`` tensor — convenient for small
-    replays and tests; the simulator's hot path streams the same values
-    through :func:`iter_fading_trials` instead.  ``law`` selects the
-    channel law (``None`` = Rayleigh); for every registered law the
+    Materialises the full ``(T, K, K)`` tensor in one ``sample_chunk``
+    call — the one-shot reference for small replays and tests; the
+    simulator's hot path streams the same values through
+    :func:`iter_fading_trials` instead.  For every registered law the
     result is bit-identical to concatenating the streamed chunks.
 
     Parameters
@@ -248,6 +219,12 @@ def sample_fading_trials(
         (row ``a`` of each trial matrix scales with sender ``a``'s power).
     n_trials:
         Number of independent fading realisations ``T``.
+    seed:
+        RNG seed, or a Generator whose stream the draw continues.
+    law:
+        Channel law: a spec string or
+        :class:`~repro.channel.laws.ChannelLaw`; ``None`` is the
+        paper's Rayleigh channel.
 
     Returns
     -------
@@ -255,20 +232,11 @@ def sample_fading_trials(
     receiver ``b`` sees from sender ``a`` in trial ``t`` (indices within
     the sorted active set).
     """
-    if n_trials < 0:
-        raise ValueError("n_trials must be >= 0")
-    resolved = _resolve_law(law)
-    idx, means = fading_means(distances, active, alpha, power=power)
-    k = idx.size
-    if k == 0 or n_trials == 0:
+    law, state, means = _open_stream(distances, active, alpha, n_trials, power, seed, law)
+    if state is None:
+        k = means.shape[0]
         return np.zeros((n_trials, k, k), dtype=float)
-    rng = as_rng(seed)
-    if resolved is None:
-        z = rng.standard_exponential(size=(n_trials, k, k))
-        z *= means[None, :, :]
-        return z
-    state = resolved.start_stream(rng, means)
-    return resolved.sample_chunk(state, means, n_trials)
+    return law.sample_chunk(state, means, n_trials)
 
 
 def instantaneous_sinr(z: np.ndarray, *, noise: float = 0.0) -> np.ndarray:
@@ -299,8 +267,8 @@ def instantaneous_sinr(z: np.ndarray, *, noise: float = 0.0) -> np.ndarray:
     if zz.ndim != 3 or zz.shape[1] != zz.shape[2]:
         raise ValueError(f"z must have shape (T, K, K), got {zz.shape}")
     signal = np.diagonal(zz, axis1=1, axis2=2)
-    interference = zz.sum(axis=1) - signal
-    denom = interference + noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(denom > 0, signal / denom, np.inf)
+    denom = zz.sum(axis=1) - signal + noise
+    # Divide only where the denominator is positive; elsewhere SINR is inf.
+    sinr = np.full(denom.shape, np.inf)
+    np.divide(signal, denom, out=sinr, where=denom > 0)
     return sinr

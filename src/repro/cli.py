@@ -118,16 +118,6 @@ def _n_jobs(args: argparse.Namespace) -> int | None:
     return jobs
 
 
-def _mc_max_bytes(args: argparse.Namespace) -> int | None:
-    """``--mc-chunk-mb`` to bytes (None = sampler default)."""
-    mb = getattr(args, "mc_chunk_mb", None)
-    if mb is None:
-        return None
-    if mb <= 0:
-        raise SystemExit(f"--mc-chunk-mb must be positive, got {mb}")
-    return int(mb * 2**20)
-
-
 def _channel(args: argparse.Namespace) -> str | None:
     """``--channel`` validated/canonicalised (None = keep config default)."""
     spec = getattr(args, "channel", None)
@@ -139,6 +129,19 @@ def _channel(args: argparse.Namespace) -> str | None:
         return get_channel_law(spec).spec
     except ValueError as exc:
         raise SystemExit(f"--channel: {exc}")
+
+
+def _schedule_cache(capacity: int, directory: str | None, **kwargs):
+    """A ``ScheduleCache``, or a one-line exit for a bad capacity or directory."""
+    from repro.cache.store import ScheduleCache
+
+    try:
+        return ScheduleCache(capacity=capacity, directory=directory, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    except OSError as exc:  # e.g. a regular file in the way: mkdir's FileExistsError
+        reason = "not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise SystemExit(f"cannot use {directory} as a cache directory: {reason or exc}")
 
 
 def _power_policy(args: argparse.Namespace) -> str | None:
@@ -193,7 +196,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             schedule,
             n_trials=args.trials,
             seed=args.seed,
-            max_bytes=_mc_max_bytes(args),
             channel=channel,
         )
 
@@ -226,7 +228,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_series
 
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args))
+    cfg = cfg.with_execution(n_jobs=_n_jobs(args))
     cfg = cfg.with_resilience(**_resilience(args))
     cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
     drivers = {
@@ -308,20 +310,15 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc))
     cache = None
     if args.cache:
-        from repro.cache.store import ScheduleCache
-
         if scenario.policy != "backlogged":
             raise SystemExit(
                 f"--cache requires the 'backlogged' policy, got {scenario.policy!r}"
             )
-        try:
-            cache = ScheduleCache(
-                capacity=args.cache_capacity,
-                policy=args.cache_policy,
-                directory=None if args.cache == "memory" else args.cache,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        cache = _schedule_cache(
+            args.cache_capacity,
+            None if args.cache == "memory" else args.cache,
+            policy=args.cache_policy,
+        )
     payload = run_scenario(scenario, n_jobs=_n_jobs(args) or 1, cache=cache)
     stats = payload["stats"]
     print(
@@ -443,7 +440,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args))
+    cfg = cfg.with_execution(n_jobs=_n_jobs(args))
     cfg = cfg.with_resilience(**_resilience(args))
     cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
     text = generate_report(cfg)
@@ -465,9 +462,7 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
         power_sweep,
     )
 
-    cfg = ExperimentConfig().small().with_execution(
-        n_jobs=_n_jobs(args), mc_max_bytes=_mc_max_bytes(args)
-    )
+    cfg = ExperimentConfig().small().with_execution(n_jobs=_n_jobs(args))
     channels = tuple(args.channel) if args.channel else DEFAULT_CHANNELS
     policies = tuple(args.policy) if args.policy else POWER_POLICIES
     from repro.channel.laws import get_channel_law
@@ -542,7 +537,8 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     print(
         f"{stats['directory']}: {stats['entries']} cached schedules "
         f"({stats['damaged']} damaged), {stats['persisted_hits']} persisted hits, "
-        f"mean {stats['mean_links']:.1f} links/entry"
+        f"mean {stats['mean_links']:.1f} links/entry, "
+        f"stale temp files: {stats['stale_tmp']}"
     )
     for algorithm, count in stats["algorithms"].items():
         print(f"  {algorithm}: {count}")
@@ -560,7 +556,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the scheduling service until interrupted."""
     import asyncio
 
-    from repro.cache.store import ScheduleCache
     from repro.service.broker import ScheduleBroker
     from repro.service.loadgen import raise_nofile_limit
     from repro.service.server import ScheduleServer
@@ -568,10 +563,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     raise_nofile_limit()
     cache = None
     if not args.no_cache:
-        try:
-            cache = ScheduleCache(capacity=args.cache_capacity, directory=args.cache_dir)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        cache = _schedule_cache(args.cache_capacity, args.cache_dir)
 
     async def _serve() -> int:
         broker = ScheduleBroker(
@@ -786,12 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise", type=float, default=0.0)
     s.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials (0 = skip)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument(
-        "--mc-chunk-mb",
-        type=float,
-        default=None,
-        help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
-    )
     _add_channel_flags(s)
     s.add_argument("--output", help="write the JSON result here")
     s.set_defaults(fn=cmd_schedule)
@@ -806,12 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="worker processes for the sweep grid (1 = serial, 0 = all "
             "CPUs; results are identical for every value)",
-        )
-        p.add_argument(
-            "--mc-chunk-mb",
-            type=float,
-            default=None,
-            help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
         )
         _add_resilience_flags(p)
         _add_channel_flags(p)
@@ -999,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for the sweep grid (1 = serial, 0 = all CPUs)",
     )
-    r.add_argument(
-        "--mc-chunk-mb",
-        type=float,
-        default=None,
-        help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
-    )
     _add_resilience_flags(r)
     _add_channel_flags(r)
     r.add_argument("--output", help="write markdown here instead of stdout")
@@ -1044,12 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes per cell sweep (1 = serial, 0 = all CPUs)",
-    )
-    ps.add_argument(
-        "--mc-chunk-mb",
-        type=float,
-        default=None,
-        help="memory budget (MiB) per Monte-Carlo replay chunk (default 128)",
     )
     ps.add_argument("--output", help="write the JSON grid here")
     ps.set_defaults(fn=cmd_power_sweep)

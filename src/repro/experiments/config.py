@@ -73,11 +73,9 @@ class ExperimentConfig:
     repetition/trial counts for quick runs; the benchmark defaults are
     in each bench file.
 
-    Execution knobs: ``n_jobs`` fans the ``point x rep x scheduler``
+    Execution knob: ``n_jobs`` fans the ``point x rep x scheduler``
     grid out over worker processes (1 = serial, 0 = all CPUs; results
-    are bit-identical either way), and ``mc_max_bytes`` bounds each
-    Monte-Carlo replay's peak memory (``None`` = the sampler's default
-    128 MiB chunk budget).
+    are bit-identical either way).
 
     Resilience knobs (``docs/ROBUSTNESS.md``): ``unit_timeout`` and
     ``max_retries`` give the executor a retry policy (both unset = each
@@ -115,7 +113,6 @@ class ExperimentConfig:
     n_trials: int = 500
     root_seed: int = 2017
     n_jobs: int = 1
-    mc_max_bytes: Optional[int] = None
     unit_timeout: Optional[float] = None
     max_retries: Optional[int] = None
     resume_dir: Optional[str] = None
@@ -166,19 +163,9 @@ class ExperimentConfig:
             n_trials=100,
         )
 
-    def with_execution(
-        self,
-        *,
-        n_jobs: Optional[int] = None,
-        mc_max_bytes: Optional[int] = None,
-    ) -> "ExperimentConfig":
-        """Copy with execution knobs replaced (unspecified ones kept)."""
-        out = self
-        if n_jobs is not None:
-            out = replace(out, n_jobs=n_jobs)
-        if mc_max_bytes is not None:
-            out = replace(out, mc_max_bytes=mc_max_bytes)
-        return out
+    def with_execution(self, *, n_jobs: Optional[int] = None) -> "ExperimentConfig":
+        """Copy with ``n_jobs`` replaced (``None`` keeps it)."""
+        return self if n_jobs is None else replace(self, n_jobs=n_jobs)
 
     def with_dynamics(
         self,

@@ -11,11 +11,10 @@ ApproxDiversity fail increasingly with N and decreasingly with alpha.
 Both sweeps execute through :func:`repro.sim.runner.run_sweep`, so the
 whole ``point x repetition x scheduler`` grid fans out over
 ``config.n_jobs`` worker processes (1 = serial; results are
-bit-identical for every value) under the ``config.mc_max_bytes`` replay
-memory budget.  The config's resilience knobs (``unit_timeout``,
-``max_retries``, ``resume_dir``) flow through as well, so a sweep can
-survive worker crashes and resume after an interruption — see
-``docs/ROBUSTNESS.md``.
+bit-identical for every value).  The config's resilience knobs
+(``unit_timeout``, ``max_retries``, ``resume_dir``) flow through as
+well, so a sweep can survive worker crashes and resume after an
+interruption — see ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def sweep_panel(
         gamma_th=cfg.gamma_th,
         eps=cfg.eps,
         n_jobs=cfg.n_jobs,
-        max_bytes=cfg.mc_max_bytes,
         policy=cfg.retry_policy(),
         checkpoint=cfg.unit_checkpoint(),
         channel=cfg.channel,

@@ -9,7 +9,7 @@ with alpha (larger alpha shrinks LDP's squares and RLE's elimination
 radius, so more links fit a slot).
 
 Like Fig. 5, the sweeps run through :func:`repro.sim.runner.run_sweep`
-and honour ``config.n_jobs`` / ``config.mc_max_bytes``.
+and honour ``config.n_jobs``.
 """
 
 from __future__ import annotations

@@ -139,7 +139,6 @@ def power_sweep(
                     root_seed=cfg.root_seed,
                     scheduler_kwargs=kwargs_map,
                     n_jobs=cfg.n_jobs,
-                    max_bytes=cfg.mc_max_bytes,
                     policy=cfg.retry_policy(),
                     checkpoint=cfg.unit_checkpoint(),
                     channel=spec,

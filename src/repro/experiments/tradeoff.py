@@ -62,7 +62,6 @@ def _tradeoff_rep(
     n_trials: int,
     root_seed: int,
     workload: Callable[[int], LinkSet],
-    max_bytes: Optional[int],
 ) -> Dict[Tuple[float, str], Tuple[float, float, float]]:
     """One repetition: every (eps, scheduler) cell on a shared workload.
 
@@ -83,7 +82,6 @@ def _tradeoff_rep(
                 schedule,
                 n_trials=n_trials,
                 seed=stable_seed("eps-sim", rep, name, eps, root=root_seed),
-                max_bytes=max_bytes,
             )
             out[(float(eps), name)] = (
                 float(schedule.size),
@@ -104,15 +102,13 @@ def eps_tradeoff(
     root_seed: int = 2017,
     workload: Callable[[int], LinkSet] | None = None,
     n_jobs: Optional[int] = 1,
-    max_bytes: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
 ) -> List[EpsPoint]:
     """Run the eps sweep; returns one :class:`EpsPoint` per cell.
 
     ``n_jobs`` fans repetitions out over worker processes (the workload
-    and schedulers must then be picklable); ``max_bytes`` bounds each
-    Monte-Carlo replay's memory; ``policy`` upgrades the fan-out to the
-    fault-tolerant executor (``docs/ROBUSTNESS.md``).
+    and schedulers must then be picklable); ``policy`` upgrades the
+    fan-out to the fault-tolerant executor (``docs/ROBUSTNESS.md``).
     """
     if workload is None:
         workload = TopologyWorkload(n_links=n_links)
@@ -124,7 +120,6 @@ def eps_tradeoff(
         n_trials=n_trials,
         root_seed=root_seed,
         workload=workload,
-        max_bytes=max_bytes,
     )
     with span("experiment.eps_tradeoff", reps=n_repetitions, eps_values=len(eps_values)):
         per_rep = resilient_map(

@@ -30,8 +30,8 @@ from repro.utils.rng import stable_seed
 #:   then raise so serial execution also terminates;
 #: - ``poison`` — return a :class:`~repro.faults.inject.PoisonResult`
 #:   instead of running the unit (models corrupt worker output);
-#: - ``oom``    — raise ``MemoryError``, as a worker whose replay
-#:   cannot fit its ``max_bytes`` budget would.
+#: - ``oom``    — raise ``MemoryError``, as a worker that cannot
+#:   allocate even one fading chunk would.
 FAULT_KINDS: Tuple[str, ...] = ("crash", "die", "hang", "poison", "oom")
 
 

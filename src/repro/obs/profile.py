@@ -150,7 +150,7 @@ def profile_fading_stream(*args: Any, **kwargs: Any) -> Tuple[int, ProfileReport
 
     Consumes the whole stream (discarding each chunk, exactly like the
     simulator's reduce-and-release loop) and reports the peak
-    allocation — the direct way to check a ``max_bytes`` budget.
+    allocation — the direct way to check the chunk cap.
     Returns ``(n_chunks, report)``.
     """
     from repro.channel.sampling import iter_fading_trials

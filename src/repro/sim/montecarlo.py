@@ -10,20 +10,20 @@ experiment behind both paper metrics:
 - **throughput** (Fig. 6): total rate of the links that succeeded.
 
 The replay is **memory-bounded**: trials stream through
-:func:`~repro.channel.sampling.iter_fading_trials` in chunks under a
-``max_bytes`` budget, and each ``(t_c, K, K)`` chunk is immediately
-reduced to its ``(t_c, K)`` success slab — the full ``(T, K, K)`` power
-tensor (~20 GB at ``K = 500``, ``T = 10_000``) is never materialised.
-Chunking along the trial axis preserves the RNG stream exactly (see the
-stream-layout contract in :mod:`repro.channel.sampling`), so results are
-bit-identical for every chunk size, including the legacy single-draw
-behaviour.
+:func:`~repro.channel.sampling.iter_fading_trials` in chunks of at most
+:data:`~repro.channel.sampling.CHUNK_BYTES`, and each ``(t_c, K, K)``
+chunk is immediately reduced to its ``(t_c, K)`` success slab — the
+full ``(T, K, K)`` power tensor (~20 GB at ``K = 500``, ``T = 10_000``)
+is never materialised.  Chunking along the trial axis preserves the RNG
+stream exactly (see the stream-layout contract in
+:mod:`repro.channel.sampling`), so results are bit-identical for every
+chunk size, including one single draw.
 
 The replay defaults to the paper's Rayleigh channel; ``channel=``
 selects any registered :class:`~repro.channel.laws.ChannelLaw`
 (``"nakagami:m=2"``, ``"shadowing:sigma_db=6"``, ``"deterministic"``).
 The law only changes what the trials sample — the success reduction,
-compute kernels, streaming budget and seeding are shared by every law.
+compute kernel, chunk cap and seeding are shared by every law.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import base as backend_base
-from repro.backend.kernels import MCScratch
+from repro.channel.laws import get_channel_law
 from repro.channel.sampling import LawLike, iter_fading_trials
 from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
@@ -41,28 +41,6 @@ from repro.sim.metrics import SimulationResult, summarize_trials
 from repro.utils.rng import SeedLike
 
 
-# One process-level scratch serves consecutive replays, so a worker
-# executing many units materialises its reduction buffers once (they
-# re-grow only when a larger chunk/active-set shape arrives).  Borrowing
-# guards against reentrancy: a nested replay gets a private scratch.
-_SCRATCH: MCScratch | None = MCScratch()
-
-
-def _borrow_scratch() -> MCScratch:
-    global _SCRATCH
-    scratch = _SCRATCH
-    if scratch is None:
-        return MCScratch()
-    _SCRATCH = None
-    return scratch
-
-
-def _return_scratch(scratch: MCScratch) -> None:
-    global _SCRATCH
-    if _SCRATCH is None:
-        _SCRATCH = scratch
-
-
 def simulate_trials(
     problem: FadingRLS,
     schedule: Schedule | np.ndarray,
@@ -70,7 +48,6 @@ def simulate_trials(
     *,
     noise: float | None = None,
     seed: SeedLike = None,
-    max_bytes: int | None = None,
     channel: LawLike = None,
 ) -> np.ndarray:
     """Boolean success matrix over fading trials.
@@ -89,16 +66,13 @@ def simulate_trials(
         (0 in the paper's setting, Eq. 8).
     seed:
         RNG seed.
-    max_bytes:
-        Byte budget for the streamed fading chunks (default
-        :data:`~repro.channel.sampling.DEFAULT_MAX_BYTES`).  Only the
-        ``(T, K)`` success matrix is held for the full run; peak extra
-        memory is one chunk.
     channel:
         Channel-law spec (string or
         :class:`~repro.channel.laws.ChannelLaw`); ``None`` is the
-        paper's Rayleigh channel, bit-identical to the historical
-        behaviour.
+        paper's Rayleigh channel.
+
+    Only the ``(T, K)`` success matrix is held for the full run; peak
+    extra memory is one fading chunk.
 
     Returns
     -------
@@ -110,40 +84,28 @@ def simulate_trials(
     mask = problem.active_mask(active)
     idx = np.flatnonzero(mask)
     n0 = problem.noise if noise is None else noise
+    law = get_channel_law(channel)
     success = np.empty((n_trials, idx.size), dtype=bool)
     done = 0
     backend = backend_base.get_active()
-    scratch = _borrow_scratch()
-    try:
-        with span("mc.replay", trials=n_trials, k=int(idx.size)):
-            for z in iter_fading_trials(
-                problem.distances(),
-                idx,
-                problem.alpha,
-                n_trials,
-                power=problem.tx_powers(),
-                seed=seed,
-                max_bytes=max_bytes,
-                law=channel,
-            ):
-                t_c = z.shape[0]
-                # The backend kernel reduces the chunk through the reusable
-                # scratch buffers and writes the success slab in place —
-                # bit-identical to the historical
-                # ``instantaneous_sinr(z) >= gamma_th`` materialisation.
-                backend.mc_success_chunk(
-                    z,
-                    problem.gamma_th,
-                    n0,
-                    out=success[done : done + t_c],
-                    scratch=scratch,
-                )
-                # Release the chunk before the generator draws the next one —
-                # holding it through the loop head would double peak memory.
-                del z
-                done += t_c
-    finally:
-        _return_scratch(scratch)
+    with span("mc.replay", law=law.spec, trials=n_trials, k=int(idx.size)):
+        for z in iter_fading_trials(
+            problem.distances(),
+            idx,
+            problem.alpha,
+            n_trials,
+            power=problem.tx_powers(),
+            seed=seed,
+            law=law,
+        ):
+            t_c = z.shape[0]
+            # Writes the chunk's success slab in place; the same bits as
+            # ``instantaneous_sinr(z) >= gamma_th``.
+            backend.mc_success_chunk(z, problem.gamma_th, n0, out=success[done : done + t_c])
+            # Release the chunk before the generator draws the next one —
+            # holding it through the loop head would double peak memory.
+            del z
+            done += t_c
     obs_metrics.inc("mc.trials_simulated", n_trials)
     return success
 
@@ -176,7 +138,6 @@ def simulate_schedule(
     n_trials: int = 1000,
     noise: float | None = None,
     seed: SeedLike = None,
-    max_bytes: int | None = None,
     channel: LawLike = None,
 ) -> SimulationResult:
     """Replay a schedule and summarise the paper's metrics.
@@ -190,16 +151,11 @@ def simulate_schedule(
     ``channel`` the empirical rates estimate that law's success
     probabilities instead (closed forms, where they exist, live on the
     law — see :meth:`~repro.channel.laws.ChannelLaw.success_probability`).
-    ``max_bytes`` bounds the replay's peak memory (see
-    :func:`simulate_trials`); the summary is identical for every budget.
     """
     active = schedule.active if isinstance(schedule, Schedule) else np.asarray(schedule)
     mask = problem.active_mask(active)
     idx = np.flatnonzero(mask)
-    success = simulate_trials(
-        problem, idx, n_trials, noise=noise, seed=seed, max_bytes=max_bytes,
-        channel=channel,
-    )
+    success = simulate_trials(problem, idx, n_trials, noise=noise, seed=seed, channel=channel)
     rates = problem.links.rates[idx]
     algorithm = schedule.algorithm if isinstance(schedule, Schedule) else "raw"
     return summarize_trials(success, rates, active_indices=idx, algorithm=algorithm)

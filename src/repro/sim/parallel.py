@@ -134,7 +134,6 @@ class WorkUnit:
     root_seed: int
     scheduler_kwargs: Mapping[str, Any] = field(default_factory=dict)
     noise: float = 0.0
-    max_bytes: Optional[int] = None
     #: Channel-law spec string (``None`` = Rayleigh).  Part of the
     #: checkpoint key — the law changes the sampled trials.
     channel: Optional[str] = None
@@ -290,7 +289,6 @@ class UnitRunner:
                 schedule,
                 n_trials=unit.n_trials,
                 seed=stable_seed("fading", unit.rep, unit.name, root=unit.root_seed),
-                max_bytes=unit.max_bytes,
                 channel=unit.channel,
             )
 
@@ -370,7 +368,6 @@ def build_units(
     root_seed: int,
     scheduler_kwargs: Optional[Mapping[str, dict]] = None,
     noise: float = 0.0,
-    max_bytes: Optional[int] = None,
     channel: Optional[str] = None,
     power_policy: str = "uniform",
 ) -> List[WorkUnit]:
@@ -395,7 +392,6 @@ def build_units(
             root_seed=root_seed,
             scheduler_kwargs=kwargs_map.get(name, {}),
             noise=noise,
-            max_bytes=max_bytes,
             channel=channel,
             power_policy=power_policy,
         )

@@ -106,7 +106,6 @@ def run_schedulers(
     root_seed: int = 0,
     scheduler_kwargs: Mapping[str, dict] | None = None,
     n_jobs: Optional[int] = 1,
-    max_bytes: Optional[int] = None,
     policy: Optional["RetryPolicy"] = None,
     checkpoint: Optional["UnitCheckpoint"] = None,
     channel: Optional[str] = None,
@@ -140,9 +139,6 @@ def run_schedulers(
         ``0``/``None`` uses all CPUs.  Results are bit-identical for
         every value — seeds derive from unit identity, not execution
         order.
-    max_bytes:
-        Memory budget per Monte-Carlo replay chunk (see
-        :func:`repro.sim.montecarlo.simulate_schedule`).
     policy:
         Optional retry policy — adds timeouts, bounded
         deterministic-backoff retry and pool replacement to the
@@ -179,7 +175,6 @@ def run_schedulers(
             eps=eps,
             root_seed=root_seed,
             scheduler_kwargs=scheduler_kwargs,
-            max_bytes=max_bytes,
             channel=channel,
             power_policy=power_policy,
         )
@@ -320,7 +315,6 @@ def run_sweep(
     eps: float = 0.01,
     scheduler_kwargs: Mapping[str, dict] | None = None,
     n_jobs: Optional[int] = 1,
-    max_bytes: Optional[int] = None,
     policy: Optional["RetryPolicy"] = None,
     checkpoint: Optional["UnitCheckpoint"] = None,
     channel: Optional[str] = None,
@@ -350,7 +344,6 @@ def run_sweep(
                     eps=eps,
                     root_seed=point.root_seed,
                     scheduler_kwargs=scheduler_kwargs,
-                    max_bytes=max_bytes,
                     channel=channel,
                     power_policy=power_policy,
                 )

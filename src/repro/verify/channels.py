@@ -6,7 +6,7 @@ the harness over the fuzzer's adversarial scenarios:
 
 - ``shadowing-zero-recovers-rayleigh`` — the Suzuki composite at
   ``sigma_db = 0`` must reproduce the Rayleigh replay **bit for bit**
-  (the law delegates to the exact inline draw; any stream drift breaks
+  (the law reuses the Rayleigh law's own draw; any stream drift breaks
   seed-compatibility silently);
 - ``nakagami-unit-closed-form`` — Nakagami ``m = 1`` *is* Rayleigh in
   distribution, so its Monte-Carlo success rates must match the

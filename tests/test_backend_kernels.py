@@ -89,7 +89,7 @@ class TestFeasibilityKernel:
 
 class TestMCKernel:
     def test_success_bits_match_reference(self):
-        # The scratch-buffer kernel against the materialising SINR form.
+        # The streamed replay's kernel against the one-shot SINR form.
         p = _problem(16)
         active = np.arange(8)
         got = simulate_trials(p, active, 64, seed=123)
@@ -103,15 +103,6 @@ class TestMCKernel:
         p = _problem(8)
         out = simulate_trials(p, np.array([], dtype=np.int64), 16, seed=0)
         assert out.shape == (16, 0)
-
-    def test_scratch_regrows(self):
-        scratch = kernels.MCScratch()
-        a = scratch.buffers(4, 3)
-        b = scratch.buffers(8, 5)  # larger shape forces a re-grow
-        c = scratch.buffers(2, 2)  # smaller shape reuses the backing
-        assert a[0].shape == (4, 3)
-        assert b[0].shape == (8, 5)
-        assert c[0].shape == (2, 2)
 
     def test_chunk_kernel_matches_naive(self):
         rng = np.random.default_rng(11)

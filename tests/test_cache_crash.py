@@ -8,7 +8,8 @@ k that covers every entry insert and both of ``flush()``'s writes (the
 re-written hit entry and ``_stats.json``).  Reopening the directory
 must then find no damaged file, only entries that replay bit-identical
 to ``rle_schedule`` on their links, and never a leftover ``.*.tmp``
-file read as an entry.
+file read as an entry; ``cache_dir_stats`` counts that file as
+``stale_tmp``.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def test_uninterrupted_child_makes_the_expected_writes(tmp_path):
     assert seeded not in reader  # evicted, and its file removed
     assert len(reader) == 2
     assert not list(tmp_path.glob(".*.tmp"))
+    assert cache_dir_stats(tmp_path)["stale_tmp"] == 0
 
 
 @pytest.mark.parametrize("kill_at", range(1, N_WRITES + 1))
@@ -143,7 +145,9 @@ def test_kill_inside_an_atomic_write_leaves_a_consistent_directory(tmp_path, tar
     assert killed_in == _expected_writes()[kill_at - 1]
     reader = _assert_consistent(tmp_path)
     leftovers = list(tmp_path.glob(".*.tmp"))
-    assert leftovers, "the kill should leave the write's temp file behind"
+    # The kill leaves exactly its own write's temp file, and stats say so.
+    assert len(leftovers) == 1
+    assert cache_dir_stats(tmp_path)["stale_tmp"] == 1
     for tmp in leftovers:
         key = tmp.name.split(".")[1]
         if not (tmp_path / f"{key}.json").exists():

@@ -339,10 +339,23 @@ class TestPersistence:
         assert len(ScheduleCache(capacity=8, directory=tmp_path)) == 0
 
     def test_load_respects_capacity(self, tmp_path):
+        def entry_files():
+            return sorted(p.stem for p in tmp_path.glob("*.json") if p.name != "_stats.json")
+
         first = ScheduleCache(capacity=8, directory=tmp_path)
         for i in range(4):
             first.schedule(_problem(i), "rle")
-        assert len(ScheduleCache(capacity=2, directory=tmp_path)) == 2
+        assert len(entry_files()) == 4
+        second = ScheduleCache(capacity=2, directory=tmp_path)
+        assert len(second) == 2
+        assert second.stats["evictions"] == 2
+        assert [kind for kind, _ in second.events] == ["evict", "evict"]
+        # The files it did not load are gone, not left behind for good.
+        assert entry_files() == second.keys()
+        for i in range(4, 6):
+            second.schedule(_problem(i), "rle")
+        assert entry_files() == second.keys()
+        assert len(entry_files()) == 2
 
     def test_eviction_removes_the_persisted_file(self, tmp_path):
         cache = ScheduleCache(capacity=1, directory=tmp_path)

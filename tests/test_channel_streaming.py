@@ -11,12 +11,12 @@ import pytest
 
 from repro.channel.laws import ShadowingLaw, _lognormal_factor, get_channel_law
 from repro.channel.sampling import (
-    DEFAULT_MAX_BYTES,
+    CHUNK_BYTES,
+    _trials_per_chunk,
     fading_means,
     instantaneous_sinr,
     iter_fading_trials,
     sample_fading_trials,
-    trial_chunk_size,
 )
 from repro.network.topology import paper_topology
 from repro.utils.rng import spawn_rngs
@@ -29,24 +29,20 @@ def distances(n=3, own=10.0, cross=60.0):
 
 
 class TestTrialChunkSize:
-    def test_default_budget(self):
-        assert trial_chunk_size(100, None) == (DEFAULT_MAX_BYTES // 2) // (8 * 100 * 100)
+    def test_fixed_cap(self):
+        assert CHUNK_BYTES == 4 * 2**20
+        assert _trials_per_chunk(100) == (CHUNK_BYTES // 2) // (8 * 100 * 100)
 
     def test_at_least_one(self):
-        # A single K=1000 trial matrix (8 MB) exceeds a 1 MB budget:
+        # A single K=1000 trial matrix (8 MB) exceeds the 4 MiB cap:
         # the sampler still makes progress one trial at a time.
-        assert trial_chunk_size(1000, 2**20) == 1
+        assert _trials_per_chunk(1000) == 1
 
     def test_half_budget_for_draw(self):
-        k, budget = 50, 10 * 2**20
-        chunk = trial_chunk_size(k, budget)
-        assert chunk * 8 * k * k <= budget // 2
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            trial_chunk_size(10, 0)
-        with pytest.raises(ValueError):
-            trial_chunk_size(10, -5)
+        for k in (1, 50, 90, 500):
+            chunk = _trials_per_chunk(k)
+            assert chunk * 8 * k * k <= CHUNK_BYTES // 2 or chunk == 1
+            assert (chunk + 1) * 8 * k * k > CHUNK_BYTES // 2
 
 
 class TestStreamLayout:
@@ -62,16 +58,15 @@ class TestStreamLayout:
             )
             np.testing.assert_array_equal(np.concatenate(chunks), full)
 
-    def test_max_bytes_chunking_is_exact(self):
-        d = paper_topology(20, seed=5).sender_receiver_distances()
-        idx = np.arange(20)
-        full = sample_fading_trials(d, idx, 3.0, 64, seed=3)
-        # Budget for ~4 trials per chunk (x2 because half goes to the draw).
-        tiny_budget = 4 * 8 * 20 * 20 * 2
-        tiny = np.concatenate(
-            list(iter_fading_trials(d, idx, 3.0, 64, seed=3, max_bytes=tiny_budget))
-        )
-        np.testing.assert_array_equal(tiny, full)
+    def test_capped_chunking_is_exact(self):
+        # K=200 caps a chunk at 6 trials: 20 trials stream as 6+6+6+2.
+        d = paper_topology(200, seed=5).sender_receiver_distances()
+        idx = np.arange(200)
+        for spec in ("rayleigh", "nakagami:m=2", "shadowing:sigma_db=6"):
+            full = sample_fading_trials(d, idx, 3.0, 20, seed=3, law=spec)
+            chunks = list(iter_fading_trials(d, idx, 3.0, 20, seed=3, law=spec))
+            assert [z.shape[0] for z in chunks] == [6, 6, 6, 2]
+            np.testing.assert_array_equal(np.concatenate(chunks), full)
 
     def test_c_order_stream(self):
         """Variates are raw Exp(1) draws in C order, scaled afterwards:

@@ -100,7 +100,21 @@ class TestCacheCommands:
         assert main(["cache", "stats", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert f"{cache['entries']} cached schedules (0 damaged)" in out
+        assert "stale temp files: 0" in out
         assert f"[{cache['policy']}]: {counts}, {cache['evictions']} evictions" in out
+
+    def test_traffic_cache_on_a_plain_file_is_a_one_line_error(self, tmp_path):
+        plain = tmp_path / "cache"
+        plain.write_text("not a directory")
+        argv = ["traffic", "--n-links", "4", "--slots", "10", "--cache", str(plain)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == f"cannot use {plain} as a cache directory: not a directory"
+
+    def test_cache_stats_counts_stale_temp_files(self, tmp_path, capsys):
+        (tmp_path / ".0123abcd.x1y2z3.tmp").write_text("{")
+        assert main(["cache", "stats", str(tmp_path)]) == 0
+        assert "stale temp files: 1" in capsys.readouterr().out
 
     def test_cache_stats_reads_counters_with_the_old_tiers(self, tmp_path, capsys):
         # ``_stats.json`` as written while the cache had canonical and

@@ -48,23 +48,6 @@ class TestFigureDriversParallel:
                 alg, "mean_throughput"
             )
 
-    def test_mc_max_bytes_invariant(self):
-        """The replay memory budget must not change any series value."""
-        base = failed_vs_links(_small(1))
-        tiny = failed_vs_links(
-            ExperimentConfig(
-                n_links_sweep=(20, 35),
-                alpha_sweep=(2.5, 3.5),
-                n_links_fixed=30,
-                n_repetitions=2,
-                n_trials=30,
-                root_seed=2017,
-                mc_max_bytes=50_000,
-            )
-        )
-        for alg in base.series:
-            assert base.metric(alg, "mean_failed") == tiny.metric(alg, "mean_failed")
-
 
 class TestTradeoffParallel:
     def test_eps_tradeoff_jobs_invariant(self):
@@ -97,16 +80,15 @@ class TestAblationsParallel:
 class TestConfigKnobs:
     def test_with_execution(self):
         cfg = ExperimentConfig()
-        assert cfg.n_jobs == 1 and cfg.mc_max_bytes is None
-        cfg2 = cfg.with_execution(n_jobs=8, mc_max_bytes=1 << 20)
-        assert (cfg2.n_jobs, cfg2.mc_max_bytes) == (8, 1 << 20)
-        # unspecified knobs are kept
-        cfg3 = cfg2.with_execution(n_jobs=2)
-        assert (cfg3.n_jobs, cfg3.mc_max_bytes) == (2, 1 << 20)
+        assert cfg.n_jobs == 1
+        cfg2 = cfg.with_execution(n_jobs=8)
+        assert cfg2.n_jobs == 8
+        # an unspecified n_jobs is kept
+        assert cfg2.with_execution() is cfg2
 
     def test_small_preserves_execution_knobs(self):
-        cfg = ExperimentConfig(n_jobs=4, mc_max_bytes=123).small()
-        assert (cfg.n_jobs, cfg.mc_max_bytes) == (4, 123)
+        cfg = ExperimentConfig(n_jobs=4).small()
+        assert cfg.n_jobs == 4
 
     def test_workload_is_picklable(self):
         import pickle

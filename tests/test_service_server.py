@@ -514,6 +514,19 @@ class TestServeCommand:
         assert proc.returncode == 1
         assert stderr == "capacity must be >= 1, got 0\n"
 
+    def test_cache_dir_on_a_plain_file_is_a_one_line_error(self, tmp_path):
+        plain = tmp_path / "cache"
+        plain.write_text("not a directory")
+        proc = _serve_process("--cache-dir", str(plain))
+        try:
+            _, stderr = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1
+        assert stderr == f"cannot use {plain} as a cache directory: not a directory\n"
+
 
 class TestHeadParser:
     def test_good_head(self):

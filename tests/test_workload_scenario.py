@@ -250,6 +250,35 @@ class TestTrafficCli:
         assert payload["scenario"]["name"] == "cli-scenario"
         assert payload["stability"]["n_probes"] >= 3
 
+    @pytest.mark.parametrize(
+        "algorithm, lam_star, factor_star, bracketed, final_backlogs",
+        [
+            (
+                "rle",
+                0.3043157094201803,
+                6.086314188403606,
+                True,
+                [0, 0, 0, 1, 246, 28, 137, 66, 109, 81],
+            ),
+            ("approx_diversity", 0.4, 8.0, False, [0, 0, 0, 1, 14]),
+        ],
+    )
+    def test_stability_region_pinned_per_scheduler(
+        self, tmp_path, algorithm, lam_star, factor_star, bracketed, final_backlogs
+    ):
+        """``repro traffic --n-links 12 --seed 0`` pins each scheduler's
+        stability estimate: every probe replays its slots through
+        ``simulate_slot``, so a changed channel draw moves these."""
+        out = tmp_path / "payload.json"
+        argv = ["traffic", "--n-links", "12", "--seed", "0", "--algorithm", algorithm]
+        assert main([*argv, "--output", str(out)]) == 0
+        estimate = json.loads(out.read_text())["stability"]
+        assert estimate["lam_star"] == lam_star
+        assert estimate["factor_star"] == factor_star
+        assert estimate["bracketed"] is bracketed
+        assert estimate["n_probes"] == len(final_backlogs)
+        assert [p["final_backlog"] for p in estimate["probes"]] == final_backlogs
+
     def test_bad_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps({"topology": "mesh"}))
