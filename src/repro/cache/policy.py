@@ -1,25 +1,16 @@
-"""Eviction policies for the schedule cache.
+"""Eviction policy for the schedule cache: repetition-aware.
 
-Two policies, selected by name (:data:`CACHE_POLICIES`):
+The cache *learns from workload repetition* (modeled on the
+repetition-aware policy named in ROADMAP O5).  The victim is the entry
+with the fewest lifetime hits (ties: least recently used, then oldest
+insertion), so topologies that keep coming back are protected from
+one-off requests churning the cache.  Evicted entries leave a bounded
+**ghost** record of their exact key and hit count; when a
+previously-evicted key is inserted again, its remembered repetition
+count seeds the new entry — a recurring topology regains its
+protection immediately instead of re-earning it from zero.
 
-``lru``
-    Plain least-recently-used: the victim is the entry with the oldest
-    last use, ties broken by insertion order.  A good default when the
-    request stream has no structure.
-
-``repetition_aware``
-    A cache that *learns from workload repetition* (modeled on the
-    repetition-aware policy named in ROADMAP O5).  The victim is the
-    entry with the fewest lifetime hits (ties: least recently used,
-    then oldest insertion), so topologies that keep coming back are
-    protected from one-off requests churning the cache.  Evicted
-    entries leave a bounded **ghost** record of their exact key and
-    hit count; when a previously-evicted key is inserted again, its
-    remembered repetition count seeds the new entry — a recurring
-    topology regains its protection immediately instead of re-earning
-    it from zero.
-
-Policies are deterministic: victim selection depends only on hit
+The policy is deterministic: victim selection depends only on hit
 counts, the cache's logical clock and insertion order — never on wall
 time — so eviction traces are byte-reproducible (the golden-trace test
 pins one).
@@ -33,30 +24,10 @@ from typing import TYPE_CHECKING, Mapping
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.cache.store import CacheEntry
 
-__all__ = ["CACHE_POLICIES", "LRUPolicy", "RepetitionAwarePolicy", "make_policy"]
-
-#: Eviction-policy names accepted by :class:`repro.cache.store.ScheduleCache`.
-CACHE_POLICIES = ("lru", "repetition_aware")
+__all__ = ["RepetitionAwarePolicy"]
 
 
-class LRUPolicy:
-    """Least-recently-used eviction; no memory of evicted entries."""
-
-    name = "lru"
-
-    def seed_hits(self, key: str) -> int:
-        """Initial repetition credit for a newly-inserted key."""
-        return 0
-
-    def record_eviction(self, entry: "CacheEntry") -> None:
-        """Hook called with every evicted entry."""
-
-    def victim(self, entries: Mapping[str, "CacheEntry"]) -> str:
-        """Key of the entry to evict (``entries`` is non-empty)."""
-        return min(entries, key=lambda k: (entries[k].last_used, entries[k].inserted_seq))
-
-
-class RepetitionAwarePolicy(LRUPolicy):
+class RepetitionAwarePolicy:
     """Evict the least-repeated entry; remember evictees' repetition.
 
     ``ghost_capacity`` bounds the memory of evicted keys (FIFO: the
@@ -100,11 +71,3 @@ class RepetitionAwarePolicy(LRUPolicy):
             ),
         )
 
-
-def make_policy(policy: str):
-    """Instantiate an eviction policy by name."""
-    if policy == "lru":
-        return LRUPolicy()
-    if policy == "repetition_aware":
-        return RepetitionAwarePolicy()
-    raise ValueError(f"unknown cache policy {policy!r}; choose from {CACHE_POLICIES}")

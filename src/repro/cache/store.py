@@ -26,8 +26,8 @@ both count a miss; the first insert wins, as in
 
 Eviction and persistence
 ------------------------
-``capacity`` bounds the entry count; victims are chosen by a
-:mod:`repro.cache.policy` (``repetition_aware`` by default).  With
+``capacity`` bounds the entry count; victims are chosen by the
+repetition-aware policy of :mod:`repro.cache.policy`.  With
 ``directory=`` set, entries persist as one JSON file each (atomic
 write: unique temp file + fsync + rename, damaged files read as
 misses) so a serving process can restart warm.  Hits, misses and
@@ -51,14 +51,14 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.fingerprint import exact_key, scheduler_identity
-from repro.cache.policy import CACHE_POLICIES, make_policy
+from repro.cache.policy import RepetitionAwarePolicy
 from repro.core.base import get_scheduler
 from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
-__all__ = ["CACHE_POLICIES", "CacheEntry", "ScheduleCache", "cache_dir_stats"]
+__all__ = ["CacheEntry", "ScheduleCache", "cache_dir_stats"]
 
 SchedulerLike = Union[str, Callable[..., Schedule]]
 
@@ -168,9 +168,6 @@ class ScheduleCache:
     ----------
     capacity:
         Maximum number of cached entries (>= 1).
-    policy:
-        Eviction policy name from
-        :data:`repro.cache.policy.CACHE_POLICIES`.
     directory:
         Optional persistence directory (created if missing).  Existing
         entries are loaded eagerly, then evicted past ``capacity`` by
@@ -180,14 +177,13 @@ class ScheduleCache:
     def __init__(
         self,
         capacity: int = 256,
-        policy: str = "repetition_aware",
         *,
         directory: Optional[Union[str, Path]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._policy = make_policy(policy)
+        self._policy = RepetitionAwarePolicy()
         self.policy = self._policy.name
         self.directory = Path(directory) if directory is not None else None
         self._entries: Dict[str, CacheEntry] = {}
@@ -372,9 +368,15 @@ class ScheduleCache:
 
 
 def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
-    """Summary of a persisted cache directory (for ``repro cache stats``)."""
+    """Summary of a persisted cache directory (for ``repro cache stats``).
+
+    Raises :class:`FileNotFoundError` for a missing path and
+    :class:`NotADirectoryError` for one that exists but is no directory.
+    """
     root = Path(directory)
     if not root.is_dir():
+        if root.exists():
+            raise NotADirectoryError(f"not a directory: {root}")
         raise FileNotFoundError(f"cache directory does not exist: {root}")
     entries = 0
     damaged = 0

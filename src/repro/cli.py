@@ -61,8 +61,8 @@ from repro.io.linksets import (
 )
 from repro.io.results import schedule_to_dict, sweep_to_dict, write_json
 from repro.network.links import LinkSet
+from repro.network.topology import TOPOLOGIES, make_topology
 
-TOPOLOGIES = ("paper", "clustered", "grid", "chain", "exponential")
 PANELS = ("fig5a", "fig5b", "fig6a", "fig6b")
 
 
@@ -85,26 +85,9 @@ def _save_links(links: LinkSet, path: str) -> None:
         raise SystemExit(f"unsupported link file extension {p.suffix!r} (use .csv or .json)")
 
 
-def _make_topology(name: str, n: int, seed: int) -> LinkSet:
-    from repro.network import topology as topo
-
-    if name == "paper":
-        return topo.paper_topology(n, seed=seed)
-    if name == "clustered":
-        return topo.clustered_topology(n, seed=seed)
-    if name == "grid":
-        side = max(1, int(round(n**0.5)))
-        return topo.grid_topology(side, seed=seed)
-    if name == "chain":
-        return topo.chain_topology(n)
-    if name == "exponential":
-        return topo.exponential_length_topology(n, seed=seed)
-    raise SystemExit(f"unknown topology {name!r}; choose from {TOPOLOGIES}")
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     """``repro generate``: write a random workload file."""
-    links = _make_topology(args.topology, args.n_links, args.seed)
+    links = make_topology(args.topology, args.n_links, args.seed)
     _save_links(links, args.output)
     print(f"wrote {len(links)} links ({args.topology}) to {args.output}")
     return 0
@@ -131,12 +114,12 @@ def _channel(args: argparse.Namespace) -> str | None:
         raise SystemExit(f"--channel: {exc}")
 
 
-def _schedule_cache(capacity: int, directory: str | None, **kwargs):
+def _open_cache(capacity: int, directory: str | None):
     """A ``ScheduleCache``, or a one-line exit for a bad capacity or directory."""
     from repro.cache.store import ScheduleCache
 
     try:
-        return ScheduleCache(capacity=capacity, directory=directory, **kwargs)
+        return ScheduleCache(capacity=capacity, directory=directory)
     except ValueError as exc:
         raise SystemExit(str(exc))
     except OSError as exc:  # e.g. a regular file in the way: mkdir's FileExistsError
@@ -167,7 +150,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.input:
         links = _load_links(args.input)
     else:
-        links = _make_topology(args.topology, args.n_links, args.seed)
+        links = make_topology(args.topology, args.n_links, args.seed)
     problem = FadingRLS(
         links=links,
         alpha=args.alpha,
@@ -314,10 +297,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--cache requires the 'backlogged' policy, got {scenario.policy!r}"
             )
-        cache = _schedule_cache(
-            args.cache_capacity,
-            None if args.cache == "memory" else args.cache,
-            policy=args.cache_policy,
+        cache = _open_cache(
+            args.cache_capacity, None if args.cache == "memory" else args.cache
         )
     payload = run_scenario(scenario, n_jobs=_n_jobs(args) or 1, cache=cache)
     stats = payload["stats"]
@@ -384,8 +365,8 @@ def cmd_mobility(args: argparse.Namespace) -> int:
 
     if args.move_threshold < 0:
         raise SystemExit(f"--move-threshold must be >= 0, got {args.move_threshold}")
-    if not 0.0 <= args.quality_bound <= 1.0:
-        raise SystemExit(f"--quality-bound must be in [0, 1], got {args.quality_bound}")
+    if not 0.0 < args.quality_bound <= 1.0:
+        raise SystemExit(f"--quality-bound must be in (0, 1], got {args.quality_bound}")
     schedulers = {name: name for name in (args.algorithm or ["ldp", "rle"])}
     points = mobility_sweep(
         schedulers,
@@ -531,6 +512,12 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
     try:
         stats = cache_dir_stats(args.dir)
+    except NotADirectoryError:
+        print(
+            f"error: cannot use {args.dir} as a cache directory: not a directory",
+            file=sys.stderr,
+        )
+        return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -563,7 +550,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     raise_nofile_limit()
     cache = None
     if not args.no_cache:
-        cache = _schedule_cache(args.cache_capacity, args.cache_dir)
+        cache = _open_cache(args.cache_capacity, args.cache_dir)
 
     async def _serve() -> int:
         broker = ScheduleBroker(
@@ -887,12 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="maximum cached schedules before eviction",
-    )
-    w.add_argument(
-        "--cache-policy",
-        choices=("lru", "repetition_aware"),
-        default="repetition_aware",
-        help="eviction policy of the schedule cache",
     )
     w.add_argument("--output", help="write the JSON payload here")
     w.set_defaults(fn=cmd_traffic)

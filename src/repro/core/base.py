@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
 
 SchedulerFn = Callable[..., Schedule]
@@ -59,11 +58,6 @@ def list_schedulers() -> List[str]:
     """Sorted names of all registered schedulers."""
     _ensure_builtin_schedulers()
     return sorted(_REGISTRY)
-
-
-def run_scheduler(name: str, problem: FadingRLS, **kwargs) -> Schedule:
-    """Convenience: look up and invoke in one call."""
-    return get_scheduler(name)(problem, **kwargs)
 
 
 def _ensure_builtin_schedulers() -> None:

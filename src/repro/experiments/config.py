@@ -71,7 +71,8 @@ class ExperimentConfig:
     ``n_links_sweep`` feeds Figs. 5(a)/6(a); ``alpha_sweep`` feeds
     Figs. 5(b)/6(b) (with ``n_links_fixed`` links).  Lower the
     repetition/trial counts for quick runs; the benchmark defaults are
-    in each bench file.
+    in each bench file.  Traffic runs are configured by
+    :class:`~repro.workload.scenario.WorkloadScenario` alone, not here.
 
     Execution knob: ``n_jobs`` fans the ``point x rep x scheduler``
     grid out over worker processes (1 = serial, 0 = all CPUs; results
@@ -91,12 +92,6 @@ class ExperimentConfig:
     transmit-power policy wrapped around each scheduler run
     (:data:`repro.core.powercontrol.POWER_POLICIES`); set both via
     :meth:`with_channel`.
-
-    Dynamic-network knobs: ``incremental`` routes mobility traces
-    through :class:`~repro.core.incremental.IncrementalScheduler`
-    instead of per-step from-scratch runs; ``move_threshold``
-    sparsifies the emitted deltas (0 = exact geometry) and
-    ``quality_bound`` is the engine's from-scratch fallback trigger.
     """
 
     region_side: float = 500.0
@@ -116,13 +111,6 @@ class ExperimentConfig:
     unit_timeout: Optional[float] = None
     max_retries: Optional[int] = None
     resume_dir: Optional[str] = None
-    incremental: bool = False
-    move_threshold: float = 0.0
-    quality_bound: float = 0.8
-    workload_arrival: str = "poisson"
-    workload_rate: float = 0.05
-    workload_slots: int = 300
-    workload_policy: str = "backlogged"
     #: Channel-law spec for Monte-Carlo replays ("rayleigh" is the
     #: paper's channel); set via :meth:`with_channel`, which
     #: canonicalises and validates the spec.
@@ -131,12 +119,6 @@ class ExperimentConfig:
     #: :data:`repro.core.powercontrol.POWER_POLICIES` ("uniform" is the
     #: paper's setting).
     power_policy: str = "uniform"
-    #: Schedule-cache knob (``docs/CACHING.md``): ``None`` = off,
-    #: ``"memory"`` = in-process only, anything else = a persistence
-    #: directory.  Set via :meth:`with_cache`.
-    cache: Optional[str] = None
-    cache_capacity: int = 256
-    cache_policy: str = "repetition_aware"
 
     def workload(self, n_links: int) -> TopologyWorkload:
         """Per-repetition workload factory for ``n_links`` links.
@@ -166,71 +148,6 @@ class ExperimentConfig:
     def with_execution(self, *, n_jobs: Optional[int] = None) -> "ExperimentConfig":
         """Copy with ``n_jobs`` replaced (``None`` keeps it)."""
         return self if n_jobs is None else replace(self, n_jobs=n_jobs)
-
-    def with_dynamics(
-        self,
-        *,
-        incremental: Optional[bool] = None,
-        move_threshold: Optional[float] = None,
-        quality_bound: Optional[float] = None,
-    ) -> "ExperimentConfig":
-        """Copy with dynamic-network knobs replaced (unspecified kept)."""
-        out = self
-        if incremental is not None:
-            out = replace(out, incremental=incremental)
-        if move_threshold is not None:
-            if move_threshold < 0:
-                raise ValueError("move_threshold must be >= 0")
-            out = replace(out, move_threshold=move_threshold)
-        if quality_bound is not None:
-            if not 0.0 <= quality_bound <= 1.0:
-                raise ValueError("quality_bound must be in [0, 1]")
-            out = replace(out, quality_bound=quality_bound)
-        return out
-
-    def with_workload(
-        self,
-        *,
-        arrival: Optional[str] = None,
-        rate: Optional[float] = None,
-        slots: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> "ExperimentConfig":
-        """Copy with traffic-workload knobs replaced (unspecified kept).
-
-        ``arrival`` names an :data:`repro.workload.generators.ARRIVAL_FAMILIES`
-        entry, ``rate`` is the mean offered load in packets/link/slot
-        (the family's shape is preserved; its rates are scaled to this
-        mean), ``slots`` the horizon and ``policy`` the service policy
-        of :func:`repro.workload.queues.simulate_workload`.
-        """
-        out = self
-        if arrival is not None:
-            from repro.workload.generators import ARRIVAL_FAMILIES
-
-            if arrival not in ARRIVAL_FAMILIES:
-                raise ValueError(
-                    f"unknown arrival family {arrival!r}; choose from "
-                    f"{sorted(ARRIVAL_FAMILIES)}"
-                )
-            out = replace(out, workload_arrival=arrival)
-        if rate is not None:
-            if not rate > 0:
-                raise ValueError(f"workload rate must be > 0, got {rate}")
-            out = replace(out, workload_rate=rate)
-        if slots is not None:
-            if slots < 0:
-                raise ValueError(f"workload slots must be >= 0, got {slots}")
-            out = replace(out, workload_slots=slots)
-        if policy is not None:
-            from repro.workload.queues import POLICIES
-
-            if policy not in POLICIES:
-                raise ValueError(
-                    f"unknown workload policy {policy!r}; choose from {POLICIES}"
-                )
-            out = replace(out, workload_policy=policy)
-        return out
 
     def with_channel(
         self,
@@ -266,70 +183,6 @@ class ExperimentConfig:
                 )
             out = replace(out, power_policy=power_policy)
         return out
-
-    def with_cache(
-        self,
-        *,
-        cache: Optional[str] = None,
-        capacity: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> "ExperimentConfig":
-        """Copy with schedule-cache knobs replaced (unspecified kept).
-
-        ``cache`` is ``"memory"`` for a process-local cache or a
-        directory path for a persisted one; ``policy`` must name a
-        :data:`repro.cache.policy.CACHE_POLICIES` entry.
-
-        >>> cfg = ExperimentConfig().with_cache(cache="memory", capacity=64)
-        >>> (cfg.cache, cfg.cache_capacity)
-        ('memory', 64)
-        """
-        out = self
-        if cache is not None:
-            out = replace(out, cache=str(cache))
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-            out = replace(out, cache_capacity=capacity)
-        if policy is not None:
-            from repro.cache.policy import CACHE_POLICIES
-
-            if policy not in CACHE_POLICIES:
-                raise ValueError(
-                    f"unknown cache policy {policy!r}; choose from {CACHE_POLICIES}"
-                )
-            out = replace(out, cache_policy=policy)
-        return out
-
-    def schedule_cache(self):
-        """The configured :class:`~repro.cache.store.ScheduleCache`, or ``None``."""
-        if self.cache is None:
-            return None
-        from repro.cache.store import ScheduleCache
-
-        return ScheduleCache(
-            capacity=self.cache_capacity,
-            policy=self.cache_policy,
-            directory=None if self.cache == "memory" else self.cache,
-        )
-
-    def arrival_process(self):
-        """The configured arrival generator, scaled to ``workload_rate``.
-
-        Builds the family's default-shaped generator and rescales its
-        rates so the long-run mean equals ``workload_rate`` — the
-        declarative "family + mean load" surface the CLI and scenario
-        configs share.
-        """
-        from repro.workload.generators import ARRIVAL_FAMILIES
-
-        base = ARRIVAL_FAMILIES[self.workload_arrival]()
-        mean = base.mean_rate()
-        if not mean > 0:
-            raise ValueError(
-                f"arrival family {self.workload_arrival!r} has zero base rate"
-            )
-        return base.scaled(self.workload_rate / mean)
 
     def with_resilience(
         self,

@@ -6,6 +6,9 @@ in ``[min_length, max_length]`` and uniformly random direction from its
 sender.  The other generators provide the stress shapes used by the
 extended benchmarks (clustered hot spots, regular grids, chains, and
 an exponential length spread that drives ``g(L)`` up).
+:func:`make_topology` builds any of the named families in
+:data:`TOPOLOGIES` from ``(name, n, seed)`` — the one switch the CLI and
+:class:`~repro.workload.scenario.WorkloadScenario` share.
 """
 
 from __future__ import annotations
@@ -230,3 +233,27 @@ def random_rates_topology(
     base = paper_topology(n_links, seed=rng, **paper_kwargs)
     rates = rng.uniform(rate_low, rate_high, size=n_links)
     return base.with_rates(rates)
+
+
+#: Topology families :func:`make_topology` builds by name.
+TOPOLOGIES = ("paper", "clustered", "grid", "chain", "exponential")
+
+
+def make_topology(name: str, n: int, seed: int) -> LinkSet:
+    """The named :data:`TOPOLOGIES` family with about ``n`` links.
+
+    ``grid`` rounds ``n`` to the nearest square lattice and ``chain``
+    ignores ``seed`` (it is deterministic).  An unknown name raises
+    :class:`ValueError`.
+    """
+    if name == "paper":
+        return paper_topology(n, seed=seed)
+    if name == "clustered":
+        return clustered_topology(n, seed=seed)
+    if name == "grid":
+        return grid_topology(max(1, int(round(n**0.5))), seed=seed)
+    if name == "chain":
+        return chain_topology(n)
+    if name == "exponential":
+        return exponential_length_topology(n, seed=seed)
+    raise ValueError(f"unknown topology {name!r}; choose from {TOPOLOGIES}")

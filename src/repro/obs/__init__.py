@@ -43,8 +43,6 @@ from repro.obs.profile import (
     ProfileReport,
     profile_call,
     profile_fading_stream,
-    profile_run_schedulers,
-    profile_run_sweep,
     profiled,
 )
 from repro.obs.state import disable, enable, is_enabled
@@ -82,7 +80,5 @@ __all__ = [
     "ProfileReport",
     "profiled",
     "profile_call",
-    "profile_run_schedulers",
-    "profile_run_sweep",
     "profile_fading_stream",
 ]

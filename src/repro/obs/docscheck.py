@@ -3,17 +3,17 @@
 One table, :func:`contract`, pairs each registry of public names with
 the docs section that must document it:
 
-=================  ===================  ===========================================
+=================  ===================  =====================================================
 page               section              names
-=================  ===================  ===========================================
+=================  ===================  =====================================================
 OBSERVABILITY.md   Span catalogue       ``span("…")`` call sites under ``src/``
 OBSERVABILITY.md   Metric catalogue     ``obs_metrics.inc/gauge/observe`` call sites
 CHANNELS.md        Channel laws         :func:`repro.channel.laws.channel_law_names`
 CHANNELS.md        Power policies       :data:`repro.core.powercontrol.POWER_POLICIES`
-CACHING.md         Eviction policies    :data:`repro.cache.CACHE_POLICIES`
+CACHING.md         Eviction policies    :attr:`repro.cache.policy.RepetitionAwarePolicy.name`
 SERVICE.md         Endpoints            :data:`repro.service.ROUTE_TEMPLATES`
 SERVICE.md         Error codes          :data:`repro.service.WIRE_ERROR_CODES`
-=================  ===================  ===========================================
+=================  ===================  =====================================================
 
 :func:`run_checks` walks the table: every name must appear backticked
 in its ``## section`` of ``docs/<page>``, and a missing page or a
@@ -86,7 +86,7 @@ def section(markdown: str, heading: str) -> str:
 
 def contract(src_root: Path) -> List[Tuple[str, str, str, Sequence[str]]]:
     """The ``(page, section heading, kind, names)`` rows the docs must cover."""
-    from repro.cache import CACHE_POLICIES
+    from repro.cache.policy import RepetitionAwarePolicy
     from repro.channel.laws import channel_law_names
     from repro.core.powercontrol import POWER_POLICIES
     from repro.service import ROUTE_TEMPLATES, WIRE_ERROR_CODES
@@ -97,7 +97,7 @@ def contract(src_root: Path) -> List[Tuple[str, str, str, Sequence[str]]]:
         ("OBSERVABILITY.md", "Metric catalogue", "metric", sorted(metrics)),
         ("CHANNELS.md", "Channel laws", "channel law", channel_law_names()),
         ("CHANNELS.md", "Power policies", "power policy", POWER_POLICIES),
-        ("CACHING.md", "Eviction policies", "cache policy", CACHE_POLICIES),
+        ("CACHING.md", "Eviction policies", "cache policy", (RepetitionAwarePolicy.name,)),
         ("SERVICE.md", "Endpoints", "route", ROUTE_TEMPLATES),
         ("SERVICE.md", "Error codes", "wire error code", WIRE_ERROR_CODES),
     ]

@@ -11,9 +11,11 @@ every use is an explicit call or the CLI's ``--profile`` flag.
   tracemalloc, returning ``(result, ProfileReport)``;
 - :func:`profiled` — the same as a context manager for open-coded
   regions;
-- :func:`profile_run_schedulers`, :func:`profile_run_sweep`,
-  :func:`profile_fading_stream` — pre-wired wrappers around the three
-  hot entry points named in the instrumentation contract.
+- :func:`profile_fading_stream` — drain the fading stream under
+  tracemalloc, the direct check of the Monte-Carlo chunk cap.
+
+Profile a runner entry point with :func:`profile_call` directly, e.g.
+``profile_call(run_schedulers, schedulers, workload, n_repetitions=1)``.
 """
 
 from __future__ import annotations
@@ -125,24 +127,6 @@ def profile_call(
     with profiled(cpu=cpu, memory=memory, sort=sort, limit=limit) as report:
         result = fn(*args, **kwargs)
     return result, report
-
-
-def profile_run_schedulers(*args: Any, **kwargs: Any) -> Tuple[Any, ProfileReport]:
-    """:func:`repro.sim.runner.run_schedulers` under cProfile.
-
-    Profiling keywords (``cpu``, ``memory``, ``sort``, ``limit``) are
-    consumed here; everything else forwards to ``run_schedulers``.
-    """
-    from repro.sim.runner import run_schedulers
-
-    return profile_call(run_schedulers, *args, **kwargs)
-
-
-def profile_run_sweep(*args: Any, **kwargs: Any) -> Tuple[Any, ProfileReport]:
-    """:func:`repro.sim.runner.run_sweep` under cProfile."""
-    from repro.sim.runner import run_sweep
-
-    return profile_call(run_sweep, *args, **kwargs)
 
 
 def profile_fading_stream(*args: Any, **kwargs: Any) -> Tuple[int, ProfileReport]:

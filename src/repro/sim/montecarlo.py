@@ -116,18 +116,17 @@ def simulate_slot(
     *,
     noise: float | None = None,
     seed: SeedLike = None,
-    channel: LawLike = None,
 ) -> np.ndarray:
-    """One fading realisation: per-link success of a single slot.
+    """One Rayleigh fading realisation: per-link success of a single slot.
 
     The slotted queue simulator (:mod:`repro.workload.queues`) calls
     this once per time slot with an identity-derived seed, so each
     slot's channel draw is a pure function of ``(problem, active,
-    seed, channel)`` — independent of process and call order.
+    seed)`` — independent of process and call order.
     Returns a ``(K,)`` bool array over the active links in *sorted
     index order* (the same convention as :func:`simulate_trials`).
     """
-    success = simulate_trials(problem, active, 1, noise=noise, seed=seed, channel=channel)
+    success = simulate_trials(problem, active, 1, noise=noise, seed=seed)
     return success[0]
 
 

@@ -152,14 +152,6 @@ def unit_key(unit: WorkUnit) -> str:
     return f"{unit.tag}/{unit.rep}/{unit.name}"
 
 
-# The stable callable/channel canonicalisers grew into the shared
-# repro.cache.fingerprint module (the schedule cache keys build on
-# them); the historical underscore names stay importable and the key
-# bytes are pinned unchanged by tests/test_cache_fingerprint.py.
-_describe_callable = describe_callable
-_canonical_channel = canonical_channel
-
-
 def checkpoint_key(unit: WorkUnit) -> str:
     """Content hash of everything that determines a unit's result.
 
@@ -173,8 +165,8 @@ def checkpoint_key(unit: WorkUnit) -> str:
             "tag": repr(unit.tag),
             "rep": unit.rep,
             "name": unit.name,
-            "scheduler": _describe_callable(unit.scheduler),
-            "workload": _describe_callable(unit.workload),
+            "scheduler": describe_callable(unit.scheduler),
+            "workload": describe_callable(unit.workload),
             "n_trials": unit.n_trials,
             "alpha": unit.alpha,
             "gamma_th": unit.gamma_th,
@@ -187,7 +179,7 @@ def checkpoint_key(unit: WorkUnit) -> str:
             # Canonical law spec, so "shadowing:sigma_db=6" and its
             # fully-spelled form hash the same; None normalises to the
             # Rayleigh default.
-            "channel": _canonical_channel(unit.channel),
+            "channel": canonical_channel(unit.channel),
             "power_policy": unit.power_policy,
         },
     )

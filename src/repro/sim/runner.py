@@ -359,50 +359,3 @@ def run_sweep(
             out.append(_group_by_scheduler(schedulers, chunk_units, chunk_results))
         return out
 
-
-def run_workload(
-    config,
-    *,
-    links: Optional[LinkSet] = None,
-    scheduler: str = "rle",
-    seed: Optional[int] = None,
-):
-    """Run the config's traffic workload; returns ``(result, stats)``.
-
-    The :class:`~repro.experiments.config.ExperimentConfig` bridge into
-    :mod:`repro.workload`: the ``workload_*`` knobs (set via
-    ``config.with_workload``) pick the arrival family, mean offered
-    load, horizon, and service policy; the channel parameters come from
-    the same config that drives the figure sweeps.  ``links`` defaults
-    to one paper-style topology of ``config.n_links_fixed`` links drawn
-    from ``config.root_seed``.
-    When ``config.cache`` is set (``config.with_cache``), the per-slot
-    scheduler runs are answered through a
-    :class:`~repro.cache.store.ScheduleCache`.
-    """
-    from repro.workload.analyzers import summarize_workload
-    from repro.workload.queues import simulate_workload
-
-    if links is None:
-        links = config.workload(config.n_links_fixed)(config.root_seed)
-    problem = FadingRLS(
-        links=links,
-        alpha=config.alpha_default,
-        gamma_th=config.gamma_th,
-        eps=config.eps,
-    )
-    cache = config.schedule_cache()
-    with span("runner.run_workload", links=problem.n_links):
-        result = simulate_workload(
-            problem,
-            config.arrival_process(),
-            scheduler,
-            n_slots=config.workload_slots,
-            seed=config.root_seed if seed is None else seed,
-            policy=config.workload_policy,
-            channel=config.channel,
-            cache=cache,
-        )
-    if cache is not None:
-        cache.flush()
-    return result, summarize_workload(result)

@@ -22,7 +22,7 @@ The coupling loop of the workload subsystem.  Each slot ``t``:
      :class:`~repro.network.delta.LinkDelta`\\ s as queues drain and
      fill — link churn driven by the traffic itself;
 
-3. **transmission** — one Monte-Carlo fading realisation (through the
+3. **transmission** — one Rayleigh fading realisation (through the
    :mod:`repro.backend` kernels) decides per-link success; each
    scheduled link attempts its head-of-line packet, successes drain the
    FIFO, failures stay queued and retry.
@@ -279,7 +279,7 @@ class _IncrementalPolicy:
         return np.sort(self._ids[schedule.active])
 
 
-def _make_policy(policy: str, problem: FadingRLS, scheduler, kwargs: dict, cache=None):
+def _make_chooser(policy: str, problem: FadingRLS, scheduler, kwargs: dict, cache=None):
     if cache is not None and policy != "backlogged":
         raise ValueError(
             f"cache= is only supported with the 'backlogged' policy, got {policy!r}"
@@ -303,7 +303,6 @@ def simulate_workload(
     policy: str = "backlogged",
     max_queue: Optional[int] = None,
     scheduler_kwargs: Optional[dict] = None,
-    channel: Optional[str] = None,
     cache=None,
 ) -> WorkloadResult:
     """Run the slotted queue simulation (see the module docstring).
@@ -331,10 +330,6 @@ def simulate_workload(
     scheduler_kwargs:
         Extra keyword arguments for the scheduler (forwarded to the
         cover builder under the ``multislot`` policy).
-    channel:
-        Channel-law spec for the per-slot fading draw
-        (:func:`repro.channel.laws.get_channel_law`); ``None`` is the
-        Rayleigh default, bit-identical to the historical behaviour.
     cache:
         Optional :class:`~repro.cache.store.ScheduleCache` answering
         the per-slot scheduler runs (``backlogged`` policy only).  The
@@ -354,7 +349,7 @@ def simulate_workload(
     name = scheduler if isinstance(scheduler, str) else getattr(fn, "__name__", "custom")
     kwargs = dict(scheduler_kwargs or {})
     n = problem.n_links
-    chooser = _make_policy(policy, problem, fn, kwargs, cache)
+    chooser = _make_chooser(policy, problem, fn, kwargs, cache)
 
     trace = arrivals.sample(n, n_slots, seed=stable_seed("workload.arrivals", root=seed))
 
@@ -395,7 +390,6 @@ def simulate_workload(
                     problem,
                     chosen,
                     seed=stable_seed("workload.fading", t, root=seed),
-                    channel=channel,
                 )
                 # simulate_slot reports links in sorted-index order and
                 # every policy returns sorted ids, so they align 1:1.

@@ -35,6 +35,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.problem import FadingRLS
 from repro.network.links import LinkSet
+from repro.network.topology import TOPOLOGIES, make_topology
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.workload.analyzers import (
@@ -49,10 +50,7 @@ from repro.workload.generators import (
 )
 from repro.workload.queues import POLICIES, simulate_workload
 
-__all__ = ["TOPOLOGIES", "WorkloadScenario", "run_scenario"]
-
-#: Topology families a scenario may name (mirrors the CLI generators).
-TOPOLOGIES = ("paper", "clustered", "grid", "chain", "exponential")
+__all__ = ["WorkloadScenario", "run_scenario"]
 
 #: Stability-sweep knobs accepted in the ``stability`` sub-dict, with
 #: their defaults (None = derive at run time).
@@ -66,24 +64,6 @@ _STABILITY_DEFAULTS: Dict[str, Any] = {
     "drift_tol": 0.02,
     "backlog_floor": 4.0,
 }
-
-
-def make_topology(name: str, n: int, seed: int) -> LinkSet:
-    """Build a named topology (the library-level twin of the CLI switch)."""
-    from repro.network import topology as topo
-
-    if name == "paper":
-        return topo.paper_topology(n, seed=seed)
-    if name == "clustered":
-        return topo.clustered_topology(n, seed=seed)
-    if name == "grid":
-        side = max(1, int(round(n**0.5)))
-        return topo.grid_topology(side, seed=seed)
-    if name == "chain":
-        return topo.chain_topology(n)
-    if name == "exponential":
-        return topo.exponential_length_topology(n, seed=seed)
-    raise ValueError(f"unknown topology {name!r}; choose from {TOPOLOGIES}")
 
 
 @dataclass(frozen=True)

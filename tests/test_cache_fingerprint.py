@@ -81,8 +81,8 @@ class TestKeyCompatibility:
         from repro.sim import parallel
 
         assert store.config_key is config_key
-        assert parallel._describe_callable is describe_callable
-        assert parallel._canonical_channel is canonical_channel
+        assert parallel.describe_callable is describe_callable
+        assert parallel.canonical_channel is canonical_channel
 
 
 class TestCanonicalisers:

@@ -14,12 +14,7 @@ import pytest
 
 from repro.cache import store
 from repro.cache.fingerprint import exact_key, scheduler_identity
-from repro.cache.policy import (
-    CACHE_POLICIES,
-    LRUPolicy,
-    RepetitionAwarePolicy,
-    make_policy,
-)
+from repro.cache.policy import RepetitionAwarePolicy
 from repro.cache.store import EVENTS_MAXLEN, ScheduleCache, cache_dir_stats
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
@@ -202,26 +197,8 @@ class TestEventLog:
 
 
 class TestEviction:
-    def test_lru_evicts_the_least_recently_used(self):
-        cache = ScheduleCache(capacity=2, policy="lru")
-        a, b, c = (_problem(i) for i in range(3))
-        cache.schedule(a, "rle")
-        cache.schedule(b, "rle")
-        cache.schedule(a, "rle")  # refresh a; b is now LRU
-        cache.schedule(c, "rle")  # evicts b
-        assert len(cache) == 2
-        assert cache.stats["evictions"] == 1
-        sid = scheduler_identity(rle_schedule, {})
-        assert exact_key(a, sid) in cache
-        assert exact_key(c, sid) in cache
-        assert exact_key(b, sid) not in cache
-        # Events are labelled by exact key.  The miss is logged before
-        # insertion triggers the eviction.
-        assert cache.events[-1] == ("evict", exact_key(b, sid)[:12])
-        assert cache.events[-2] == ("miss", exact_key(c, sid)[:12])
-
     def test_repetition_aware_protects_the_hot_entry(self):
-        cache = ScheduleCache(capacity=2, policy="repetition_aware")
+        cache = ScheduleCache(capacity=2)
         a, b, c = (_problem(i) for i in range(3))
         cache.schedule(a, "rle")
         for _ in range(3):
@@ -264,7 +241,7 @@ class TestEviction:
 
     def test_eviction_is_deterministic(self):
         def trace():
-            cache = ScheduleCache(capacity=3, policy="repetition_aware")
+            cache = ScheduleCache(capacity=3)
             for i in range(6):
                 cache.schedule(_problem(i % 4), "rle")
             return cache.events
@@ -389,6 +366,12 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             cache_dir_stats(tmp_path / "nope")
 
+    def test_cache_dir_stats_on_a_plain_file_raises_not_a_directory(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory")
+        with pytest.raises(NotADirectoryError):
+            cache_dir_stats(plain)
+
 
 # -- bookkeeping ----------------------------------------------------
 
@@ -418,14 +401,5 @@ class TestBookkeeping:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ScheduleCache(capacity=0)
-        with pytest.raises(ValueError):
-            ScheduleCache(policy="fifo")
-
-    def test_policy_registry(self):
-        assert CACHE_POLICIES == ("lru", "repetition_aware")
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("repetition_aware"), RepetitionAwarePolicy)
-        with pytest.raises(ValueError):
-            make_policy("arc")
         with pytest.raises(ValueError):
             RepetitionAwarePolicy(ghost_capacity=-1)

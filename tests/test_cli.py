@@ -111,6 +111,13 @@ class TestCacheCommands:
             main(argv)
         assert str(exc.value) == f"cannot use {plain} as a cache directory: not a directory"
 
+    def test_cache_stats_on_a_plain_file_is_not_a_directory(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory")
+        assert main(["cache", "stats", str(plain)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot use {plain} as a cache directory: not a directory\n"
+
     def test_cache_stats_counts_stale_temp_files(self, tmp_path, capsys):
         (tmp_path / ".0123abcd.x1y2z3.tmp").write_text("{")
         assert main(["cache", "stats", str(tmp_path)]) == 0
@@ -331,6 +338,12 @@ class TestMobility:
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--move-threshold", "-2"])
 
-    def test_bad_quality_bound_rejected(self):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--quality-bound", "1.5"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--incremental", "--quality-bound", "0"], ["--quality-bound", "1.5"]],
+        ids=["zero", "above-one"],
+    )
+    def test_bad_quality_bound_rejected(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flags)
+        assert str(exc.value) == f"--quality-bound must be in (0, 1], got {float(flags[-1])}"

@@ -7,7 +7,6 @@ from repro.core.base import (
     get_scheduler,
     list_schedulers,
     register_scheduler,
-    run_scheduler,
 )
 from repro.core.schedule import Schedule
 
@@ -60,7 +59,7 @@ class TestRegistry:
         assert get_scheduler("_test_decorated") is decorated
 
     def test_run_scheduler(self, tiny_problem):
-        s = run_scheduler("rle", tiny_problem)
+        s = get_scheduler("rle")(tiny_problem)
         assert isinstance(s, Schedule)
         assert s.algorithm == "rle"
 

@@ -5,10 +5,12 @@ import pytest
 
 from repro.geometry.region import Region
 from repro.network.topology import (
+    TOPOLOGIES,
     chain_topology,
     clustered_topology,
     exponential_length_topology,
     grid_topology,
+    make_topology,
     paper_topology,
     random_rates_topology,
 )
@@ -180,3 +182,28 @@ class TestRandomRates:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             random_rates_topology(10, rate_low=5.0, rate_high=1.0)
+
+
+class TestMakeTopology:
+    """The one name -> generator switch behind ``--topology`` and scenarios."""
+
+    BUILDERS = {
+        "paper": lambda: paper_topology(16, seed=3),
+        "clustered": lambda: clustered_topology(16, seed=3),
+        "grid": lambda: grid_topology(4, seed=3),
+        "chain": lambda: chain_topology(16),
+        "exponential": lambda: exponential_length_topology(16, seed=3),
+    }
+
+    def test_names_are_the_builders(self):
+        assert TOPOLOGIES == tuple(self.BUILDERS)
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_each_name_builds_its_generator(self, name):
+        links, expected = make_topology(name, 16, 3), self.BUILDERS[name]()
+        np.testing.assert_array_equal(links.senders, expected.senders)
+        np.testing.assert_array_equal(links.receivers, expected.receivers)
+
+    def test_unknown_name_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown topology 'mesh'"):
+            make_topology("mesh", 10, 0)

@@ -8,9 +8,9 @@ from repro.obs.profile import (
     ProfileReport,
     profile_call,
     profile_fading_stream,
-    profile_run_schedulers,
     profiled,
 )
+from repro.sim.runner import run_schedulers
 
 
 def _work():
@@ -53,7 +53,8 @@ class TestProfileCall:
 
 class TestDomainWrappers:
     def test_profile_run_schedulers(self):
-        results, report = profile_run_schedulers(
+        results, report = profile_call(
+            run_schedulers,
             {"ldp": get_scheduler("ldp")},
             TopologyWorkload(n_links=20),
             n_repetitions=1,

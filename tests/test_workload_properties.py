@@ -45,7 +45,7 @@ def problems(draw, min_links=2, max_links=8):
     )
 
 
-arrival_processes = st.one_of(
+arrival_generators = st.one_of(
     st.builds(
         PoissonArrivals,
         rate=st.floats(0.01, 0.5, allow_nan=False),
@@ -78,7 +78,7 @@ arrival_processes = st.one_of(
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     problem=problems(),
-    arrivals=arrival_processes,
+    arrivals=arrival_generators,
     policy=st.sampled_from(POLICIES),
     seed=st.integers(0, 10_000),
     max_queue=st.one_of(st.none(), st.integers(1, 3)),
@@ -111,7 +111,7 @@ def test_packet_conservation(problem, arrivals, policy, seed, max_queue):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     problem=problems(),
-    arrivals=arrival_processes,
+    arrivals=arrival_generators,
     policy=st.sampled_from(POLICIES),
     seed=st.integers(0, 10_000),
 )
@@ -192,7 +192,7 @@ def test_backlog_monotone_in_offered_load(problem, spike, factor, every, seed):
 
 @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    arrivals=arrival_processes,
+    arrivals=arrival_generators,
     seed=st.integers(0, 10_000),
     topo_seed=st.integers(0, 2_000),
 )

@@ -1,4 +1,4 @@
-"""Tests for analyzers, scenario configs, the config bridge and `repro traffic`."""
+"""Tests for analyzers, scenario configs and `repro traffic`."""
 
 import json
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.problem import FadingRLS
-from repro.experiments.config import ExperimentConfig
 from repro.network.topology import paper_topology
-from repro.sim.runner import run_workload
 from repro.workload.analyzers import (
     drift_estimate,
     is_divergent,
@@ -17,7 +15,7 @@ from repro.workload.analyzers import (
     summarize_workload,
     sweep_rates,
 )
-from repro.workload.generators import PoissonArrivals
+from repro.workload.generators import PoissonArrivals, arrivals_from_spec
 from repro.workload.queues import simulate_workload
 from repro.workload.scenario import WorkloadScenario, run_scenario
 
@@ -176,44 +174,6 @@ class TestWorkloadScenario:
         assert payload["stability"] is None
 
 
-class TestConfigBridge:
-    def test_with_workload_replaces_knobs(self):
-        cfg = ExperimentConfig().with_workload(
-            arrival="spikes", rate=0.2, slots=111, policy="multislot"
-        )
-        assert cfg.workload_arrival == "spikes"
-        assert cfg.workload_rate == 0.2
-        assert cfg.workload_slots == 111
-        assert cfg.workload_policy == "multislot"
-
-    def test_with_workload_validates(self):
-        cfg = ExperimentConfig()
-        with pytest.raises(ValueError, match="arrival family"):
-            cfg.with_workload(arrival="bursty")
-        with pytest.raises(ValueError, match="rate"):
-            cfg.with_workload(rate=0.0)
-        with pytest.raises(ValueError, match="slots"):
-            cfg.with_workload(slots=-1)
-        with pytest.raises(ValueError, match="policy"):
-            cfg.with_workload(policy="psychic")
-
-    def test_arrival_process_hits_requested_mean(self):
-        cfg = ExperimentConfig().with_workload(arrival="onoff", rate=0.125)
-        assert cfg.arrival_process().mean_rate() == pytest.approx(0.125)
-
-    def test_run_workload_bridge(self):
-        cfg = (
-            ExperimentConfig()
-            .small()
-            .with_workload(rate=0.05, slots=40)
-        )
-        links = paper_topology(6, seed=3)
-        result, stats = run_workload(cfg, links=links, seed=5)
-        assert result.n_links == 6
-        assert stats.n_slots == 40
-        assert result.arrived == result.served + result.dropped + result.final_backlog
-
-
 class TestTrafficCli:
     def test_inline_flags_run(self, capsys):
         code = main(
@@ -229,6 +189,13 @@ class TestTrafficCli:
         out = capsys.readouterr().out
         assert "rle/backlogged" in out
         assert "drift" in out
+
+    def test_rate_sets_the_arrival_mean(self, tmp_path):
+        out = tmp_path / "p.json"
+        argv = ["traffic", "--arrival", "onoff", "--rate", "0.125", "--no-stability"]
+        assert main([*argv, "--output", str(out)]) == 0
+        arrivals = json.loads(out.read_text())["scenario"]["arrivals"]
+        assert arrivals_from_spec(arrivals).mean_rate() == pytest.approx(0.125)
 
     def test_config_file_with_stability_and_output(self, tmp_path, capsys):
         config = {

@@ -52,7 +52,7 @@ def build_payload(n_jobs: int = 1) -> dict:
     from repro.cache.store import ScheduleCache
     from repro.workload.scenario import run_scenario
 
-    cache = ScheduleCache(capacity=CAPACITY, policy="repetition_aware")
+    cache = ScheduleCache(capacity=CAPACITY)
     result = run_scenario(build_scenario(), n_jobs=n_jobs, cache=cache)
     return {
         "scenario": result["scenario"],
