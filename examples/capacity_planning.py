@@ -13,22 +13,19 @@ field, with this error allowance, how many concurrent links fit a slot
    of the region could still host one more link after scheduling;
 4. :func:`repro.analysis.interference.victim_hotspots` — which
    scheduled links sit closest to their budget;
-5. a cached eps sweep via :class:`repro.experiments.store.ResultStore`
-   (second run of this script reuses the sweep).
+5. :func:`repro.experiments.tradeoff.eps_tradeoff` — which error
+   allowance maximises expected goodput.
 
 Run:  python examples/capacity_planning.py [n_links] [seed]
 """
 
 import sys
-import tempfile
-from pathlib import Path
 
 from repro import FadingRLS, rle_schedule
 from repro.analysis.density import empirical_density, rle_density_ceiling
 from repro.analysis.interference import admissible_fraction, victim_hotspots
 from repro.analysis.regimes import summarize_regime
 from repro.core.base import get_scheduler
-from repro.experiments.store import ResultStore
 from repro.experiments.tradeoff import best_eps, eps_tradeoff
 from repro.geometry.region import Region
 from repro.network.topology import paper_topology
@@ -72,33 +69,18 @@ def main(n_links: int = 300, seed: int = 0) -> None:
     for link, slack in victim_hotspots(problem, schedule, top_k=3):
         print(f"  link {link}: slack {slack:.5f} of {problem.gamma_eps:.5f}")
 
-    # Cached eps sweep: rerunning this script reuses the stored result.
-    store = ResultStore(Path(tempfile.gettempdir()) / "fading_rls_store")
-    params = {"n_links": n_links, "seed": seed, "eps_grid": [0.005, 0.01, 0.05, 0.1]}
-
-    def run_sweep():
-        points = eps_tradeoff(
-            {"rle": get_scheduler("rle")},
-            eps_values=tuple(params["eps_grid"]),
-            n_links=n_links,
-            n_repetitions=2,
-            n_trials=100,
-        )
-        return {
-            "points": [
-                {"eps": p.eps, "goodput": p.mean_expected_goodput, "scheduled": p.mean_scheduled}
-                for p in points
-            ],
-            "best_eps": best_eps(points, "rle").eps,
-        }
-
-    payload, cached = store.load_or_run("capacity-eps-sweep", params, run_sweep)
-    source = "cache" if cached else "fresh run"
-    print(f"\nEps sweep ({source}): goodput-best eps = {payload['best_eps']}")
-    for point in payload["points"]:
+    points = eps_tradeoff(
+        {"rle": get_scheduler("rle")},
+        eps_values=(0.005, 0.01, 0.05, 0.1),
+        n_links=n_links,
+        n_repetitions=2,
+        n_trials=100,
+    )
+    print(f"\nEps sweep: goodput-best eps = {best_eps(points, 'rle').eps}")
+    for point in points:
         print(
-            f"  eps={point['eps']:<6} scheduled={point['scheduled']:.1f} "
-            f"goodput={point['goodput']:.2f}"
+            f"  eps={point.eps:<6} scheduled={point.mean_scheduled:.1f} "
+            f"goodput={point.mean_expected_goodput:.2f}"
         )
 
 

@@ -3,10 +3,11 @@
 This module is the single home of the repo's content-addressed key
 machinery.  The first half (:func:`config_key`,
 :func:`describe_callable`, :func:`canonical_channel`) was grown out of
-the checkpoint keys in :mod:`repro.experiments.store` and
-:mod:`repro.sim.parallel`; both still re-export it, and the byte-level
-key values are pinned unchanged by ``tests/test_cache_fingerprint.py``
-so existing checkpoint/result directories keep resuming.
+the result and checkpoint keys of :mod:`repro.experiments.store` and
+:mod:`repro.sim.parallel`; the latter still re-exports it, and the
+byte-level key values are pinned unchanged by
+``tests/test_cache_fingerprint.py`` so existing checkpoint directories
+keep resuming.
 
 The second half is the key of the schedule cache
 (:mod:`repro.cache.store`):
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-# -- shared canonicalisation (moved from experiments.store / sim.parallel) --
+# -- shared canonicalisation (checkpoint keys build on it) --
 
 
 def config_key(name: str, params: Mapping[str, Any]) -> str:

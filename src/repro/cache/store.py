@@ -39,14 +39,11 @@ and in :attr:`ScheduleCache.events`, the ring of the newest
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +51,7 @@ from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.policy import RepetitionAwarePolicy
 from repro.core.base import get_scheduler
 from repro.core.schedule import Schedule
+from repro.io.results import read_json_object, write_json_atomic
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -143,22 +141,20 @@ def _entry_from_payload(payload: Dict[str, Any]) -> CacheEntry:
     )
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Durable write: unique temp file + fsync + rename (never torn)."""
-    data = json.dumps(payload, indent=2, sort_keys=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _read_entries(root: Path) -> Iterator[Optional[CacheEntry]]:
+    """The entry of every entry file under ``root``, in key order, or
+    ``None`` for a damaged file (left on disk, never loaded)."""
+    for path in sorted(root.glob("*.json")):
+        if path.name == "_stats.json":
+            continue
+        payload = read_json_object(path)
+        entry = None
+        if payload is not None:
+            try:
+                entry = _entry_from_payload(payload)
+            except (KeyError, TypeError, ValueError):
+                pass
+        yield entry
 
 
 class ScheduleCache:
@@ -248,14 +244,14 @@ class ScheduleCache:
         with self._lock:
             for key, entry in self._entries.items():
                 if entry.hits > 0:
-                    _atomic_write_json(self.directory / f"{key}.json", _entry_payload(entry))
+                    write_json_atomic(self.directory / f"{key}.json", _entry_payload(entry))
             payload = {
                 "schema": ENTRY_SCHEMA,
                 "policy": self.policy,
                 "counters": dict(self._counters),
                 "hits": {k: int(e.hits + e.seeded) for k, e in self._entries.items()},
             }
-            _atomic_write_json(self.directory / "_stats.json", payload)
+            write_json_atomic(self.directory / "_stats.json", payload)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -326,7 +322,7 @@ class ScheduleCache:
         self._seq += 1
         self._entries[key] = entry
         if self.directory is not None:
-            _atomic_write_json(self.directory / f"{key}.json", _entry_payload(entry))
+            write_json_atomic(self.directory / f"{key}.json", _entry_payload(entry))
         while len(self._entries) > self.capacity:
             self._evict_one(exclude=key)
 
@@ -348,13 +344,8 @@ class ScheduleCache:
 
     def _load_directory(self) -> None:
         assert self.directory is not None
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name == "_stats.json":
-                continue
-            try:
-                payload = json.loads(path.read_text())
-                entry = _entry_from_payload(payload)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
+        for entry in _read_entries(self.directory):
+            if entry is None:
                 continue  # damaged entries read as misses
             entry.last_used = self._clock
             entry.inserted_seq = self._seq
@@ -385,13 +376,8 @@ def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
     stale_tmp = sum(1 for _ in root.glob(".*.tmp"))
     algorithms: Dict[str, int] = {}
     sizes: List[int] = []
-    for path in sorted(root.glob("*.json")):
-        if path.name == "_stats.json":
-            continue
-        try:
-            payload = json.loads(path.read_text())
-            entry = _entry_from_payload(payload)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
+    for entry in _read_entries(root):
+        if entry is None:
             damaged += 1
             continue
         entries += 1
@@ -407,13 +393,8 @@ def cache_dir_stats(directory: Union[str, Path]) -> Dict[str, Any]:
         "algorithms": dict(sorted(algorithms.items())),
         "mean_links": float(np.mean(sizes)) if sizes else 0.0,
     }
-    stats_path = root / "_stats.json"
-    if stats_path.exists():
-        try:
-            stats = json.loads(stats_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            stats = None
-        if isinstance(stats, dict):
-            out["policy"] = stats.get("policy")
-            out["counters"] = stats.get("counters")
+    stats = read_json_object(root / "_stats.json")
+    if stats is not None:
+        out["policy"] = stats.get("policy")
+        out["counters"] = stats.get("counters")
     return out

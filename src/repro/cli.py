@@ -87,7 +87,10 @@ def _save_links(links: LinkSet, path: str) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """``repro generate``: write a random workload file."""
-    links = make_topology(args.topology, args.n_links, args.seed)
+    try:
+        links = make_topology(args.topology, args.n_links, args.seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     _save_links(links, args.output)
     print(f"wrote {len(links)} links ({args.topology}) to {args.output}")
     return 0
@@ -150,7 +153,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.input:
         links = _load_links(args.input)
     else:
-        links = make_topology(args.topology, args.n_links, args.seed)
+        try:
+            links = make_topology(args.topology, args.n_links, args.seed)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     problem = FadingRLS(
         links=links,
         alpha=args.alpha,
@@ -363,6 +369,12 @@ def cmd_mobility(args: argparse.Namespace) -> int:
     """``repro mobility``: schedule quality/stability under movement."""
     from repro.experiments.mobility_study import mobility_sweep
 
+    if args.n_links < 0:
+        raise SystemExit(f"--n-links must be >= 0, got {args.n_links}")
+    if args.steps < 1:
+        raise SystemExit(f"--steps must be >= 1, got {args.steps}")
+    if args.reps < 1:
+        raise SystemExit(f"--reps must be >= 1, got {args.reps}")
     if args.move_threshold < 0:
         raise SystemExit(f"--move-threshold must be >= 0, got {args.move_threshold}")
     if not 0.0 < args.quality_bound <= 1.0:

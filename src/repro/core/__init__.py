@@ -25,7 +25,6 @@ from repro.core.base import SchedulerError, get_scheduler, list_schedulers, regi
 from repro.core.certify import certify
 from repro.core.dls import dls_schedule
 from repro.core.exact import branch_and_bound_schedule, brute_force_schedule, milp_schedule
-from repro.core.frames import build_demand_frame, frame_length_lower_bound
 from repro.core.incremental import IncrementalScheduler
 from repro.core.ldp import ldp_schedule
 from repro.core.localsearch import improve_schedule, local_search_schedule
@@ -49,8 +48,6 @@ __all__ = [
     "improve_schedule",
     "local_search_schedule",
     "lp_upper_bound",
-    "build_demand_frame",
-    "frame_length_lower_bound",
     "brute_force_schedule",
     "branch_and_bound_schedule",
     "milp_schedule",

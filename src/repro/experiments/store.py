@@ -1,133 +1,33 @@
-"""Content-addressed experiment result store.
+"""Per-work-unit checkpoints for resumable sweeps.
 
-Paper-scale sweeps take minutes; iterating on analysis should not
-re-run them.  :func:`load_or_run` keys a JSON payload by a stable hash
-of ``(experiment name, parameters)`` so repeated calls with identical
-configuration hit the cache, and any parameter change re-runs.
-
-The store is deliberately dumb: one JSON file per key under a
-directory, safe to delete wholesale, no invalidation beyond the key.
-Durability is not dumb, though: every write goes through a unique temp
-file, ``fsync``, and ``os.replace``, so a crash mid-write can never
-leave a torn ``<key>.json`` — readers see the old payload or the new
-one, nothing in between — and a payload that *is* damaged (truncated
-by an external force, hand-edited) reads as a miss and re-runs instead
-of crashing the sweep.
-
-:class:`UnitCheckpoint` builds per-work-unit persistence on top: one
-:class:`~repro.sim.metrics.SimulationResult` per key, serialised
-losslessly (floats survive the JSON round-trip bit-exactly), which is
-what lets an interrupted sweep resume from its completed cells (see
-``docs/ROBUSTNESS.md``).
+:class:`UnitCheckpoint` keeps one :class:`~repro.sim.metrics.SimulationResult`
+per key as ``<key>.json`` under one directory, serialised losslessly
+(floats survive the JSON round-trip bit-exactly), which is what lets an
+interrupted sweep resume from its completed cells (see
+``docs/ROBUSTNESS.md``).  Entries are written by
+:func:`repro.io.results.write_json_atomic`, so a crash mid-write never
+leaves a torn ``<key>.json``, and read by
+:func:`repro.io.results.read_json_object`, so a damaged entry reads as
+a miss and re-runs instead of crashing the sweep.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-# The content-hash canonicalisation grew into the shared
-# repro.cache.fingerprint module (the schedule cache keys build on it);
-# config_key is re-exported here so existing imports — and the key
-# bytes of existing result directories — stay unchanged.
-from repro.cache.fingerprint import config_key
+from repro.io.results import read_json_object, write_json_atomic
 from repro.sim.metrics import SimulationResult
 
 __all__ = [
-    "ResultStore",
     "UnitCheckpoint",
-    "config_key",
     "result_from_payload",
     "result_to_payload",
 ]
 
 PathLike = Union[str, Path]
-
-
-class ResultStore:
-    """One directory of ``<key>.json`` experiment results."""
-
-    def __init__(self, root: PathLike):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, key: str) -> Path:
-        """Filesystem path backing ``key``."""
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Dict[str, Any] | None:
-        """Stored payload, or None on miss/corruption (truncated or
-        otherwise damaged entries are treated as misses so the caller
-        re-runs instead of crashing)."""
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        return payload
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically store a payload (unique temp file + fsync + rename).
-
-        Serialisation happens before the store is touched, so an
-        unserialisable payload raises without disturbing an existing
-        entry; a crash mid-write leaves only a stray temp file (ignored
-        by every reader), never a torn ``<key>.json``.
-        """
-        path = self.path_for(key)
-        data = json.dumps(payload, indent=2, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=f".{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def load_or_run(
-        self,
-        name: str,
-        params: Mapping[str, Any],
-        runner: Callable[[], Dict[str, Any]],
-    ) -> tuple[Dict[str, Any], bool]:
-        """Return ``(payload, was_cached)``; runs and stores on a miss.
-
-        The runner must return a JSON-serialisable dict.
-        """
-        key = config_key(name, params)
-        cached = self.get(key)
-        if cached is not None:
-            return cached, True
-        payload = runner()
-        self.put(key, payload)
-        return payload, False
-
-    def keys(self) -> list[str]:
-        """Sorted keys of every stored result."""
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete every stored result; returns the count removed."""
-        n = 0
-        for p in self.root.glob("*.json"):
-            p.unlink()
-            n += 1
-        return n
 
 
 #: Version tag of the per-unit checkpoint payload shape.
@@ -198,19 +98,20 @@ class UnitCheckpoint:
     :func:`repro.sim.parallel.checkpoint_key`), written through on each
     unit's first success.  Damaged or schema-mismatched entries read as
     misses, so a resumed sweep recomputes exactly the units it cannot
-    trust.
+    trust.  The directory is created if missing.
     """
 
     def __init__(self, root: PathLike):
-        self.store = ResultStore(root)
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
 
-    @property
-    def root(self) -> Path:
-        return self.store.root
+    def path_for(self, key: str) -> Path:
+        """Filesystem path backing ``key``."""
+        return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The checkpointed result for ``key``, or ``None``."""
-        payload = self.store.get(key)
+        payload = read_json_object(self.path_for(key))
         if payload is None:
             return None
         try:
@@ -220,11 +121,11 @@ class UnitCheckpoint:
 
     def put(self, key: str, result: SimulationResult) -> None:
         """Persist one unit's result (atomic; safe to interrupt)."""
-        self.store.put(key, result_to_payload(result))
+        write_json_atomic(self.path_for(key), result_to_payload(result))
 
     def keys(self) -> List[str]:
         """Sorted keys of every checkpointed unit."""
-        return self.store.keys()
+        return sorted(p.stem for p in self.root.glob("*.json"))
 
     def __len__(self) -> int:
-        return len(self.store.keys())
+        return len(self.keys())

@@ -2,13 +2,20 @@
 
 Schedules and experiment sweeps become plain dicts so runs can be
 archived, diffed, and post-processed without re-simulation.
+
+The module also holds the one durable JSON writer and the one tolerant
+reader behind both on-disk stores, the schedule cache directory
+(:mod:`repro.cache.store`) and ``--resume`` checkpoints
+(:mod:`repro.experiments.store`).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
@@ -90,3 +97,44 @@ def sweep_to_dict(sweep) -> Dict[str, Any]:
 def write_json(payload: Dict[str, Any], path: PathLike) -> None:
     """Write a dict as pretty-printed JSON."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def write_json_atomic(path: PathLike, payload: Dict[str, Any]) -> None:
+    """Durable write of :func:`write_json`'s bytes: unique temp file,
+    ``fsync``, then ``os.replace``.
+
+    Serialisation happens before the directory is touched, so an
+    unserialisable payload raises without disturbing an existing file.
+    A crash mid-write leaves only a ``.<stem>.*.tmp`` file, which no
+    reader takes for an entry, never a torn ``path``.  The file gets
+    ``mkstemp``'s mode, 0600.
+    """
+    path = Path(path)
+    data = json.dumps(payload, indent=2, sort_keys=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def read_json_object(path: PathLike) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``, or ``None`` when the file is
+    missing, unreadable, not JSON (or nested too deeply to parse) or not
+    an object.
+
+    Stores read a damaged entry as a miss instead of crashing.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+        return None
+    return payload if isinstance(payload, dict) else None

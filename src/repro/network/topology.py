@@ -243,9 +243,11 @@ def make_topology(name: str, n: int, seed: int) -> LinkSet:
     """The named :data:`TOPOLOGIES` family with about ``n`` links.
 
     ``grid`` rounds ``n`` to the nearest square lattice and ``chain``
-    ignores ``seed`` (it is deterministic).  An unknown name raises
-    :class:`ValueError`.
+    ignores ``seed`` (it is deterministic).  An unknown name or a
+    negative ``n`` raises :class:`ValueError`.
     """
+    if n < 0:
+        raise ValueError(f"n_links must be >= 0, got {n}")
     if name == "paper":
         return paper_topology(n, seed=seed)
     if name == "clustered":

@@ -100,8 +100,12 @@ class WorkloadScenario:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {POLICIES}"
             )
+        if self.n_links < 0:
+            raise ValueError(f"n_links must be >= 0, got {self.n_links}")
         if self.n_slots < 0:
             raise ValueError(f"n_slots must be >= 0, got {self.n_slots}")
+        if self.max_queue is not None and self.max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if not 0 <= self.warmup <= self.n_slots:
             raise ValueError(
                 f"warmup must be in [0, n_slots={self.n_slots}], got {self.warmup}"

@@ -1,15 +1,25 @@
-"""Crash consistency of a persisted schedule-cache directory.
+"""Crash consistency of the two stores that write through
+``repro.io.results.write_json_atomic``.
 
-A child process opens a cache directory, inserts entries, hits one,
-evicts one and flushes.  It SIGKILLs itself inside the k-th call of
-``os.replace`` or ``os.fsync`` made by ``_atomic_write_json`` — so the
-kill lands at a fixed point of a fixed write, with no timer.  Over all
-k that covers every entry insert and both of ``flush()``'s writes (the
-re-written hit entry and ``_stats.json``).  Reopening the directory
-must then find no damaged file, only entries that replay bit-identical
-to ``rle_schedule`` on their links, and never a leftover ``.*.tmp``
-file read as an entry; ``cache_dir_stats`` counts that file as
+A child process SIGKILLs itself inside the k-th call of ``os.replace``
+or ``os.fsync`` made by ``write_json_atomic`` — so the kill lands at a
+fixed point of a fixed write, with no timer.
+
+Schedule-cache directory: the child opens a cache directory, inserts
+entries, hits one, evicts one and flushes.  Over all k that covers
+every entry insert and both of ``flush()``'s writes (the re-written hit
+entry and ``_stats.json``).  Reopening the directory must then find no
+damaged file, only entries that replay bit-identical to
+``rle_schedule`` on their links, and never a leftover ``.*.tmp`` file
+read as an entry; ``cache_dir_stats`` counts that file as
 ``stale_tmp``.
+
+``--resume`` checkpoints: the child runs ``execute_units`` with a
+``UnitCheckpoint`` at ``n_jobs=1``.  Over all k that covers every
+unit's write.  Reopening the directory must find only entries
+bit-identical to the uninterrupted run's result for their key, and a
+resumed ``execute_units`` must match the uninterrupted run bit for bit,
+serving exactly the surviving entries from the checkpoint.
 """
 
 from __future__ import annotations
@@ -29,37 +39,52 @@ from repro.cache.store import ScheduleCache, cache_dir_stats
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
+from repro.experiments.config import TopologyWorkload
+from repro.experiments.store import UnitCheckpoint, result_to_payload
 from repro.network.topology import paper_topology
+from repro.obs import metrics as obs_metrics
+from repro.sim.parallel import build_units, checkpoint_key, execute_units
 
 #: Writes the child makes: inserts of p0 and p1, then flush()'s
 #: re-write of the hit entry p0 and its ``_stats.json``.
 N_WRITES = 4
 
-CHILD = r"""
+#: The harness both children share: ``hook(module)`` records the file
+#: name of each ``module.write_json_atomic`` call in ``writing`` and
+#: SIGKILLs the process inside the ``kill_at``-th call of ``os.<target>``
+#: (``kill_at = 0`` never kills).
+HOOK = r"""
 import json, os, signal, sys
+
+directory, target, kill_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
+writing = []
+calls = 0
+
+def hook(module):
+    real_write, real_call = module.write_json_atomic, getattr(os, target)
+
+    def write(path, payload):
+        writing.append(path.name)
+        real_write(path, payload)
+
+    def call(*args, **kwargs):
+        global calls
+        calls += 1
+        if calls == kill_at:
+            print(json.dumps({"killed_in": writing[-1]}), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_call(*args, **kwargs)
+
+    module.write_json_atomic = write
+    setattr(os, target, call)
+"""
+
+CHILD = HOOK + r"""
 from repro.cache import store
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
 
-directory, target, kill_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
-writing = []
-real_write, real_call = store._atomic_write_json, getattr(os, target)
-calls = 0
-
-def write(path, payload):
-    writing.append(path.name)
-    real_write(path, payload)
-
-def call(*args, **kwargs):
-    global calls
-    calls += 1
-    if calls == kill_at:
-        print(json.dumps({"killed_in": writing[-1]}), flush=True)
-        os.kill(os.getpid(), signal.SIGKILL)
-    return real_call(*args, **kwargs)
-
-store._atomic_write_json = write
-setattr(os, target, call)
+hook(store)
 problems = [FadingRLS(links=paper_topology(12, seed=40 + i)) for i in range(2)]
 cache = store.ScheduleCache(capacity=2, directory=directory)
 cache.schedule(problems[0], "rle")  # write 1: insert p0
@@ -74,12 +99,14 @@ def _problem(i: int) -> FadingRLS:
     return FadingRLS(links=paper_topology(12, seed=40 + i))
 
 
-def _run_child(directory: Path, target: str, kill_at: int) -> subprocess.CompletedProcess:
+def _run_child(
+    directory: Path, target: str, kill_at: int, code: str = CHILD
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", CHILD, str(directory), target, str(kill_at)],
+        [sys.executable, "-c", code, str(directory), target, str(kill_at)],
         capture_output=True,
         text=True,
         env=env,
@@ -155,3 +182,89 @@ def test_kill_inside_an_atomic_write_leaves_a_consistent_directory(tmp_path, tar
     if kill_at <= 2:
         # An insert never reached its rename: the entry is absent.
         assert killed_in[: -len(".json")] not in reader
+
+
+#: The child's sweep: ``tests/test_store_checkpoint.py``'s grid (two
+#: schedulers x two repetitions = four units, so four writes).
+CHECKPOINT_CHILD = HOOK + r"""
+from repro.core.base import get_scheduler
+from repro.experiments import store
+from repro.experiments.config import TopologyWorkload
+from repro.sim.parallel import build_units, execute_units
+
+hook(store)
+units = build_units(
+    {"rle": get_scheduler("rle"), "ldp": get_scheduler("ldp")},
+    TopologyWorkload(n_links=20),
+    n_repetitions=2,
+    n_trials=30,
+    alpha=3.0,
+    gamma_th=1.0,
+    eps=0.01,
+    root_seed=5,
+)
+execute_units(units, n_jobs=1, checkpoint=store.UnitCheckpoint(directory))
+print(json.dumps({"writes": writing}), flush=True)
+"""
+
+
+def _checkpoint_units():
+    """The child's units, built in this process (same grid, same keys)."""
+    return build_units(
+        {"rle": get_scheduler("rle"), "ldp": get_scheduler("ldp")},
+        TopologyWorkload(n_links=20),
+        n_repetitions=2,
+        n_trials=30,
+        alpha=3.0,
+        gamma_th=1.0,
+        eps=0.01,
+        root_seed=5,
+    )
+
+
+def _same_result(a, b) -> bool:
+    """Every field equal, floats exactly (the lossless payloads match)."""
+    return result_to_payload(a) == result_to_payload(b)
+
+
+@pytest.fixture(scope="module")
+def clean_sweep():
+    """``(units, results)`` of the uninterrupted, uncheckpointed run."""
+    units = _checkpoint_units()
+    return units, execute_units(units)
+
+
+def test_uninterrupted_checkpoint_child_writes_every_unit(tmp_path, clean_sweep):
+    units, clean = clean_sweep
+    proc = _run_child(tmp_path, "replace", 0, CHECKPOINT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    keys = [checkpoint_key(u) for u in units]
+    assert json.loads(proc.stdout)["writes"] == [f"{k}.json" for k in keys]
+    ck = UnitCheckpoint(tmp_path)
+    assert ck.keys() == sorted(keys)
+    assert all(_same_result(ck.get(k), r) for k, r in zip(keys, clean))
+
+
+@pytest.mark.parametrize("kill_at", range(1, 5))
+@pytest.mark.parametrize("target", ["fsync", "replace"])
+def test_kill_inside_a_checkpoint_write_then_resume_is_bit_identical(
+    tmp_path, target, kill_at, clean_sweep, obs_enabled
+):
+    units, clean = clean_sweep
+    proc = _run_child(tmp_path, target, kill_at, CHECKPOINT_CHILD)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    keys = [checkpoint_key(u) for u in units]
+    assert json.loads(proc.stdout)["killed_in"] == f"{keys[kill_at - 1]}.json"
+    expected = dict(zip(keys, clean))
+    ck = UnitCheckpoint(tmp_path)
+    # The units written before the kill survive, bit-identical; the
+    # killed write's temp file is there but is never read as an entry.
+    assert ck.keys() == sorted(keys[: kill_at - 1])
+    assert all(_same_result(ck.get(k), expected[k]) for k in ck.keys())
+    assert len(list(tmp_path.glob(".*.tmp"))) == 1
+    obs_enabled.reset()
+    resumed = execute_units(units, checkpoint=ck)
+    assert all(_same_result(a, b) for a, b in zip(resumed, clean))
+    counters = obs_metrics.snapshot()["counters"]
+    assert counters.get("resilience.units_from_checkpoint", 0) == kill_at - 1
+    assert ck.keys() == sorted(keys)

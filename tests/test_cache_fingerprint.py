@@ -76,11 +76,9 @@ class TestKeyCompatibility:
         )
         assert checkpoint_key(unit) == "8a0445a0a585b64d577fb103"
 
-    def test_store_and_parallel_reexports_are_the_shared_function(self):
-        from repro.experiments import store
+    def test_parallel_reexports_are_the_shared_function(self):
         from repro.sim import parallel
 
-        assert store.config_key is config_key
         assert parallel.describe_callable is describe_callable
         assert parallel.canonical_channel is canonical_channel
 
@@ -98,6 +96,17 @@ class TestCanonicalisers:
     def test_config_key_rejects_unserialisable(self):
         with pytest.raises(TypeError):
             config_key("exp", {"bad": object()})
+
+    def test_config_key_ignores_param_order(self):
+        assert config_key("x", {"a": 1, "b": 2}) == config_key("x", {"b": 2, "a": 1})
+
+    def test_config_key_depends_on_name_and_params(self):
+        assert config_key("x", {"a": 1}) != config_key("y", {"a": 1})
+        assert config_key("x", {"a": 1}) != config_key("x", {"a": 2})
+
+    def test_config_key_coerces_tuples_and_numpy(self):
+        k1 = config_key("x", {"sweep": (1, 2), "n": np.int64(5)})
+        assert k1 == config_key("x", {"sweep": [1, 2], "n": 5})
 
     def test_scheduler_identity_orders_kwargs(self):
         a = scheduler_identity(rle_schedule, {"b": 1, "a": 2})

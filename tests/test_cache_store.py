@@ -306,6 +306,14 @@ class TestPersistence:
         second = ScheduleCache(capacity=8, directory=tmp_path)
         assert len(second) == 1
 
+    @pytest.mark.parametrize("text", ["[1, 2, 3]", '"str"', "42", "null"])
+    def test_non_object_entry_file_is_skipped_and_kept(self, tmp_path, text):
+        junk = tmp_path / "abc.json"
+        junk.write_text(text)
+        assert len(ScheduleCache(capacity=8, directory=tmp_path)) == 0
+        assert cache_dir_stats(tmp_path)["damaged"] == 1
+        assert junk.read_text() == text
+
     def test_wrong_schema_is_skipped(self, tmp_path):
         first = ScheduleCache(capacity=8, directory=tmp_path)
         first.schedule(_problem(), "rle")

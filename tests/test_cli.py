@@ -11,6 +11,26 @@ import pytest
 from repro.cli import main
 
 
+def _one_line_error(argv):
+    """Run ``python -m repro *argv``; it must exit 1 with one stderr line
+    and no traceback.  Returns that line."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return lines[0]
+
+
 class TestList:
     def test_lists_schedulers(self, capsys):
         assert main(["list"]) == 0
@@ -44,6 +64,13 @@ class TestGenerate:
     def test_bad_extension(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", str(tmp_path / "links.txt")])
+
+    @pytest.mark.parametrize("topology", ["grid", "clustered"])
+    def test_negative_n_links_is_a_one_line_error(self, tmp_path, topology):
+        path = tmp_path / "links.csv"
+        argv = ["generate", str(path), "--topology", topology, "--n-links", "-4"]
+        assert _one_line_error(argv) == "n_links must be >= 0, got -4"
+        assert not path.exists()
 
 
 class TestSchedule:
@@ -86,6 +113,17 @@ class TestSchedule:
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
             main(["schedule", "--algorithm", "nope", "--n-links", "5"])
+
+    def test_negative_n_links_is_a_one_line_error(self):
+        assert _one_line_error(["schedule", "--n-links", "-2"]) == "n_links must be >= 0, got -2"
+
+
+class TestTraffic:
+    @pytest.mark.parametrize("flag", ["--n-links", "--max-queue"])
+    def test_negative_count_is_a_one_line_error(self, flag):
+        argv = ["traffic", "--n-links", "4", "--slots", "5", "--no-stability", flag, "-1"]
+        field = flag.removeprefix("--").replace("-", "_")
+        assert _one_line_error(argv) == f"{field} must be >= 0, got -1"
 
 
 class TestCacheCommands:
@@ -333,6 +371,16 @@ class TestMobility:
                      "--reps", "1", "--speed", "3"]) == 0
         out = capsys.readouterr().out
         assert "ldp" in out and "rle" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--steps", "0", ">= 1"), ("--reps", "0", ">= 1"), ("--n-links", "-4", ">= 0")],
+        ids=["steps", "reps", "n-links"],
+    )
+    def test_bad_counts_rejected(self, flag, value, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + [flag, value])
+        assert str(exc.value) == f"{flag} must be {bound}, got {value}"
 
     def test_bad_move_threshold_rejected(self):
         with pytest.raises(SystemExit):

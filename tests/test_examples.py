@@ -53,15 +53,7 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "churn" in out
 
-    def test_distributed_protocol(self, capsys):
-        load_example("distributed_protocol").main(n_links=60, seed=0)
-        out = capsys.readouterr().out
-        assert "Protocol cost" in out and "beacon messages" in out
-
-    def test_capacity_planning(self, capsys, tmp_path, monkeypatch):
-        import tempfile
-
-        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+    def test_capacity_planning(self, capsys):
         load_example("capacity_planning").main(n_links=80, seed=0)
         out = capsys.readouterr().out
         assert "packing ceiling" in out and "best eps" in out

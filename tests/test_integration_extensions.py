@@ -1,11 +1,10 @@
 """Cross-extension integration tests.
 
-The extensions must compose: power control under queue dynamics, noise
-with multi-slot frames, the distributed protocol feeding the simulator,
-local search on top of everything.
+The extensions must compose: power control under queue dynamics, the
+decentralised scheduler feeding the simulator, local search on top of
+everything.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.problem import FadingRLS
@@ -33,52 +32,26 @@ class TestPowerControlPlusQueues:
         assert r.served > 0
 
 
-class TestNoisePlusFrames:
-    def test_demand_frame_under_noise(self):
-        """Frames built on a noisy instance: serviceable links get their
-        demands; unserviceable demands must be zeroed first."""
-        from repro.core.frames import build_demand_frame
-        from repro.core.rle import rle_schedule
-
-        noise = 0.01005 / 15.0**3
-        p = FadingRLS(links=paper_topology(60, seed=1), noise=noise)
-        serviceable = p.serviceable()
-        demands = np.where(serviceable, 2, 0)
-        frame = build_demand_frame(p, demands, rle_schedule)
-        assert frame.verify(p)
-
-    def test_frame_with_unserviceable_demand_cannot_finish(self):
-        from repro.core.frames import build_demand_frame
-        from repro.core.rle import rle_schedule
-
-        noise = 0.01005 / 12.0**3
-        p = FadingRLS(links=paper_topology(60, seed=2), noise=noise)
-        demands = np.full(60, 1, dtype=int)  # includes unserviceable links
-        assert not p.serviceable().all()
-        with pytest.raises(RuntimeError):
-            build_demand_frame(p, demands, rle_schedule)
-
-
 class TestProtocolPlusSimulation:
     def test_protocol_schedule_replays_cleanly(self):
-        """The message-passing protocol's output honours the eps
+        """The decentralised scheduler's output honours the eps
         contract under the Monte-Carlo channel."""
-        from repro.distributed import run_dls_protocol
+        from repro.core.dls import dls_schedule
         from repro.sim.montecarlo import simulate_schedule
 
         p = FadingRLS(links=paper_topology(150, seed=3))
-        result = run_dls_protocol(p, seed=4)
-        sim = simulate_schedule(p, result.schedule, n_trials=3000, seed=5)
-        assert sim.mean_failed <= p.eps * max(result.schedule.size, 1) + 0.2
+        schedule = dls_schedule(p, seed=4)
+        sim = simulate_schedule(p, schedule, n_trials=3000, seed=5)
+        assert sim.mean_failed <= p.eps * max(schedule.size, 1) + 0.2
 
 
 class TestLocalSearchEverywhere:
     def test_improves_protocol_output(self):
+        from repro.core.dls import dls_schedule
         from repro.core.localsearch import improve_schedule
-        from repro.distributed import run_dls_protocol
 
         p = FadingRLS(links=paper_topology(150, seed=6))
-        proto = run_dls_protocol(p, seed=7).schedule
+        proto = dls_schedule(p, seed=7)
         polished = improve_schedule(p, proto, seed=8)
         assert p.scheduled_rate(polished.active) >= p.scheduled_rate(proto.active)
         assert p.is_feasible(polished.active)

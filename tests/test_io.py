@@ -1,6 +1,7 @@
 """Tests for repro.io (LinkSet and result persistence)."""
 
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from repro.io.linksets import (
     linkset_to_csv,
     linkset_to_json,
 )
-from repro.io.results import schedule_to_dict, sweep_to_dict, write_json
+from repro.io.results import (
+    read_json_object,
+    schedule_to_dict,
+    sweep_to_dict,
+    write_json,
+    write_json_atomic,
+)
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology, random_rates_topology
 
@@ -124,3 +131,73 @@ class TestResultSerialisation:
         path = tmp_path / "out.json"
         write_json({"a": 1}, path)
         assert json.loads(path.read_text()) == {"a": 1}
+
+
+class TestDurableJson:
+    """The one durable writer and tolerant reader both stores use.
+
+    A damaged file must read as ``None`` (a store's miss), never crash,
+    and a failed write must leave the existing file untouched.
+    """
+
+    def test_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "k.json"
+        write_json_atomic(path, {"x": 1})
+        assert not list(tmp_path.glob("*.tmp"))
+        assert read_json_object(path) == {"x": 1}
+
+    def test_bytes_match_write_json_with_mode_0600(self, tmp_path):
+        payload = {"b": [1.5, 2], "a": {"z": None}}
+        write_json(payload, tmp_path / "plain.json")
+        write_json_atomic(tmp_path / "durable.json", payload)
+        assert (tmp_path / "durable.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert stat.S_IMODE((tmp_path / "durable.json").stat().st_mode) == 0o600
+
+    def test_missing_file_reads_as_none(self, tmp_path):
+        assert read_json_object(tmp_path / "absent.json") is None
+
+    def test_truncated_file_reads_as_none(self, tmp_path):
+        path = tmp_path / "k.json"
+        write_json_atomic(path, {"value": 42, "pad": list(range(10))})
+        full = path.read_text()
+        path.write_text(full[: len(full) // 2])  # a write cut mid-payload
+        assert read_json_object(path) is None
+        write_json_atomic(path, {"value": 42})  # rewriting repairs it
+        assert read_json_object(path) == {"value": 42}
+
+    def test_empty_file_reads_as_none(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("")
+        assert read_json_object(path) is None
+
+    def test_binary_garbage_reads_as_none(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_bytes(b"\x80\x81\xfe\xff")
+        assert read_json_object(path) is None
+
+    def test_non_object_reads_as_none(self, tmp_path):
+        path = tmp_path / "k.json"
+        for text in ("[1, 2, 3]", '"str"', "42", "null"):
+            path.write_text(text)
+            assert read_json_object(path) is None
+
+    def test_too_deeply_nested_file_reads_as_none(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("[" * 100_000)
+        assert read_json_object(path) is None
+
+    def test_failed_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "k.json"
+        write_json_atomic(path, {"good": 1})
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"bad": object()})
+        assert read_json_object(path) == {"good": 1}
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            write_json_atomic(path, {"x": 1})
+        assert path.is_dir()
+        assert not list(tmp_path.glob(".*.tmp"))

@@ -19,6 +19,7 @@ from repro.experiments.store import (
     result_from_payload,
     result_to_payload,
 )
+from repro.io.results import write_json_atomic
 from repro.obs import metrics as obs_metrics
 from repro.sim.metrics import SimulationResult
 from repro.sim.parallel import build_units, checkpoint_key, execute_units
@@ -93,14 +94,19 @@ class TestUnitCheckpoint:
     def test_corrupt_entry_is_miss(self, tmp_path):
         ck = UnitCheckpoint(tmp_path)
         ck.put("abc", _result())
-        path = ck.store.path_for("abc")
+        path = ck.path_for("abc")
         path.write_text(path.read_text()[:30])  # torn write
         assert ck.get("abc") is None
 
     def test_wrong_shape_entry_is_miss(self, tmp_path):
         ck = UnitCheckpoint(tmp_path)
-        ck.store.put("abc", {"schema": UNIT_PAYLOAD_SCHEMA, "algorithm": "x"})
+        write_json_atomic(ck.path_for("abc"), {"schema": UNIT_PAYLOAD_SCHEMA, "algorithm": "x"})
         assert ck.get("abc") is None
+
+    def test_creates_directory(self, tmp_path):
+        nested = tmp_path / "a" / "b"
+        UnitCheckpoint(nested)
+        assert nested.is_dir()
 
 
 WORKLOAD = TopologyWorkload(n_links=20)
@@ -172,9 +178,9 @@ class TestResume:
         # "interrupt": drop two units from the checkpoint, keep the rest
         keys = [checkpoint_key(u) for u in units]
         for key in (keys[1], keys[2]):
-            ck.store.path_for(key).unlink()
+            ck.path_for(key).unlink()
         kept = set(keys) - {keys[1], keys[2]}
-        kept_stats = {k: ck.store.path_for(k).stat().st_mtime_ns for k in kept}
+        kept_stats = {k: ck.path_for(k).stat().st_mtime_ns for k in kept}
 
         resumed = execute_units(units, checkpoint=ck)
         for a, b in zip(resumed, clean):
@@ -185,7 +191,7 @@ class TestResume:
         # only the two missing units were recomputed: the kept entries'
         # files were never rewritten
         for k, mtime in kept_stats.items():
-            assert ck.store.path_for(k).stat().st_mtime_ns == mtime
+            assert ck.path_for(k).stat().st_mtime_ns == mtime
         assert len(ck) == len(units)
 
     def test_resume_counts_served_units(self, tmp_path, obs_enabled):
