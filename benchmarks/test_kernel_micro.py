@@ -70,7 +70,7 @@ def test_feasibility_kernel_speedup():
         return bool(np.all(load[idx] <= budgets[idx] + 1e-12))
 
     def gathered():
-        return kernels.feasible_verdict(f, idx, budgets)
+        return kernels.feasible_verdict(f[np.ix_(idx, idx)], budgets[idx])
 
     assert legacy() == gathered()
     legacy_s = _best_of(legacy)

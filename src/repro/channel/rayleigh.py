@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import kernels as backend_kernels
 from repro.channel.pathloss import mean_received_power
 from repro.utils.validation import check_positive
 
@@ -81,7 +82,9 @@ def success_probability(
     -----
     Computed as
     ``exp(-nu_j - sum_i ln(1 + gamma_th (P_i/P_j)(d_jj/d_ij)^alpha))``
-    with :func:`numpy.log1p` for accuracy at small interference.
+    with :func:`numpy.log1p` for accuracy at small interference; the
+    factors are the active set's block of the one Eq. 17 kernel
+    (:func:`repro.backend.kernels.factor_block`).
     """
     check_positive(alpha, "alpha")
     check_positive(gamma_th, "gamma_th")
@@ -103,11 +106,8 @@ def success_probability(
         return np.zeros(0, dtype=float)
     sub = d[np.ix_(idx, idx)]  # sub[a, b] = d(s_{idx_a}, r_{idx_b})
     own = np.diag(sub)  # d_jj for each active link
-    p_sub = p[idx]
-    ratio = (own[None, :] / sub) ** alpha * (p_sub[:, None] / p_sub[None, :])
-    factors = np.log1p(gamma_th * ratio)
-    np.fill_diagonal(factors, 0.0)
-    nu = gamma_th * noise * own**alpha / p_sub
+    factors = backend_kernels.factor_block(sub, own, idx[:, None], idx, alpha, gamma_th, p)
+    nu = gamma_th * noise * own**alpha / p[idx]
     log_p = -factors.sum(axis=0) - nu
     return log_p if log else np.exp(log_p)
 

@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 
 from repro import obs
-from repro.core.base import get_scheduler, list_schedulers
+from repro.core.base import SchedulerError, get_scheduler, list_schedulers
 from repro.core.problem import FadingRLS
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -64,6 +64,11 @@ from repro.network.links import LinkSet
 from repro.network.topology import TOPOLOGIES, make_topology
 
 PANELS = ("fig5a", "fig5b", "fig6a", "fig6b")
+
+#: Largest ``repro traffic --rate`` (packets per link per slot).  A link
+#: sends at most one packet per slot, so any rate above 1 only overloads
+#: the queues; far larger ones overflow the arrival samplers.
+MAX_RATE = 1e6
 
 
 def _load_links(path: str) -> LinkSet:
@@ -150,6 +155,8 @@ def _resilience(args: argparse.Namespace) -> dict:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     """``repro schedule``: run a scheduler, verify, optionally simulate."""
+    if args.trials < 0:
+        raise SystemExit(f"--trials must be >= 0 (0 = skip), got {args.trials}")
     if args.input:
         links = _load_links(args.input)
     else:
@@ -157,13 +164,16 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             links = make_topology(args.topology, args.n_links, args.seed)
         except ValueError as exc:
             raise SystemExit(str(exc))
-    problem = FadingRLS(
-        links=links,
-        alpha=args.alpha,
-        gamma_th=args.gamma_th,
-        eps=args.eps,
-        noise=args.noise,
-    )
+    try:
+        problem = FadingRLS(
+            links=links,
+            alpha=args.alpha,
+            gamma_th=args.gamma_th,
+            eps=args.eps,
+            noise=args.noise,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     from repro.core.powercontrol import run_scheduler_with_power
 
     scheduler = get_scheduler(args.algorithm)
@@ -171,9 +181,14 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     channel = _channel(args)
     policy = _power_policy(args) or "uniform"
     with span("scheduler.run", algorithm=args.algorithm):
-        schedule, powered = run_scheduler_with_power(
-            problem, scheduler, policy, kwargs
-        )
+        try:
+            schedule, powered = run_scheduler_with_power(
+                problem, scheduler, policy, kwargs
+            )
+        except (ValueError, SchedulerError) as exc:
+            # A flag value outside the scheduler's domain, e.g. --alpha 2
+            # for RLE's constants.
+            raise SystemExit(f"{args.algorithm}: {exc}")
     obs_metrics.inc("scheduler.links_admitted", schedule.size)
 
     result = None
@@ -275,6 +290,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         except (OSError, ValueError, TypeError) as exc:
             raise SystemExit(f"bad scenario config {args.config!r}: {exc}")
     else:
+        if not 0.0 <= args.rate <= MAX_RATE:  # also catches NaN
+            raise SystemExit(f"--rate must be in [0, {MAX_RATE:g}], got {args.rate!r}")
         base = arrivals_from_spec({"family": args.arrival})
         if base.mean_rate() <= 0:
             raise SystemExit(f"arrival family {args.arrival!r} has zero base rate")

@@ -10,8 +10,8 @@ across steps instead:
 - **F-matrix maintenance** — a :class:`~repro.network.delta.LinkDelta`
   (moves / removals / insertions) updates the cached distance and
   interference-factor matrices in O(kN): only the rows and columns of
-  touched links are recomputed, with *elementwise-identical* arithmetic
-  to :func:`repro.core.problem.interference_factors`, so the maintained
+  touched links are recomputed with the one Eq. 17 block kernel
+  (:func:`repro.backend.kernels.factor_block`), so the maintained
   ``F`` stays **bit-identical** to a fresh
   :class:`~repro.core.problem.FadingRLS` on the same geometry (the
   Hypothesis suite pins this).
@@ -39,7 +39,7 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.backend.kernels import gathered_interference
+from repro.backend.kernels import factor_block, gathered_interference
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
@@ -51,23 +51,6 @@ from repro.obs.trace import span
 from repro.utils.validation import check_positive, check_probability
 
 SchedulerLike = Union[str, Callable[..., Schedule]]
-
-
-def _factor_block(
-    d_block: np.ndarray,
-    own_cols: np.ndarray,
-    alpha: float,
-    gamma_th: float,
-) -> np.ndarray:
-    """Interference factors for a block of the distance matrix.
-
-    Mirrors :func:`repro.core.problem.interference_factors` operation by
-    operation (``(own_j / d_ij) ** alpha`` then ``log1p(gamma_th * .)``)
-    so a block recomputation is bit-identical to the corresponding slice
-    of a full build.  The caller zeroes diagonal entries.
-    """
-    ratio = (own_cols[None, :] / d_block) ** alpha
-    return np.log1p(gamma_th * ratio)
 
 
 class IncrementalScheduler:
@@ -262,9 +245,13 @@ class IncrementalScheduler:
         d[idx, :] = cross_distances(self._senders[idx], self._receivers)
         d[:, idx] = cross_distances(self._senders, self._receivers[idx])
         own = np.diag(d)
-        self._f[idx, :] = _factor_block(d[idx, :], own, self.alpha, self.gamma_th)
-        self._f[:, idx] = _factor_block(d[:, idx], own[idx], self.alpha, self.gamma_th)
-        self._f[idx, idx] = 0.0
+        everyone = np.arange(self.n_links)
+        self._f[idx, :] = factor_block(
+            d[idx, :], own, idx[:, None], everyone, self.alpha, self.gamma_th
+        )
+        self._f[:, idx] = factor_block(
+            d[:, idx], own[idx], everyone[:, None], idx, self.alpha, self.gamma_th
+        )
         self.stats["rows_updated"] += 2 * int(idx.size)
         obs_metrics.inc("incremental.rows_updated", 2 * int(idx.size))
 

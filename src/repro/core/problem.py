@@ -10,6 +10,12 @@ paper's analytical machinery:
   this is exactly the paper's
   ``ln(1 + gamma_th (d_jj / d_ij)^alpha)``) — computed once and cached,
   all O(N^2) work vectorised;
+- **blocks on demand**: :meth:`FadingRLS.distance_block` and
+  :meth:`FadingRLS.factor_block` slice the cached distance matrix and
+  ``F`` when they are cached, and otherwise compute only the cells
+  asked for, with the same per-cell arithmetic (so the same bits).
+  RLE reads one column and one row per pick and the Corollary 3.1
+  verdict one ``(K, K)`` block, so neither needs an ``N x N`` array;
 - the **feasibility predicate** of Corollary 3.1, generalised to
   ambient noise: an active set ``P`` is feasible iff every ``j in P``
   has ``sum_{i in P\\j} F[i, j] + nu_j <= gamma_eps`` where
@@ -34,16 +40,34 @@ they are *unserviceable* — and the scheduler layer must skip them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.backend import base as backend_base
 from repro.backend import kernels as backend_kernels
+from repro.geometry.distance import coordinate_distances
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.validation import check_positive, check_probability
+
+
+#: A selection of links along one axis of :meth:`FadingRLS.distance_block`
+#: / :meth:`FadingRLS.factor_block`: an index array, ``None`` (every link)
+#: or an int (one link, no axis).
+LinkIndex = Union[None, int, Sequence[int], np.ndarray]
+
+
+def _is_axis(idx: LinkIndex) -> bool:
+    return not isinstance(idx, (int, np.integer))
+
+
+def _block_index(rows: LinkIndex, cols: LinkIndex):
+    """The numpy index of a cached matrix for ``(rows, cols)``."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        return np.ix_(rows, cols)
+    return (slice(None) if rows is None else rows, slice(None) if cols is None else cols)
 
 
 def gamma_epsilon(eps: float) -> float:
@@ -172,6 +196,98 @@ class FadingRLS:
             obs_metrics.inc("fmatrix.cache_hits")
         return self._cache["F"]
 
+    def distance_block(self, rows: LinkIndex, cols: LinkIndex) -> np.ndarray:
+        """Distances ``d(s_i, r_j)`` for the links ``rows`` and ``cols`` select.
+
+        Each of ``rows`` and ``cols`` is an index array (one axis of the
+        result, in that order), ``None`` (every link, one axis) or an
+        int (one link, no axis) — numpy indexing of :meth:`distances`,
+        except that two index arrays select their whole block, as with
+        :func:`numpy.ix_`.  So ``distance_block(None, i)`` is column
+        ``i`` and ``distance_block(idx, idx)`` the ``K x K`` block of
+        ``idx``.
+
+        Slices :meth:`distances` when it is cached and otherwise
+        computes only these cells, with the per-cell arithmetic behind
+        :func:`~repro.geometry.distance.cross_distances`
+        (:func:`~repro.geometry.distance.coordinate_distances`), so both
+        give the same bits.
+        """
+        rows, cols = self._link_index(rows), self._link_index(cols)
+        d = self._cache.get("distances")
+        if d is not None:
+            return d[_block_index(rows, cols)]
+        return self._compute_distances(rows, cols)
+
+    def factor_block(self, rows: LinkIndex, cols: LinkIndex) -> np.ndarray:
+        """Interference factors ``F[i, j]`` for the links ``rows`` and ``cols`` select.
+
+        ``rows`` and ``cols`` as in :meth:`distance_block`:
+        ``factor_block(i, None)`` is row ``i`` of ``F``.  Slices
+        :meth:`interference_matrix` when it is cached and otherwise
+        computes only these cells with the one Eq. 17 kernel
+        (:func:`repro.backend.kernels.factor_block`), so both give the
+        same bits.  A cell whose row and column are the same link is 0.
+        """
+        rows, cols = self._link_index(rows), self._link_index(cols)
+        f = self._cache.get("F")
+        if f is not None:
+            return f[_block_index(rows, cols)]
+        own, everyone = self._own_distances()
+        row_ids = everyone if rows is None else rows
+        col_ids = everyone if cols is None else cols
+        if _is_axis(rows) and _is_axis(cols):
+            row_ids = row_ids[:, None]
+        block = self._compute_distances(rows, cols)
+        obs_metrics.inc("fmatrix.block_cells", block.size)
+        return backend_kernels.factor_block(
+            block,
+            own if cols is None else own[cols],
+            row_ids,
+            col_ids,
+            self.alpha,
+            self.gamma_th,
+            self.powers,
+        )
+
+    def _link_index(self, idx: LinkIndex) -> LinkIndex:
+        # Past-the-end indices fail in the gather that reads them; a
+        # negative one would gather by wrapping, so it is refused here.
+        if idx is None:
+            return None
+        if isinstance(idx, (int, np.integer)):
+            if idx < 0:
+                raise IndexError(f"link indices must be >= 0, got {idx}")
+            return idx
+        a = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if a.size and a.min() < 0:
+            raise IndexError(f"link indices must be >= 0, got {int(a.min())}")
+        return a
+
+    def _own_distances(self) -> tuple:
+        """The links' own lengths ``d_jj`` — the distance matrix's
+        diagonal, computed cell by cell with the same bits — and the
+        link ids ``0..N-1``."""
+        if "own_distances" not in self._cache:
+            s, r = self.links.senders, self.links.receivers
+            self._cache["own_distances"] = (
+                coordinate_distances(s[:, 0], s[:, 1], r[:, 0], r[:, 1]),
+                np.arange(len(s)),
+            )
+        return self._cache["own_distances"]
+
+    def _compute_distances(self, rows: LinkIndex, cols: LinkIndex) -> np.ndarray:
+        senders, receivers = self.links.senders, self.links.receivers
+        sx, sy = senders[:, 0], senders[:, 1]
+        rx, ry = receivers[:, 0], receivers[:, 1]
+        if rows is not None:
+            sx, sy = sx[rows], sy[rows]
+        if cols is not None:
+            rx, ry = rx[cols], ry[cols]
+        if _is_axis(rows) and _is_axis(cols):
+            sx, sy = sx[:, None], sy[:, None]
+        return coordinate_distances(sx, sy, rx, ry)
+
     def noise_factors(self) -> np.ndarray:
         """Per-receiver noise factor ``nu_j = gamma_th N0 d_jj^alpha / P_j``.
 
@@ -243,12 +359,13 @@ class FadingRLS:
     def is_feasible(self, active: Sequence[int] | np.ndarray, *, tol: float = 1e-12) -> bool:
         """Corollary 3.1 check: every active receiver is informed.
 
-        Dispatches through the compute backend's feasibility kernel,
-        which gathers only the ``(K, K)`` active sub-matrix — O(K^2)
-        instead of the O(N^2) masked reduction behind :meth:`informed` —
-        and returns the identical verdict (the kernel tests pin
-        agreement, including on the unserviceable-link edge where noise
-        alone exceeds a receiver's budget).
+        Dispatches through the compute backend's feasibility kernel on
+        the ``(K, K)`` :meth:`factor_block` of the active set — O(K^2)
+        instead of the O(N^2) masked reduction behind :meth:`informed`,
+        and no ``N x N`` array when ``F`` is not cached — and returns
+        the identical verdict (the kernel tests pin agreement,
+        including on the unserviceable-link edge where noise alone
+        exceeds a receiver's budget).
         """
         mask = self.active_mask(active)
         idx = np.flatnonzero(mask)
@@ -256,7 +373,7 @@ class FadingRLS:
             return True
         return bool(
             backend_base.get_active().feasible_verdict(
-                self.interference_matrix(), idx, self.effective_budgets(), tol
+                self.factor_block(idx, idx), self.effective_budgets()[idx], tol
             )
         )
 

@@ -23,9 +23,15 @@ feasible.  Thm 4.4 bounds the approximation ratio by the constant
 Implementation notes
 --------------------
 The loop is O(picked * N) with fully vectorised inner steps: each pick
-adds one row of the precomputed interference-factor matrix to a running
-per-receiver accumulator, then masks out eliminated links.  Link order
-is a single argsort by length done once.
+reads one column of the distance matrix (every sender's distance to the
+picked receiver) and adds one row of the interference-factor matrix to
+a running per-receiver accumulator, then masks out eliminated links.
+Both come from :meth:`FadingRLS.distance_block` /
+:meth:`FadingRLS.factor_block`, which slice the cached matrices when
+they exist and otherwise compute only that column and row — so RLE on a
+fresh instance builds no ``N x N`` array, and at serving sizes every
+step works on ``(N,)`` vectors.  Link order is a single argsort by
+length done once.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ def rle_schedule(
     b_min = float(budgets[serviceable].min())
     c1 = rle_c1(problem.alpha, problem.gamma_th, b_min, c2)
     lengths = links.lengths
-    dist = problem.distances()  # dist[j, i] = d(s_j, r_i)
-    f = problem.interference_matrix()
+    radii = c1 * lengths
+    limits = c2 * budgets
 
     order = np.argsort(lengths, kind="stable")
     remaining = serviceable.copy()
@@ -120,26 +126,29 @@ def rle_schedule(
     removed_by_interference = 0
     elimination: dict[int, tuple[str, int]] = {}
 
+    # Every killed link is still remaining, so ``remaining ^= kill``
+    # clears exactly the killed ones.
     for i in order:
         if not remaining[i]:
             continue
         picked.append(int(i))
         remaining[i] = False
 
-        # Line 4: drop links whose sender is within c1 * d_ii of r_i.
-        radius_kill = remaining & (dist[:, i] < c1 * lengths[i])
-        removed_by_radius += int(radius_kill.sum())
-        remaining[radius_kill] = False
+        # Line 4: drop links whose sender is within c1 * d_ii of r_i
+        # (column i of the distance matrix: d(s_j, r_i) for every j).
+        radius_kill = remaining & (problem.distance_block(None, i) < radii[i])
+        removed_by_radius += int(np.count_nonzero(radius_kill))
+        remaining ^= radius_kill
         if trace:
             for j in np.flatnonzero(radius_kill):
                 elimination[int(j)] = ("radius", int(i))
 
         # Line 5: drop links whose receiver exceeds the c2 budget under
-        # the picked set (the new pick contributes row f[i, :]).
-        accumulated += f[i, :]
-        interference_kill = remaining & (accumulated > c2 * budgets)
-        removed_by_interference += int(interference_kill.sum())
-        remaining[interference_kill] = False
+        # the picked set (the new pick contributes row F[i, :]).
+        accumulated += problem.factor_block(i, None)
+        interference_kill = remaining & (accumulated > limits)
+        removed_by_interference += int(np.count_nonzero(interference_kill))
+        remaining ^= interference_kill
         if trace:
             for j in np.flatnonzero(interference_kill):
                 elimination[int(j)] = ("interference", int(i))

@@ -11,6 +11,7 @@ Everything the schedulers need from 2-D Euclidean geometry:
 """
 
 from repro.geometry.distance import (
+    coordinate_distances,
     cross_distances,
     pairwise_distances,
     point_to_points,
@@ -23,6 +24,7 @@ __all__ = [
     "as_points",
     "bounding_box",
     "translate",
+    "coordinate_distances",
     "cross_distances",
     "pairwise_distances",
     "point_to_points",

@@ -13,6 +13,25 @@ import numpy as np
 from repro.geometry.points import as_points
 
 
+def coordinate_distances(ax, ay, bx, by) -> np.ndarray:
+    """``sqrt((ax - bx)^2 + (ay - by)^2)``, broadcast over its arguments.
+
+    The one per-cell distance arithmetic: :func:`cross_distances` and
+    :meth:`~repro.core.problem.FadingRLS.distance_block` pass coordinate
+    views shaped for the cells they want (``a[:, 0], b[:, 0]`` for the
+    diagonal, scalars for a single point), so a cell has the same bits
+    whichever of them computed it.  Arguments must already be finite
+    floats.  A square past ~1e308 overflows to inf with numpy's usual
+    warning, which :func:`cross_distances` silences.
+    """
+    dx = np.asarray(ax - bx)
+    dy = ay - by
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs distances ``D[i, j] = |a_i - b_j|``.
 
@@ -32,15 +51,10 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (N, M, 2) difference tensor (the tests' reference), so the bits
     # match.  The (N, M) broadcasts skip that tensor and its strided
     # reduction, and the output doubles as scratch.
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
     # Squares of differences near 1e160 overflow to inf; like the einsum
     # reference, say nothing about it.
     with np.errstate(over="ignore"):
-        dx *= dx
-        dy *= dy
-        dx += dy
-    return np.sqrt(dx, out=dx)
+        return coordinate_distances(a[:, 0, None], a[:, 1, None], b[None, :, 0], b[None, :, 1])
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -26,7 +26,11 @@ reports structured :class:`~repro.verify.report.Mismatch` records:
 - ``incremental-vs-scratch`` — the incremental engine's O(kN)-updated
   interference matrix against a from-scratch rebuild after a fuzzed
   delta sequence (bit-identical), plus feasibility and quality of its
-  warm-start-repaired schedules.
+  warm-start-repaired schedules;
+- ``lazy-vs-dense`` — RLE, the Corollary 3.1 verdict and the
+  ``distance_block`` / ``factor_block`` accessors on a bare instance
+  (rows, columns and blocks computed on demand) against the same
+  instance with its ``N x N`` matrices cached (slices): bit-identical.
 
 Checks are callables ``(Scenario) -> list[Mismatch]`` registered in
 :data:`DIFFERENTIAL_CHECKS`; the harness composes them with the
@@ -68,6 +72,9 @@ CODE_CACHE_CARRY = "cache-carry-divergence"
 CODE_INCREMENTAL_F = "incremental-f-divergence"
 CODE_INCREMENTAL_INFEASIBLE = "incremental-infeasible-repair"
 CODE_INCREMENTAL_QUALITY = "incremental-quality-divergence"
+CODE_LAZY_SCHEDULE = "lazy-schedule-divergence"
+CODE_LAZY_VERDICT = "lazy-verdict-divergence"
+CODE_LAZY_BLOCK = "lazy-block-divergence"
 
 #: Exact solvers are exponential; differential scenarios restrict to
 #: this many links before enumerating.
@@ -501,4 +508,103 @@ def check_with_params_cache_carry(scenario: Scenario) -> List[Mismatch]:
                 active=[int(i) for i in active],
             )
         )
+    return out
+
+
+@register_differential("lazy-vs-dense")
+def check_lazy_vs_dense(scenario: Scenario) -> List[Mismatch]:
+    """On-demand rows, columns and blocks vs slices of the cached matrices.
+
+    Builds the scenario's instance twice: *lazy* stays bare, so RLE and
+    the feasibility verdict compute only the cells they read; *dense*
+    has :meth:`~FadingRLS.distances` and
+    :meth:`~FadingRLS.interference_matrix` cached first, so the same
+    calls slice the ``N x N`` arrays.  The RLE schedule with its full
+    ``trace=True`` diagnostics, the verdicts on the RLE output and on
+    the witness set, and ``distance_block`` / ``factor_block`` on a
+    random block (repeated and same-link cells included) and on one
+    link's column and row must be bit-identical, and the bare instance
+    must still hold neither matrix afterwards.
+    """
+    from repro.core.rle import rle_schedule
+
+    p = scenario.problem
+
+    def instance() -> FadingRLS:
+        return FadingRLS(
+            links=p.links,
+            alpha=p.alpha,
+            gamma_th=p.gamma_th,
+            eps=p.eps,
+            noise=p.noise,
+            power=p.power,
+            powers=p.powers,
+        )
+
+    lazy, dense = instance(), instance()
+    dense.distances()
+    dense.interference_matrix()
+    out: List[Mismatch] = []
+
+    def mismatch(code: str, message: str, **details) -> None:
+        out.append(_mismatch("lazy-vs-dense", scenario, code, message, **details))
+
+    probes = {"witness": witness_set(dense)}
+    if p.has_uniform_power:
+        a = rle_schedule(lazy, strict_uniform=False, trace=True)
+        b = rle_schedule(dense, strict_uniform=False, trace=True)
+        if not np.array_equal(a.active, b.active) or a.diagnostics != b.diagnostics:
+            mismatch(
+                CODE_LAZY_SCHEDULE,
+                "rle on the bare instance differs from rle on the cached "
+                "matrices (schedule or trace diagnostics)",
+                lazy=[int(i) for i in a.active],
+                dense=[int(i) for i in b.active],
+            )
+        probes["rle"] = b.active
+    for name, active in probes.items():
+        flags = (lazy.is_feasible(active), dense.is_feasible(active))
+        if flags[0] != flags[1]:
+            mismatch(
+                CODE_LAZY_VERDICT,
+                f"is_feasible on the {name} set: lazy {flags[0]}, dense {flags[1]}",
+                probe=name,
+                active=[int(i) for i in active],
+            )
+
+    rng = np.random.default_rng(stable_seed("lazy-vs-dense", root=scenario.seed))
+    n = p.n_links
+    rows = rng.integers(0, n, size=min(n, 6))
+    # Shared links put same-link cells in the block; draws may repeat.
+    cols = np.concatenate([rng.integers(0, n, size=min(n, 6)), rows[:3]])
+    link = int(rows[0])
+    # (selection, the same cells of the dense matrix): a block, and the
+    # column and row RLE reads for a pick.
+    selections = {
+        "block": ((rows, cols), np.ix_(rows, cols)),
+        "column": ((None, link), (slice(None), link)),
+        "row": ((link, None), (link, slice(None))),
+    }
+    accessors = {
+        "distance_block": (lazy.distance_block, dense.distances()),
+        "factor_block": (lazy.factor_block, dense.interference_matrix()),
+    }
+    for name, (accessor, matrix) in accessors.items():
+        for shape, (selection, index) in selections.items():
+            if not np.array_equal(accessor(*selection), matrix[index]):
+                mismatch(
+                    CODE_LAZY_BLOCK,
+                    f"{name} computed on demand differs from the dense slice ({shape})",
+                    accessor=name,
+                    shape=shape,
+                    rows=[int(i) for i in rows],
+                    cols=[int(i) for i in cols],
+                )
+    for key in ("distances", "F"):
+        if key in lazy._cache:
+            mismatch(
+                CODE_LAZY_BLOCK,
+                f"the bare instance built its N x N {key!r} matrix",
+                matrix=key,
+            )
     return out

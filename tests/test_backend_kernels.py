@@ -9,11 +9,15 @@ contract; see ``repro.backend.kernels``).
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import base as backend_base
 from repro.backend import kernels
 from repro.channel.sampling import instantaneous_sinr, sample_fading_trials
 from repro.core.problem import FadingRLS
+from repro.geometry.distance import coordinate_distances, cross_distances
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology
 from repro.sim.montecarlo import simulate_trials
@@ -130,8 +134,9 @@ class TestGatheredInterference:
 
     def test_empty_active(self):
         f = np.ones((5, 5))
-        out = kernels.active_interference(f, np.array([], dtype=np.int64))
-        assert out.shape == (0,)
+        empty = np.array([], dtype=np.int64)
+        assert kernels.gathered_interference(f, empty, empty).shape == (0,)
+        assert kernels.feasible_verdict(f[np.ix_(empty, empty)], np.zeros(0))
 
 
 class TestActiveBackend:
@@ -160,3 +165,135 @@ class TestActiveBackend:
         p.interference_matrix()
         simulate_trials(p, np.arange(4), 16, seed=0)
         assert calls == ["F", "mc"]
+
+
+# -- the one Eq. 17 block kernel -------------------------------------
+
+_coords = st.floats(-500.0, 500.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _block_case(draw):
+    """A link set, optional per-link powers, and a row and column subset.
+
+    Subsets may repeat links, share links (same-link cells) or be empty.
+    """
+    n = draw(st.integers(1, 12))
+    senders = np.array(draw(st.lists(st.tuples(_coords, _coords), min_size=n, max_size=n)))
+    offsets = np.array(
+        draw(
+            st.lists(
+                st.tuples(st.floats(1.0, 50.0), st.floats(0.0, 2 * np.pi)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    receivers = senders + offsets[:, :1] * np.column_stack(
+        [np.cos(offsets[:, 1]), np.sin(offsets[:, 1])]
+    )
+    powers = None
+    if draw(st.booleans()):
+        powers = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    index = st.lists(st.integers(0, n - 1), max_size=2 * n)
+    rows = np.array(draw(index), dtype=np.int64)
+    cols = np.array(draw(index), dtype=np.int64)
+    alpha = draw(st.sampled_from([2.5, 3.0, 4.0]))
+    gamma_th = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return LinkSet(senders=senders, receivers=receivers), powers, rows, cols, alpha, gamma_th
+
+
+# Near-coincident senders and receivers of different links overflow
+# (own / d) ** alpha to inf, in the full build and in a block alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+class TestFactorBlockKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_block_case())
+    def test_block_matches_fmatrix_slice(self, case):
+        links, powers, rows, cols, alpha, gamma_th = case
+        d = links.sender_receiver_distances()
+        full = kernels.fmatrix(d, alpha, gamma_th, powers)
+        block = kernels.factor_block(
+            d[np.ix_(rows, cols)], np.diag(d)[cols], rows[:, None], cols, alpha, gamma_th, powers
+        )
+        assert block.shape == (rows.size, cols.size)
+        np.testing.assert_array_equal(block, full[np.ix_(rows, cols)])
+        # One row and one column, as (N,) vectors.
+        links_ids = np.arange(len(links))
+        i = int(rows[0]) if rows.size else 0
+        row = kernels.factor_block(d[i], np.diag(d), i, links_ids, alpha, gamma_th, powers)
+        col = kernels.factor_block(d[:, i], d[i, i], links_ids, i, alpha, gamma_th, powers)
+        np.testing.assert_array_equal(row, full[i])
+        np.testing.assert_array_equal(col, full[:, i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_block_case())
+    def test_problem_blocks_match_dense_slices(self, case):
+        # Bare instances compute the cells; cached ones slice the matrices.
+        links, powers, rows, cols, alpha, gamma_th = case
+        lazy = FadingRLS(links=links, alpha=alpha, gamma_th=gamma_th, powers=powers)
+        dense = FadingRLS(links=links, alpha=alpha, gamma_th=gamma_th, powers=powers)
+        d, f = dense.distances(), dense.interference_matrix()
+        # (rows, cols, the same cells of a dense matrix)
+        selections = [
+            (rows, cols, np.ix_(rows, cols)),
+            (None, cols, (slice(None), cols)),
+            (rows, None, (rows, slice(None))),
+            (None, None, (slice(None), slice(None))),
+        ]
+        if rows.size:
+            i = int(rows[0])
+            selections += [
+                (None, i, (slice(None), i)),
+                (i, None, (i, slice(None))),
+                (i, cols, (i, cols)),
+                (rows, i, (rows, i)),
+                (i, i, (i, i)),
+            ]
+        for r, c, index in selections:
+            for problem in (lazy, dense):
+                got_d, got_f = problem.distance_block(r, c), problem.factor_block(r, c)
+                assert np.shape(got_d) == np.shape(d[index]) == np.shape(got_f)
+                np.testing.assert_array_equal(got_d, d[index])
+                np.testing.assert_array_equal(got_f, f[index])
+        assert "distances" not in lazy._cache and "F" not in lazy._cache
+
+    def test_same_link_cells_are_zero(self):
+        p = _problem(6)
+        idx = np.array([2, 4, 2])
+        block = p.factor_block(idx, idx)
+        assert block[0, 0] == block[0, 2] == block[2, 0] == block[1, 1] == 0.0
+        assert block[0, 1] > 0.0
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexError):
+            _problem(6).factor_block([-1], [0])
+        with pytest.raises(IndexError):
+            _problem(6).distance_block(None, -1)
+
+    def test_past_the_end_index_rejected(self):
+        with pytest.raises(IndexError):
+            _problem(6).factor_block(None, [6])
+        with pytest.raises(IndexError):
+            _problem(6).distance_block(6, None)
+
+
+class TestCoordinateDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_coords, _coords, _coords, _coords), min_size=0, max_size=30
+        )
+    )
+    def test_cells_match_cross_distances(self, rows):
+        # The diagonal (a link's own length), one column and one row,
+        # each computed on its own, against the full cross matrix.
+        pts = np.array(rows, dtype=float).reshape(-1, 4)
+        a, b = pts[:, :2], pts[:, 2:]
+        full = cross_distances(a, b)
+        ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        np.testing.assert_array_equal(coordinate_distances(ax, ay, bx, by), np.diag(full))
+        for i in range(min(len(pts), 3)):
+            np.testing.assert_array_equal(coordinate_distances(ax, ay, bx[i], by[i]), full[:, i])
+            np.testing.assert_array_equal(coordinate_distances(ax[i], ay[i], bx, by), full[i])

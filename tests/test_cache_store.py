@@ -138,9 +138,27 @@ class TestExactTier:
         monkeypatch.setattr(LinkSet, "sender_receiver_distances", counting)
         cache = ScheduleCache()
         problem = FadingRLS(links=paper_topology(30, seed=5))
-        cache.schedule(problem, "rle")
+        # greedy reads whole columns of F, so it needs the dense matrix.
+        cache.schedule(problem, "greedy")
         assert cache.stats["misses"] == 1
         assert calls == [30]
+
+    def test_rle_cache_miss_builds_no_dense_matrix(self, monkeypatch):
+        calls = []
+        original = LinkSet.sender_receiver_distances
+
+        def counting(self):
+            calls.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(LinkSet, "sender_receiver_distances", counting)
+        cache = ScheduleCache()
+        problem = FadingRLS(links=paper_topology(30, seed=5))
+        result = cache.schedule(problem, "rle")
+        assert cache.stats["misses"] == 1
+        assert calls == []
+        assert "distances" not in problem._cache and "F" not in problem._cache
+        assert np.array_equal(result.active, rle_schedule(FadingRLS(links=problem.links)).active)
 
 
 class TestTransparentMode:

@@ -117,6 +117,24 @@ class TestSchedule:
     def test_negative_n_links_is_a_one_line_error(self):
         assert _one_line_error(["schedule", "--n-links", "-2"]) == "n_links must be >= 0, got -2"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eps", "1.5", "eps must be in (0, 1), got 1.5"),
+            ("--eps", "0", "eps must be in (0, 1), got 0.0"),
+            ("--alpha", "nan", "alpha must be > 0, got nan"),
+            ("--gamma-th", "-1", "gamma_th must be > 0, got -1.0"),
+            ("--noise", "-1", "noise must be >= 0, got -1.0"),
+            ("--trials", "-5", "--trials must be >= 0 (0 = skip), got -5"),
+        ],
+    )
+    def test_bad_flag_value_is_a_one_line_error(self, flag, value, message):
+        assert _one_line_error(["schedule", "--n-links", "10", flag, value]) == message
+
+    def test_alpha_outside_the_schedulers_domain_is_a_one_line_error(self):
+        line = _one_line_error(["schedule", "--n-links", "10", "--alpha", "2"])
+        assert line.startswith("rle: ") and "alpha > 2" in line
+
 
 class TestTraffic:
     @pytest.mark.parametrize("flag", ["--n-links", "--max-queue"])
@@ -124,6 +142,15 @@ class TestTraffic:
         argv = ["traffic", "--n-links", "4", "--slots", "5", "--no-stability", flag, "-1"]
         field = flag.removeprefix("--").replace("-", "_")
         assert _one_line_error(argv) == f"{field} must be >= 0, got -1"
+
+    # Rates are rejected before anything runs; a large accepted rate
+    # would queue one Python int per packet, so none is run here.
+    @pytest.mark.parametrize(
+        "rate, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308")]
+    )
+    def test_bad_rate_is_a_one_line_error_naming_the_flag(self, rate, shown):
+        argv = ["traffic", "--n-links", "4", "--slots", "5", "--no-stability", "--rate", rate]
+        assert _one_line_error(argv) == f"--rate must be in [0, 1e+06], got {shown}"
 
 
 class TestCacheCommands:

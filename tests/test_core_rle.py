@@ -1,13 +1,18 @@
 """Tests for the RLE algorithm (Algorithm 2, Thms 4.3-4.4)."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.base import SchedulerError
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology, random_rates_topology
+from repro.obs import metrics as obs_metrics
 
 
 class TestRleBasics:
@@ -229,3 +234,52 @@ class TestThm44Ratio:
         rle = p.scheduled_rate(rle_schedule(p).active)
         bound = rle_approximation_ratio(p.alpha, p.eps, p.gamma_th, 0.5)
         assert opt / rle <= bound + 1e-9
+
+
+class TestNoDenseArrays:
+    """RLE and its Corollary 3.1 verdict read rows, columns and a K x K
+    block computed on demand, never an N x N matrix."""
+
+    def test_n4096_stays_far_below_one_dense_matrix(self):
+        problem = FadingRLS(links=paper_topology(4096, seed=0))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            schedule = rle_schedule(problem)
+            feasible = problem.is_feasible(schedule.active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert feasible and schedule.size > 0
+        # One dense N x N float64 array would be 128 MiB.
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert "distances" not in problem._cache and "F" not in problem._cache
+        assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+    def test_counts_block_cells_and_no_full_build(self):
+        problem = FadingRLS(links=paper_topology(60, seed=2))
+        obs.enable()
+        obs.reset()
+        try:
+            schedule = rle_schedule(problem)
+            problem.is_feasible(schedule.active)
+            counters = obs_metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        k = schedule.size
+        # One F row per pick, then the K x K verdict block.
+        assert counters["fmatrix.block_cells"] == k * 60 + k * k
+        assert "fmatrix.builds" not in counters
+
+    def test_same_schedule_as_the_dense_matrices(self):
+        for seed in range(5):
+            links = paper_topology(300, seed=seed)
+            lazy, dense = FadingRLS(links=links), FadingRLS(links=links)
+            dense.interference_matrix()
+            a = rle_schedule(lazy, trace=True)
+            b = rle_schedule(dense, trace=True)
+            assert np.array_equal(a.active, b.active)
+            assert a.diagnostics == b.diagnostics
+

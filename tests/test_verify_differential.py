@@ -29,6 +29,7 @@ class TestRegistry:
             "batched-vs-streaming",
             "with-params-cache-carry",
             "incremental-vs-scratch",
+            "lazy-vs-dense",
             "channel-vs-rayleigh",
             "cache-vs-fresh",
             "service-vs-direct",

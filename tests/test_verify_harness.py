@@ -23,7 +23,8 @@ class TestCheckResolution:
         assert "nakagami-unit-closed-form" in names
         assert "cache-vs-fresh" in names  # schedule cache
         assert "service-vs-direct" in names  # serving layer
-        assert len(names) == 20
+        assert "lazy-vs-dense" in names  # on-demand blocks
+        assert len(names) == 21
 
     def test_subset_selection(self):
         selected = resolve_checks(["eps-monotonicity", "cached-vs-certificate"])
