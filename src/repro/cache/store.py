@@ -22,7 +22,10 @@ probe, the hit and miss bookkeeping, and the insert with its evictions
 outside it, so a hit never waits for another request's compute.  Two
 threads that miss on the same key at once both run the scheduler and
 both count a miss; the first insert wins, as in
-:func:`functools.lru_cache`.
+:func:`functools.lru_cache`.  :meth:`ScheduleCache.probe` never waits
+for the lock at all: a caller that must not block (the service's event
+loop) answers a hit with it and leaves a miss, or a busy lock, to
+:meth:`ScheduleCache.schedule` on another thread.
 
 Eviction and persistence
 ------------------------
@@ -204,16 +207,46 @@ class ScheduleCache:
         scheduler_kwargs: Optional[dict] = None,
         *,
         return_tier: bool = False,
+        key: Optional[str] = None,
     ) -> Union[Schedule, Tuple[Schedule, str]]:
         """The schedule for ``problem``, served from cache when possible.
 
         Drop-in replacement for ``scheduler(problem, **kwargs)``; see
         the module docstring for the transparency guarantee.  With
         ``return_tier=True`` the result is ``(schedule, tier)``, ``tier``
-        being ``"exact"`` for a hit or ``"miss"``.
+        being ``"exact"`` for a hit or ``"miss"``.  ``key`` is the
+        request's :func:`~repro.cache.fingerprint.exact_key` when the
+        caller has computed it already (the service broker has, for
+        coalescing); it must be the key of this problem and scheduler.
         """
-        result, tier = self._lookup(problem, scheduler, scheduler_kwargs)
+        fn = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
+        kwargs = dict(scheduler_kwargs or {})
+        sid = scheduler_identity(fn, kwargs)
+        if key is None:
+            key = exact_key(problem, sid)
+        result, tier = self._lookup(key, problem, fn, kwargs, sid)
         return (result, tier) if return_tier else result
+
+    def probe(self, key: str, problem) -> Optional[Schedule]:
+        """The cached schedule for ``key``, counted as an exact hit, or
+        ``None`` without waiting for the lock.
+
+        A miss, or a lock held by another thread (an insert, an
+        eviction scan, an entry file's fsync), counts nothing: the
+        caller then asks :meth:`schedule`, which counts the lookup once.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            with span("cache.lookup", n=problem.n_links):
+                self._count_hit(key, entry)
+        finally:
+            self._lock.release()
+        obs_metrics.inc("cache.exact_hits")
+        return entry.schedule
 
     @property
     def stats(self) -> Dict[str, Any]:
@@ -267,25 +300,19 @@ class ScheduleCache:
     # -- lookup -------------------------------------------------------
 
     def _lookup(
-        self, problem, scheduler: SchedulerLike, scheduler_kwargs: Optional[dict]
+        self, key: str, problem, fn: Callable[..., Schedule], kwargs: dict, sid: str
     ) -> Tuple[Schedule, str]:
-        """``(schedule, tier)`` for one request (see :meth:`schedule`)."""
-        fn = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        kwargs = dict(scheduler_kwargs or {})
-        sid = scheduler_identity(fn, kwargs)
+        """``(schedule, tier)`` for the request keyed ``key``: the
+        cached schedule, or ``fn``'s, inserted for next time."""
         with span("cache.lookup", n=problem.n_links):
-            key = exact_key(problem, sid)
             with self._lock:
-                self._clock += 1
                 entry = self._entries.get(key)
                 if entry is None:
+                    self._clock += 1
                     self._counters["misses"] += 1
                     self.events.append(("miss", key[:12]))
                 else:
-                    entry.hits += 1
-                    entry.last_used = self._clock
-                    self._counters["exact_hits"] += 1
-                    self.events.append(("exact", key[:12]))
+                    self._count_hit(key, entry)
             if entry is not None:
                 obs_metrics.inc("cache.exact_hits")
                 return entry.schedule, "exact"
@@ -294,6 +321,14 @@ class ScheduleCache:
         with self._lock:
             self._insert(key, problem, sid, result)
         return result, "miss"
+
+    def _count_hit(self, key: str, entry: CacheEntry) -> None:
+        """Hit bookkeeping (the caller holds the lock)."""
+        self._clock += 1
+        entry.hits += 1
+        entry.last_used = self._clock
+        self._counters["exact_hits"] += 1
+        self.events.append(("exact", key[:12]))
 
     # -- insertion / eviction (the caller holds the lock) ---------------
 

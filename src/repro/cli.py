@@ -73,11 +73,18 @@ MAX_RATE = 1e6
 
 def _load_links(path: str) -> LinkSet:
     p = Path(path)
-    if p.suffix == ".json":
-        return linkset_from_json(p)
-    if p.suffix == ".csv":
-        return linkset_from_csv(p)
-    raise SystemExit(f"unsupported link file extension {p.suffix!r} (use .csv or .json)")
+    readers = {".json": linkset_from_json, ".csv": linkset_from_csv}
+    if p.suffix not in readers:
+        raise SystemExit(f"unsupported link file extension {p.suffix!r} (use .csv or .json)")
+    try:
+        return readers[p.suffix](p)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {p}: {exc.strerror or exc}")
+    except ValueError as exc:
+        # The readers name the file in their own errors; JSON decoding
+        # and LinkSet validation errors do not.
+        message = str(exc)
+        raise SystemExit(message if str(p) in message else f"{p}: {message}")
 
 
 def _save_links(links: LinkSet, path: str) -> None:

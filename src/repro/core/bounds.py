@@ -24,15 +24,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import (
+    CODE_REQUIREMENT,
+    ValidationError,
+    check_positive,
+    check_probability,
+)
 from repro.utils.zeta import riemann_zeta
 
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 2.0:
-        raise ValueError(
-            f"the paper's constants require alpha > 2 (zeta convergence), got {alpha}"
+        raise ValidationError(
+            f"the paper's constants require alpha > 2 (zeta convergence), got {alpha}",
+            code=CODE_REQUIREMENT,
+            param="alpha",
         )
     return alpha
 

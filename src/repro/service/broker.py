@@ -13,18 +13,21 @@ deterministically:
    an empty bucket raises :class:`RateLimited` (HTTP 429).  The clock
    is injectable, so the refill schedule — and therefore the exact
    accept/reject pattern of a burst — is reproducible in tests.
-2. **Bounded queue** — at most ``queue_limit`` distinct requests may be
-   pending; beyond that :class:`Overloaded` (HTTP 503) is raised
+2. **Bounded queue** — at most ``queue_limit`` distinct computations
+   may be pending; beyond that :class:`Overloaded` (HTTP 503) is raised
    immediately instead of letting latency grow without bound.
 
 Between admission and compute, identical requests **coalesce**: the
 queue is keyed by :func:`repro.cache.fingerprint.exact_key`, so any
 request bit-identical to one already in flight attaches to its future
 instead of occupying a queue slot — a thousand clients asking for the
-same topology cost one scheduler run.  Workers drain the queue in
-batches and compute through a :class:`~repro.cache.ScheduleCache`
-(whose every answer is bit-identical to a direct scheduler call) into
-:mod:`repro.backend`'s kernels.
+same topology cost one scheduler run.  A request that is not in flight
+probes the :class:`~repro.cache.ScheduleCache` with that same key on
+the event loop, and an exact hit is answered there: no queue slot, no
+worker, no thread hop.  Everything else — a miss, or a cache lock held
+by a worker thread — is queued; workers drain the queue in batches and
+compute through the cache (whose every answer is bit-identical to a
+direct scheduler call) into :mod:`repro.backend`'s kernels.
 
 Sessions wrap :class:`~repro.core.incremental.IncrementalScheduler`:
 open with a topology, then stream :class:`~repro.network.delta.LinkDelta`
@@ -216,8 +219,9 @@ class ScheduleBroker:
     scheduler:
         Default scheduler name for requests that do not specify one.
     queue_limit:
-        Maximum *distinct* pending requests; coalesced duplicates do
-        not count.  Beyond it, :meth:`submit` raises :class:`Overloaded`.
+        Maximum *distinct* pending computations; coalesced duplicates
+        and cache hits do not count.  Beyond it, :meth:`submit` raises
+        :class:`Overloaded`.
     batch_max:
         Workers drain up to this many queued requests per batch and
         compute them in one executor hop.
@@ -233,9 +237,10 @@ class ScheduleBroker:
         with ``use_cache=True`` (the default) builds a 512-entry cache;
         with ``use_cache=False`` every request is computed from
         scratch.  Either way every answer is bit-identical to direct
-        scheduling.  The worker threads share the cache; it locks only
-        around its probe and insert, so a hit never waits for another
-        request's scheduler run.
+        scheduling.  The event loop answers exact hits without waiting
+        for the cache's lock (:meth:`ScheduleCache.probe`); the worker
+        threads share the cache for the rest, and it locks only around
+        its probe and insert, so a hit never waits for a scheduler run.
     max_sessions:
         Cap on concurrently open delta sessions.
     inline:
@@ -373,7 +378,11 @@ class ScheduleBroker:
         scheduler failures.  ``tier`` is what the cache did for the
         computation the request was answered by: ``"cache"`` for a hit,
         ``"miss"`` when the scheduler ran (a miss, or no cache); a
-        coalesced request gets its leader's tier.
+        coalesced request gets its leader's tier.  A hit is answered
+        here on the event loop and never queued, so it needs no free
+        worker and is served even with the queue at ``queue_limit``;
+        only a probe that finds the cache lock held by a worker thread
+        sends a hit to the queue.
         """
         if self._closed:
             raise Overloaded("broker is closed")
@@ -398,6 +407,17 @@ class ScheduleBroker:
             self._counters["coalesced"] += 1
             obs_metrics.inc("service.coalesced")
         else:
+            hit = self._cache.probe(key, problem) if self._cache is not None else None
+            if hit is not None:
+                self._counters["scheduled"] += 1
+                obs_metrics.inc("service.scheduled")
+                return {
+                    "schedule": hit,
+                    "trace_id": trace_id,
+                    "tier": "cache",
+                    "coalesced": False,
+                    "wall_seconds": time.perf_counter() - t0,
+                }
             if self._queue.qsize() >= self.queue_limit:
                 self._counters["rejected_503"] += 1
                 obs_metrics.inc("service.rejected_503")
@@ -459,16 +479,17 @@ class ScheduleBroker:
         """
         results: List[Any] = []
         with span("service.batch", size=len(batch)):
-            for _key, request, _future in batch:
+            for key, request, _future in batch:
                 try:
-                    results.append(self._schedule_one(request))
+                    results.append(self._schedule_one(key, request))
                 except Exception as exc:
                     results.append(exc)
         return results
 
-    def _schedule_one(self, request: ScheduleRequest) -> Tuple[Schedule, str]:
+    def _schedule_one(self, key: str, request: ScheduleRequest) -> Tuple[Schedule, str]:
         """The schedule and its tier: ``"cache"`` for a cache hit,
-        ``"miss"`` when the scheduler ran (a cache miss, or no cache)."""
+        ``"miss"`` when the scheduler ran (a cache miss, or no cache).
+        ``key`` is the exact key :meth:`submit` computed."""
         with span(
             "service.request",
             scheduler=request.scheduler,
@@ -477,7 +498,7 @@ class ScheduleBroker:
             if self._cache is None:
                 return get_scheduler(request.scheduler)(request.problem), "miss"
             schedule, tier = self._cache.schedule(
-                request.problem, request.scheduler, return_tier=True
+                request.problem, request.scheduler, return_tier=True, key=key
             )
             return schedule, "miss" if tier == "miss" else "cache"
 
@@ -513,7 +534,12 @@ class ScheduleBroker:
         self._counters["sessions_opened"] += 1
         obs_metrics.inc("service.sessions_opened")
         async with session.lock:
-            schedule = await self._run_session_op(engine.schedule)
+            try:
+                schedule = await self._run_session_op(engine.schedule)
+            except Exception:
+                # A session whose first schedule failed is not open.
+                self._sessions.pop(session_id, None)
+                raise
         return {
             "schedule": schedule,
             "trace_id": self._next_trace_id("ses"),

@@ -57,7 +57,7 @@ def _points(payload: Mapping[str, Any], field: str) -> np.ndarray:
     require(raw is not None, f"topology.{field} is required", code=CODE_BAD_TOPOLOGY)
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"topology.{field} must be a list of [x, y] pairs",
             code=CODE_BAD_TOPOLOGY,
@@ -76,7 +76,7 @@ def _scalar(payload: Mapping[str, Any], field: str, default: float) -> float:
     raw = payload.get(field, default)
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"topology.{field} must be a number, got {raw!r}",
             code=CODE_BAD_TOPOLOGY,
@@ -109,7 +109,7 @@ def parse_topology(payload: Any) -> FadingRLS:
     if rates is not None:
         try:
             rates = np.asarray(rates, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 "topology.rates must be a list of numbers",
                 code=CODE_BAD_TOPOLOGY,
@@ -125,10 +125,17 @@ def parse_topology(payload: Any) -> FadingRLS:
             noise=_scalar(payload, "noise", 0.0),
             power=_scalar(payload, "power", 1.0),
         )
-    except ValidationError:
-        raise
     except ValueError as exc:
-        raise ValidationError(str(exc), code=CODE_BAD_TOPOLOGY) from None
+        raise topology_error(exc) from None
+
+
+def topology_error(exc: ValueError) -> ValidationError:
+    """``exc`` — a check on the request's links or channel parameters,
+    including a scheduler's own domain check — as a ``bad-topology``
+    error naming the same parameter."""
+    return ValidationError(
+        str(exc), code=CODE_BAD_TOPOLOGY, param=getattr(exc, "param", None)
+    )
 
 
 def parse_scheduler(payload: Mapping[str, Any]) -> str:
@@ -188,7 +195,7 @@ def parse_delta(payload: Any) -> LinkDelta:
                 receivers=np.asarray(raw_inserts.get("receivers", []), dtype=float),
                 rates=np.asarray(rates, dtype=float) if rates is not None else None,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"bad delta.inserts: {exc}", code=CODE_BAD_DELTA
             ) from None
@@ -200,7 +207,7 @@ def parse_delta(payload: Any) -> LinkDelta:
             removes=np.asarray(payload.get("removes", []), dtype=np.int64),
             inserts=inserts,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad delta: {exc}", code=CODE_BAD_DELTA) from None
 
 

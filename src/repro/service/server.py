@@ -14,7 +14,9 @@ Routes::
     POST /v1/sessions/{id}/delta  open a session / stream LinkDeltas
 
 Error mapping: :class:`~repro.utils.validation.ValidationError` → 400
-with the validator's stable ``code``; :class:`ServiceError` subclasses
+with the validator's stable ``code`` (a check on a request's topology
+or channel parameters, the scheduler's own domain checks included, is
+``bad-topology``); :class:`ServiceError` subclasses
 → their pinned status (429/503/404/409) and ``code``; anything else →
 500 ``internal-error``.  Every response carries the request's trace id.
 
@@ -297,7 +299,10 @@ class ScheduleServer:
 
     async def _schedule(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
         problem, scheduler, tenant = schemas.parse_schedule_request(self._json(body))
-        result = await self.broker.submit(problem, scheduler=scheduler, tenant=tenant)
+        try:
+            result = await self.broker.submit(problem, scheduler=scheduler, tenant=tenant)
+        except ValidationError as exc:  # e.g. rle's alpha > 2
+            raise schemas.topology_error(exc) from None
         return 200, schemas.schedule_payload(
             result["schedule"],
             problem,
@@ -322,9 +327,12 @@ class ScheduleServer:
         if "topology" in payload:
             problem = schemas.parse_topology(payload["topology"])
             scheduler = schemas.parse_scheduler(payload)
-            result = await self.broker.open_session(
-                session_id, problem, scheduler=scheduler
-            )
+            try:
+                result = await self.broker.open_session(
+                    session_id, problem, scheduler=scheduler
+                )
+            except ValidationError as exc:
+                raise schemas.topology_error(exc) from None
         else:
             delta = schemas.parse_delta(payload["delta"])
             result = await self.broker.apply_delta(session_id, delta)

@@ -13,6 +13,7 @@ parsing the message.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,11 @@ def require(condition: bool, message: str, *, code: str = CODE_REQUIREMENT) -> N
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that a scalar is positive (or non-negative)."""
+    """Validate that a scalar is positive (or non-negative) and finite.
+
+    NaN fails the sign check (``not-positive`` / ``negative``); ``+inf``
+    passes it and is rejected as ``not-finite``.
+    """
     v = float(value)
     if strict and not v > 0:
         raise ValidationError(
@@ -60,6 +65,10 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     if not strict and not v >= 0:
         raise ValidationError(
             f"{name} must be >= 0, got {value!r}", code=CODE_NEGATIVE, param=name
+        )
+    if v == math.inf:
+        raise ValidationError(
+            f"{name} must be finite, got {value!r}", code=CODE_NOT_FINITE, param=name
         )
     return v
 

@@ -43,8 +43,9 @@ property suite asserts equality on
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, Deque, List, Optional, Union
 
 import numpy as np
 
@@ -353,7 +354,9 @@ def simulate_workload(
 
     trace = arrivals.sample(n, n_slots, seed=stable_seed("workload.arrivals", root=seed))
 
-    queues: List[List[int]] = [[] for _ in range(n)]
+    # Per-link FIFO of [arrival slot, packets] runs: memory grows with
+    # the slots a queue spans, not with the packets in it.
+    queues: List[Deque[List[int]]] = [deque() for _ in range(n)]
     backlog = np.zeros(n, dtype=np.int64)
     per_link_arrived = np.zeros(n, dtype=np.int64)
     per_link_served = np.zeros(n, dtype=np.int64)
@@ -376,7 +379,7 @@ def simulate_workload(
             else:
                 admitted = new
             for i in np.flatnonzero(admitted):
-                queues[i].extend([t] * int(admitted[i]))
+                queues[i].append([t, int(admitted[i])])
             backlog += admitted
 
             # 2. Service policy picks a feasible backlogged set.
@@ -395,8 +398,11 @@ def simulate_workload(
                 # every policy returns sorted ids, so they align 1:1.
                 for link, ok in zip(np.sort(chosen), success):
                     if ok:
-                        born = queues[link].pop(0)
-                        delays.append(t - born + 1)
+                        head = queues[link][0]
+                        delays.append(t - head[0] + 1)
+                        head[1] -= 1
+                        if not head[1]:
+                            queues[link].popleft()
                         backlog[link] -= 1
                         per_link_served[link] += 1
                         served_per_slot[t] += 1

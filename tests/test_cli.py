@@ -126,6 +126,9 @@ class TestSchedule:
             ("--gamma-th", "-1", "gamma_th must be > 0, got -1.0"),
             ("--noise", "-1", "noise must be >= 0, got -1.0"),
             ("--trials", "-5", "--trials must be >= 0 (0 = skip), got -5"),
+            ("--alpha", "inf", "alpha must be finite, got inf"),
+            ("--gamma-th", "inf", "gamma_th must be finite, got inf"),
+            ("--noise", "inf", "noise must be finite, got inf"),
         ],
     )
     def test_bad_flag_value_is_a_one_line_error(self, flag, value, message):
@@ -134,6 +137,29 @@ class TestSchedule:
     def test_alpha_outside_the_schedulers_domain_is_a_one_line_error(self):
         line = _one_line_error(["schedule", "--n-links", "10", "--alpha", "2"])
         assert line.startswith("rle: ") and "alpha > 2" in line
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            pytest.param(name, content, message, id=name)
+            for name, content, message in [
+                ("missing.csv", None, "cannot read {path}: No such file or directory"),
+                ("missing.json", None, "cannot read {path}: No such file or directory"),
+                ("dir.csv", "dir", "cannot read {path}: Is a directory"),
+                ("bad.csv", "a,b\n1,2\n", "{path}: bad header ['a', 'b']"),
+                ("nolinks.json", '{"x": 1}', "{path}: expected an object with a 'links' key"),
+                ("broken.json", "{not json", "{path}: Expecting property name"),
+            ]
+        ],
+    )
+    def test_unreadable_input_is_a_one_line_error(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        line = _one_line_error(["schedule", "--input", str(path)])
+        assert line.startswith(message.format(path=path))
 
 
 class TestTraffic:

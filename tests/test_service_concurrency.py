@@ -19,10 +19,13 @@ import asyncio
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.store import ScheduleCache
@@ -176,3 +179,186 @@ class TestBrokerConcurrency:
         # inserts exactly once.
         assert stats["misses"] - stats["evictions"] == len(cache)
         assert stats["exact_hits"] > 0 and stats["evictions"] > 0
+
+
+def _blocking_scheduler(monkeypatch):
+    """Register ``test-blocking``: rle that waits for ``release`` after
+    setting ``started``.  Returns ``(started, release)``."""
+    started, release = threading.Event(), threading.Event()
+
+    def blocking(problem, **kwargs):
+        started.set()
+        release.wait(TIMEOUT)
+        return rle_schedule(problem, **kwargs)
+
+    # Registered for this test only; monkeypatch removes the entry.
+    monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
+    return started, release
+
+
+async def _until(event: threading.Event) -> None:
+    async def poll():
+        while not event.is_set():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), TIMEOUT)
+
+
+def _balanced(stats) -> bool:
+    """Both accounting identities of the broker and its cache."""
+    cache = stats["cache"]
+    refused = stats["rejected_429"] + stats["rejected_503"]
+    served = stats["scheduled"] + stats["errors"]
+    return (
+        stats["requests"] == served + stats["coalesced"] + refused
+        and cache["exact_hits"] + cache["misses"] == served
+    )
+
+
+class TestHitsOnTheEventLoop:
+    """An exact hit is answered by ``submit`` itself: no queue slot, no
+    worker, no executor thread."""
+
+    def test_hit_needs_no_free_worker(self, monkeypatch):
+        started, release = _blocking_scheduler(monkeypatch)
+        small, large = _problem(12, 1), _problem(40, 2)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1)
+            await broker.start()
+            try:
+                await broker.submit(small)  # now cached
+                blocked = asyncio.ensure_future(broker.submit(large, scheduler="test-blocking"))
+                await _until(started)  # the only worker is busy
+                hit = await asyncio.wait_for(broker.submit(small), timeout=5.0)
+                still_running = not blocked.done()
+                release.set()
+                await asyncio.wait_for(blocked, TIMEOUT)
+                return hit, still_running, broker.stats
+            finally:
+                release.set()
+                await broker.close()
+
+        hit, still_running, stats = asyncio.run(drive())
+        assert hit["tier"] == "cache" and not hit["coalesced"]
+        assert np.array_equal(hit["schedule"].active, rle_schedule(small).active)
+        assert still_running
+        assert _balanced(stats)
+
+    def test_hit_is_answered_with_the_queue_full(self, monkeypatch):
+        started, release = _blocking_scheduler(monkeypatch)
+        small, large, other = _problem(12, 1), _problem(40, 2), _problem(20, 3)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1, queue_limit=1)
+            await broker.start()
+            try:
+                await broker.submit(small)  # now cached
+                blocked = asyncio.ensure_future(broker.submit(large, scheduler="test-blocking"))
+                await _until(started)
+                queued = asyncio.ensure_future(broker.submit(other))
+                await asyncio.sleep(0)
+                depth = broker.stats["queue_depth"]
+                hit = await asyncio.wait_for(broker.submit(small), timeout=5.0)
+                release.set()
+                await asyncio.wait_for(asyncio.gather(blocked, queued), TIMEOUT)
+                return depth, hit, broker.stats
+            finally:
+                release.set()
+                await broker.close()
+
+        depth, hit, stats = asyncio.run(drive())
+        assert depth == 1  # the queue is at queue_limit
+        assert hit["tier"] == "cache"
+        assert stats["rejected_503"] == 0
+        assert _balanced(stats)
+
+    def test_held_cache_lock_does_not_block_the_loop(self):
+        problem = _problem(12, 1)
+        cache = ScheduleCache(capacity=8)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with cache._lock:
+                held.set()
+                # A loop that waited for the lock would stall this long.
+                release.wait(10.0)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1, cache=cache)
+            await broker.start()
+            holder = threading.Thread(target=hold_lock)
+            try:
+                first = await broker.submit(problem)  # a miss, now cached
+                batches = broker.stats["batches"]
+                holder.start()
+                await _until(held)
+                pending = asyncio.ensure_future(broker.submit(problem))
+                t0 = time.monotonic()
+                for _ in range(20):  # the loop keeps running other coroutines
+                    await asyncio.sleep(0.005)
+                ticks_s = time.monotonic() - t0
+                waited = not pending.done()
+                release.set()
+                second = await asyncio.wait_for(pending, TIMEOUT)
+                after_release = broker.stats
+                # With the lock free again, a hit takes no batch.
+                third = await broker.submit(problem)
+                return first, second, third, ticks_s, waited, batches, after_release, broker.stats
+            finally:
+                release.set()
+                if holder.is_alive():
+                    holder.join(TIMEOUT)
+                await broker.close()
+
+        first, second, third, ticks_s, waited, batches, after_release, stats = asyncio.run(drive())
+        assert ticks_s < 5.0 and waited
+        assert second["tier"] == third["tier"] == "cache"
+        for result in (second, third):
+            assert np.array_equal(result["schedule"].active, first["schedule"].active)
+        # The request that met the held lock went to a worker, once.
+        assert after_release["batches"] == batches + 1
+        assert after_release["cache"]["exact_hits"] == 1
+        assert after_release["scheduled"] == 2
+        assert stats["batches"] == batches + 1
+        assert stats["cache"]["exact_hits"] == 2
+        assert _balanced(stats)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_workers=st.sampled_from([1, 2]),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=24),
+        wave=st.integers(1, 6),
+        seed=st.integers(0, 200),
+    )
+    def test_mixed_stream_balances_and_stays_bit_identical(self, n_workers, picks, wave, seed):
+        problems = [_problem(4 + i, seed * 5 + i) for i in range(5)]
+        directs = [rle_schedule(p) for p in problems]
+        waves = [picks[i : i + wave] for i in range(0, len(picks), wave)]
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=n_workers)
+            await broker.start()
+            try:
+                results, batches = [], []
+                for indices in waves:
+                    before = broker.stats["batches"]
+                    submits = (broker.submit(problems[i]) for i in indices)
+                    results += await asyncio.wait_for(asyncio.gather(*submits), TIMEOUT)
+                    batches.append(broker.stats["batches"] - before)
+                return results, batches, broker.stats
+            finally:
+                await broker.close()
+
+        results, batches, stats = asyncio.run(drive())
+        for i, result in zip(picks, results):
+            assert np.array_equal(result["schedule"].active, directs[i].active)
+        assert _balanced(stats)
+        assert stats["cache"]["misses"] == len(set(picks))
+        # Between waves no thread holds the cache lock, so a wave of
+        # topologies that are all cached is answered without a batch.
+        seen = set()
+        for indices, n_batches in zip(waves, batches):
+            if seen.issuperset(indices):
+                assert n_batches == 0
+            seen.update(indices)

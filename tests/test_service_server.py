@@ -24,7 +24,7 @@ from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
 from repro.service import server as server_module
-from repro.service.broker import ScheduleBroker
+from repro.service.broker import WIRE_ERROR_CODES, ScheduleBroker
 from repro.service.loadgen import build_topology_payload
 from repro.service.server import ScheduleServer, _parse_head
 
@@ -145,6 +145,64 @@ class TestScheduleEndpoint:
             assert status == 400
             assert code == expected
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param(field, value, id=f"{field}-{label}")
+            for field in ("alpha", "gamma_th", "eps", "noise", "power")
+            for label, value in [
+                ("-1", -1.0),
+                ("0", 0.0),
+                ("nan", float("nan")),
+                ("inf", float("inf")),
+                ("str", "x"),
+                ("int-1e400", 10**400),  # no float holds it
+            ]
+            if (field, value) != ("noise", 0.0)  # noise 0 is the default
+        ]
+        + [pytest.param("alpha", 2.0, id="alpha-2-rle")],  # rle's domain: alpha > 2
+    )
+    def test_bad_channel_parameter_is_a_documented_400(self, field, value):
+        topology = build_topology_payload(_problem(6))
+        topology[field] = value  # inf and NaN go out as Infinity and NaN
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/schedule", {"topology": topology}
+            )
+            rw[1].close()
+            return status, resp["error"], broker.stats
+
+        status, error, stats = _serve(body)
+        assert status == 400
+        assert error["code"] == "bad-topology" and error["code"] in WIRE_ERROR_CODES
+        assert error["param"] == field
+        if value == float("inf") and field != "eps":  # eps: "must be in (0, 1)"
+            assert "must be finite" in error["message"]
+        accounted = (
+            stats["scheduled"] + stats["coalesced"] + stats["rejected_429"]
+            + stats["rejected_503"] + stats["errors"]
+        )
+        assert accounted == stats["requests"]
+
+    @pytest.mark.parametrize("field", ["senders", "rates"])
+    def test_integer_too_large_for_a_float_is_a_400(self, field):
+        topology = build_topology_payload(_problem(6))
+        if field == "senders":
+            topology["senders"][0] = [10**400, 0.0]
+        else:
+            topology["rates"][0] = 10**400
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/schedule", {"topology": topology}
+            )
+            rw[1].close()
+            return status, resp["error"]
+
+        status, error = _serve(body)
+        assert (status, error["code"], error["param"]) == (400, "bad-topology", field)
+
     def test_bad_json_is_400(self):
         async def body(host, port, broker, server):
             reader, writer = await asyncio.open_connection(host, port)
@@ -249,6 +307,37 @@ class TestSessionsEndpoint:
         assert out["exists"] == (409, "session-exists")
         assert out["both"] == (400, "bad-session-request")
         assert out["bad_delta"] == (400, "bad-delta")
+
+
+    def test_session_open_outside_the_schedulers_domain_is_400(self):
+        topology = build_topology_payload(_problem(5, 2))
+
+        async def body(host, port, broker, server):
+            bad = dict(topology, alpha=2.0)
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta", {"topology": bad}
+            )
+            # The failed open left no session behind: the id is free.
+            retry, _, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta", {"topology": topology},
+                reader_writer=rw,
+            )
+            rw[1].close()
+            return status, resp["error"], retry
+
+        status, error, retry = _serve(body)
+        assert (status, error["code"], error["param"]) == (400, "bad-topology", "alpha")
+        assert retry == 200
+
+    def test_delta_integer_too_large_is_bad_delta(self):
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta", {"delta": {"moves": [10**400]}}
+            )
+            rw[1].close()
+            return status, resp["error"]["code"]
+
+        assert _serve(body) == (400, "bad-delta")
 
 
 class TestIntrospectionEndpoints:

@@ -111,6 +111,13 @@ class TestStructuredErrorPaths:
         assert exc.value.code == CODE_NEGATIVE
         assert exc.value.param == "noise"
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_positive_infinity_is_not_finite(self, strict):
+        with pytest.raises(ValidationError) as exc:
+            check_positive(float("inf"), "alpha", strict=strict)
+        assert exc.value.code == CODE_NOT_FINITE
+        assert exc.value.param == "alpha"
+
     def test_nan_hits_positive_code(self):
         with pytest.raises(ValidationError) as exc:
             check_positive(float("nan"), "gamma_th")

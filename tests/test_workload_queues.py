@@ -1,5 +1,7 @@
 """Deterministic unit tests for the slotted queue simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,19 @@ class TestSimulateWorkload:
                 seed=0,
                 policy="incremental",
             )
+
+    def test_queue_memory_does_not_grow_with_the_rate(self, problem):
+        # Every queue stays backlogged at both rates; each holds one run
+        # per arrival slot, however many packets arrived in it.
+        def peak(rate):
+            tracemalloc.start()
+            try:
+                simulate_workload(problem, PoissonArrivals(rate), "rle", n_slots=20, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000.0) < 2 * peak(100.0)
 
     def test_trajectory_bytes_roundtrip(self, problem):
         result = simulate_workload(
