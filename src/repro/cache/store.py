@@ -58,6 +58,7 @@ from repro.io.results import read_json_object, write_json_atomic
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.utils.validation import check_count
 
 __all__ = ["CacheEntry", "ScheduleCache", "cache_dir_stats"]
 
@@ -179,9 +180,7 @@ class ScheduleCache:
         *,
         directory: Optional[Union[str, Path]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = int(check_count(capacity, "capacity", minimum=1))
         self._policy = RepetitionAwarePolicy()
         self.policy = self._policy.name
         self.directory = Path(directory) if directory is not None else None

@@ -62,6 +62,12 @@ from repro.io.linksets import (
 from repro.io.results import schedule_to_dict, sweep_to_dict, write_json
 from repro.network.links import LinkSet
 from repro.network.topology import TOPOLOGIES, make_topology
+from repro.utils.validation import (
+    ValidationError,
+    check_count,
+    check_interval,
+    check_positive,
+)
 
 PANELS = ("fig5a", "fig5b", "fig6a", "fig6b")
 
@@ -99,10 +105,7 @@ def _save_links(links: LinkSet, path: str) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """``repro generate``: write a random workload file."""
-    try:
-        links = make_topology(args.topology, args.n_links, args.seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    links = make_topology(args.topology, args.n_links, args.seed)
     _save_links(links, args.output)
     print(f"wrote {len(links)} links ({args.topology}) to {args.output}")
     return 0
@@ -110,15 +113,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _n_jobs(args: argparse.Namespace) -> int | None:
     """``--jobs`` validated (None = keep config default)."""
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0 (0 = all CPUs), got {jobs}")
-    return jobs
+    return None if args.jobs is None else check_count(args.jobs, "--jobs", note="0 = all CPUs")
 
 
-def _channel(args: argparse.Namespace) -> str | None:
-    """``--channel`` validated/canonicalised (None = keep config default)."""
-    spec = getattr(args, "channel", None)
+def _channel(spec: str | None) -> str | None:
+    """A ``--channel`` spec canonicalised (None = keep config default); a
+    spec the law rejects exits with its message under a ``--channel:``
+    prefix."""
     if spec is None:
         return None
     from repro.channel.laws import get_channel_law
@@ -129,64 +130,61 @@ def _channel(args: argparse.Namespace) -> str | None:
         raise SystemExit(f"--channel: {exc}")
 
 
+def _unusable_directory(directory: str, kind: str, exc: OSError) -> SystemExit:
+    """The one-line exit for a directory flag the OS refused, e.g. a
+    regular file in the way (mkdir's ``FileExistsError``)."""
+    reason = "not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+    return SystemExit(f"cannot use {directory} as a {kind} directory: {reason or exc}")
+
+
 def _open_cache(capacity: int, directory: str | None):
-    """A ``ScheduleCache``, or a one-line exit for a bad capacity or directory."""
+    """A ``ScheduleCache``, or a one-line exit for an unusable directory."""
     from repro.cache.store import ScheduleCache
 
     try:
         return ScheduleCache(capacity=capacity, directory=directory)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    except OSError as exc:  # e.g. a regular file in the way: mkdir's FileExistsError
-        reason = "not a directory" if isinstance(exc, FileExistsError) else exc.strerror
-        raise SystemExit(f"cannot use {directory} as a cache directory: {reason or exc}")
-
-
-def _power_policy(args: argparse.Namespace) -> str | None:
-    """``--power-policy`` (choices are argparse-enforced)."""
-    return getattr(args, "power_policy", None)
+    except OSError as exc:
+        raise _unusable_directory(directory, "cache", exc)
 
 
 def _resilience(args: argparse.Namespace) -> dict:
     """Validated resilience knobs (``--unit-timeout``/``--max-retries``/
     ``--resume``) as ``with_resilience`` keyword arguments."""
-    timeout = getattr(args, "unit_timeout", None)
-    retries = getattr(args, "max_retries", None)
-    resume = getattr(args, "resume", None)
-    if timeout is not None and timeout <= 0:
-        raise SystemExit(f"--unit-timeout must be positive seconds, got {timeout}")
-    if retries is not None and retries < 0:
-        raise SystemExit(f"--max-retries must be >= 0, got {retries}")
-    return {"unit_timeout": timeout, "max_retries": retries, "resume_dir": resume}
+    timeout, retries = args.unit_timeout, args.max_retries
+    if timeout is not None:
+        check_positive(timeout, "--unit-timeout")
+    if retries is not None:
+        check_count(retries, "--max-retries")
+    if args.resume is not None:
+        from repro.experiments.store import UnitCheckpoint
+
+        try:
+            UnitCheckpoint(args.resume)  # creates the directory, as the sweep would
+        except OSError as exc:
+            raise _unusable_directory(args.resume, "checkpoint", exc)
+    return {"unit_timeout": timeout, "max_retries": retries, "resume_dir": args.resume}
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     """``repro schedule``: run a scheduler, verify, optionally simulate."""
-    if args.trials < 0:
-        raise SystemExit(f"--trials must be >= 0 (0 = skip), got {args.trials}")
+    check_count(args.trials, "--trials", note="0 = skip")
     if args.input:
         links = _load_links(args.input)
     else:
-        try:
-            links = make_topology(args.topology, args.n_links, args.seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    try:
-        problem = FadingRLS(
-            links=links,
-            alpha=args.alpha,
-            gamma_th=args.gamma_th,
-            eps=args.eps,
-            noise=args.noise,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        links = make_topology(args.topology, args.n_links, args.seed)
+    problem = FadingRLS(
+        links=links,
+        alpha=args.alpha,
+        gamma_th=args.gamma_th,
+        eps=args.eps,
+        noise=args.noise,
+    )
     from repro.core.powercontrol import run_scheduler_with_power
 
     scheduler = get_scheduler(args.algorithm)
     kwargs = {"seed": args.seed} if args.algorithm in ("dls", "random", "protocol_mis") else {}
-    channel = _channel(args)
-    policy = _power_policy(args) or "uniform"
+    channel = _channel(args.channel)
+    policy = args.power_policy or "uniform"
     with span("scheduler.run", algorithm=args.algorithm):
         try:
             schedule, powered = run_scheduler_with_power(
@@ -241,7 +239,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
     cfg = cfg.with_execution(n_jobs=_n_jobs(args))
     cfg = cfg.with_resilience(**_resilience(args))
-    cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
+    cfg = cfg.with_channel(channel=_channel(args.channel), power_policy=args.power_policy)
     drivers = {
         "fig5a": (failed_vs_links, "mean_failed", "Fig. 5(a): failed transmissions vs #links"),
         "fig5b": (failed_vs_alpha, "mean_failed", "Fig. 5(b): failed transmissions vs alpha"),
@@ -297,30 +295,24 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         except (OSError, ValueError, TypeError) as exc:
             raise SystemExit(f"bad scenario config {args.config!r}: {exc}")
     else:
-        if not 0.0 <= args.rate <= MAX_RATE:  # also catches NaN
-            raise SystemExit(f"--rate must be in [0, {MAX_RATE:g}], got {args.rate!r}")
+        check_interval(args.rate, "--rate", 0.0, MAX_RATE)
         base = arrivals_from_spec({"family": args.arrival})
-        if base.mean_rate() <= 0:
-            raise SystemExit(f"arrival family {args.arrival!r} has zero base rate")
-        try:
-            scenario = WorkloadScenario(
-                name=f"{args.topology}-{args.n_links}-{args.arrival}",
-                topology=args.topology,
-                n_links=args.n_links,
-                topology_seed=args.seed,
-                alpha=args.alpha,
-                eps=args.eps,
-                noise=args.noise,
-                arrivals=base.scaled(args.rate / base.mean_rate()),
-                scheduler=args.algorithm,
-                policy=args.policy,
-                n_slots=args.slots,
-                seed=args.seed,
-                max_queue=args.max_queue,
-                stability=None if args.no_stability else {},
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        scenario = WorkloadScenario(
+            name=f"{args.topology}-{args.n_links}-{args.arrival}",
+            topology=args.topology,
+            n_links=args.n_links,
+            topology_seed=args.seed,
+            alpha=args.alpha,
+            eps=args.eps,
+            noise=args.noise,
+            arrivals=base.scaled(args.rate / base.mean_rate()),
+            scheduler=args.algorithm,
+            policy=args.policy,
+            n_slots=args.slots,
+            seed=args.seed,
+            max_queue=args.max_queue,
+            stability=None if args.no_stability else {},
+        )
     cache = None
     if args.cache:
         if scenario.policy != "backlogged":
@@ -393,16 +385,11 @@ def cmd_mobility(args: argparse.Namespace) -> int:
     """``repro mobility``: schedule quality/stability under movement."""
     from repro.experiments.mobility_study import mobility_sweep
 
-    if args.n_links < 0:
-        raise SystemExit(f"--n-links must be >= 0, got {args.n_links}")
-    if args.steps < 1:
-        raise SystemExit(f"--steps must be >= 1, got {args.steps}")
-    if args.reps < 1:
-        raise SystemExit(f"--reps must be >= 1, got {args.reps}")
-    if args.move_threshold < 0:
-        raise SystemExit(f"--move-threshold must be >= 0, got {args.move_threshold}")
-    if not 0.0 < args.quality_bound <= 1.0:
-        raise SystemExit(f"--quality-bound must be in (0, 1], got {args.quality_bound}")
+    check_count(args.n_links, "--n-links")
+    check_count(args.steps, "--steps", minimum=1)
+    check_count(args.reps, "--reps", minimum=1)
+    check_positive(args.move_threshold, "--move-threshold", strict=False)
+    check_interval(args.quality_bound, "--quality-bound", 0.0, 1.0, lo_open=True)
     schedulers = {name: name for name in (args.algorithm or ["ldp", "rle"])}
     points = mobility_sweep(
         schedulers,
@@ -459,7 +446,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
     cfg = cfg.with_execution(n_jobs=_n_jobs(args))
     cfg = cfg.with_resilience(**_resilience(args))
-    cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
+    cfg = cfg.with_channel(channel=_channel(args.channel), power_policy=args.power_policy)
     text = generate_report(cfg)
     if args.output:
         Path(args.output).write_text(text)
@@ -482,13 +469,8 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig().small().with_execution(n_jobs=_n_jobs(args))
     channels = tuple(args.channel) if args.channel else DEFAULT_CHANNELS
     policies = tuple(args.policy) if args.policy else POWER_POLICIES
-    from repro.channel.laws import get_channel_law
-
-    try:
-        for spec in channels:
-            get_channel_law(spec)
-    except ValueError as exc:
-        raise SystemExit(f"--channel: {exc}")
+    for spec in channels:
+        _channel(spec)
     try:
         cells = power_sweep(
             cfg,
@@ -499,7 +481,7 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
             n_repetitions=args.reps,
             n_trials=args.trials,
         )
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:  # an unknown --algorithm name
         raise SystemExit(str(exc))
     print(format_power_sweep(cells))
     if args.output:
@@ -1226,9 +1208,19 @@ def _run_observed(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A bad flag value ends in one stderr line and exit status 1: every
+    input check raises :class:`~repro.utils.validation.ValidationError`,
+    re-raised here as ``SystemExit`` with the same message.  argparse's
+    own errors (a non-number, an unknown choice) exit 2 with its usage
+    text.
+    """
     args = build_parser().parse_args(argv)
-    return _run_observed(args)
+    try:
+        return _run_observed(args)
+    except ValidationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

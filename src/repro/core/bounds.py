@@ -22,9 +22,12 @@ matching the paper's standing assumption.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.validation import (
+    CODE_NOT_FINITE,
     CODE_REQUIREMENT,
     ValidationError,
     check_positive,
@@ -41,7 +44,7 @@ def _check_alpha(alpha: float) -> float:
             code=CODE_REQUIREMENT,
             param="alpha",
         )
-    return alpha
+    return check_positive(alpha, "alpha")  # rejects inf
 
 
 def ldp_beta(alpha: float, gamma_th: float, gamma_eps: float) -> float:
@@ -73,7 +76,16 @@ def ldp_square_capacity(alpha: float, gamma_th: float, gamma_eps: float) -> int:
     """
     _check_alpha(alpha)
     beta = ldp_beta(alpha, gamma_th, gamma_eps)
-    denom = float(np.log1p(1.0 / (2.0**alpha * beta**alpha * gamma_th)))
+    try:
+        denom = float(np.log1p(1.0 / (2.0**alpha * beta**alpha * gamma_th)))
+    except OverflowError:  # 2^alpha past the float range
+        denom = 0.0
+    if not denom > 0.0:
+        raise ValidationError(
+            f"the LDP square capacity (Eq. 49) overflows at alpha={alpha}, "
+            f"gamma_th={gamma_th}",
+            code=CODE_NOT_FINITE,
+        )
     return int(np.ceil(gamma_eps / denom))
 
 
@@ -105,7 +117,10 @@ def rle_approximation_ratio(alpha: float, eps: float, gamma_th: float, c2: float
     check_probability(eps, "eps")
     check_positive(gamma_th, "gamma_th")
     check_probability(c2, "c2")
-    return float(3.0**alpha * 5.0 * eps / (c2 * (1.0 - eps) * gamma_th) + 1.0)
+    try:
+        return float(3.0**alpha * 5.0 * eps / (c2 * (1.0 - eps) * gamma_th) + 1.0)
+    except OverflowError:  # 3^alpha past the float range: no finite bound
+        return math.inf
 
 
 def ldp_ring_interference_bound(
@@ -136,7 +151,8 @@ def ldp_ring_interference_bound(
         dist = 2.0 * q * beta - 1.0
     if np.any(dist <= 0):
         raise ValueError("beta too small: nonpositive separation in ring sum")
-    return float(np.sum(8.0 * q * gamma_th / dist**alpha))
+    with np.errstate(over="ignore"):  # far rings' terms underflow to 0
+        return float(np.sum(8.0 * q * gamma_th / dist**alpha))
 
 
 def ldp_rigorous_beta(

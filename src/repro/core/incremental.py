@@ -48,7 +48,12 @@ from repro.network.delta import LinkDelta
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import (
+    ValidationError,
+    check_interval,
+    check_positive,
+    check_probability,
+)
 
 SchedulerLike = Union[str, Callable[..., Schedule]]
 
@@ -109,10 +114,8 @@ class IncrementalScheduler:
         check_probability(eps, "eps")
         check_positive(noise, "noise", strict=False)
         check_positive(power, "power")
-        if not 0.0 < quality_bound <= 1.0:
-            raise ValueError(f"quality_bound must be in (0, 1], got {quality_bound}")
-        if admit_margin < 0.0:
-            raise ValueError(f"admit_margin must be >= 0, got {admit_margin}")
+        check_interval(quality_bound, "quality_bound", 0.0, 1.0, lo_open=True)
+        check_positive(admit_margin, "admit_margin", strict=False)
         self.alpha = float(alpha)
         self.gamma_th = float(gamma_th)
         self.eps = float(eps)
@@ -198,7 +201,24 @@ class IncrementalScheduler:
     # -- delta application (O(kN)) ------------------------------------
 
     def apply(self, delta: LinkDelta) -> None:
-        """Apply one :class:`LinkDelta`; O(kN) for k touched links."""
+        """Apply one :class:`LinkDelta`; O(kN) for k touched links.
+
+        A delta that does not fit the engine raises before anything
+        changes: an index past the tracked links (``IndexError``), or a
+        moved link without a positive, finite length.
+        """
+        for name, idx in (("moves", delta.moves), ("removes", delta.removes)):
+            if idx.size and idx.max() >= self.n_links:
+                raise IndexError(
+                    f"{name} reference link {int(idx.max())} "
+                    f"but the engine tracks only {self.n_links}"
+                )
+        disp = delta.new_receivers - delta.new_senders
+        length2 = np.einsum("ij,ij->i", disp, disp)
+        if not np.all((length2 > 0.0) & np.isfinite(length2)):
+            raise ValidationError(
+                "every moved link must keep a positive, finite length", param="moves"
+            )
         with span(
             "incremental.apply",
             n=self.n_links,
@@ -258,20 +278,12 @@ class IncrementalScheduler:
     def _apply_moves(
         self, moves: np.ndarray, new_senders: np.ndarray, new_receivers: np.ndarray
     ) -> None:
-        if moves.size and moves.max() >= self.n_links:
-            raise IndexError(
-                f"moves reference link {int(moves.max())} "
-                f"but the engine tracks only {self.n_links}"
-            )
         moved_active = moves[self._active[moves]]
         # Retract the moving active rows before their factors change...
         if moved_active.size:
             self._ledger -= self._f[moved_active, :].sum(axis=0)
             self.stats["ledger_updates"] += int(moved_active.size)
             obs_metrics.inc("incremental.ledger_updates", int(moved_active.size))
-        disp = new_receivers - new_senders
-        if np.any(np.einsum("ij,ij->i", disp, disp) <= 0.0):
-            raise ValueError("every moved link must keep positive length")
         self._senders[moves] = new_senders
         self._receivers[moves] = new_receivers
         self._update_rows_cols(moves)
@@ -286,11 +298,6 @@ class IncrementalScheduler:
         self._dirty[moves] = True
 
     def _apply_removes(self, removes: np.ndarray) -> None:
-        if removes.size and removes.max() >= self.n_links:
-            raise IndexError(
-                f"removes reference link {int(removes.max())} "
-                f"but the engine tracks only {self.n_links}"
-            )
         removed_active = removes[self._active[removes]]
         if removed_active.size:
             self._ledger -= self._f[removed_active, :].sum(axis=0)
@@ -393,7 +400,7 @@ class IncrementalScheduler:
         """
         budgets = self._budgets()
         evicted: list[int] = []
-        while True:
+        while self._active.any():
             # Strict threshold (no + tol): the ledger may drift a few
             # ulp from a fresh reduction, so eviction errs toward
             # removing boundary links — re-admission can bring them

@@ -48,6 +48,7 @@ from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.utils.validation import ValidationError
 
 
 def distance_proportional_powers(
@@ -241,9 +242,10 @@ POWER_POLICIES: Tuple[str, ...] = (
 
 def _check_policy(policy: str) -> str:
     if policy not in POWER_POLICIES:
-        raise ValueError(
+        raise ValidationError(
             f"unknown power policy {policy!r}; registered policies: "
-            f"{', '.join(POWER_POLICIES)}"
+            f"{', '.join(POWER_POLICIES)}",
+            param="power_policy",
         )
     return policy
 

@@ -96,7 +96,8 @@ def mobility_sweep(
                     alpha=alpha,
                     quality_bound=quality_bound,
                 )
-                churn = schedule_churn([s.schedule for s in steps])
+                # One step has no transition, so no churn.
+                churn = schedule_churn([s.schedule for s in steps]) or [0.0]
                 fallbacks = sum(
                     1
                     for s in steps

@@ -31,6 +31,7 @@ from repro.core.powercontrol import POWER_POLICIES
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.rng import stable_seed
+from repro.utils.validation import ValidationError, check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
@@ -105,11 +106,13 @@ def power_sweep(
 
     cfg = config or ExperimentConfig()
     names = list(schedulers) if schedulers is not None else list_schedulers()
+    check_count(n_links, "n_links")
     if "brute_force" in names and n_links > BRUTE_FORCE_LIMIT:
-        raise ValueError(
+        raise ValidationError(
             f"n_links={n_links} exceeds BRUTE_FORCE_LIMIT={BRUTE_FORCE_LIMIT} "
             "while the grid includes brute_force; shrink the workload or "
-            "pass an explicit scheduler list"
+            "pass an explicit scheduler list",
+            param="n_links",
         )
     sched_map = {name: get_scheduler(name) for name in names}
     kwargs_map = {

@@ -26,6 +26,7 @@ positions exactly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -35,6 +36,12 @@ from repro.geometry.region import Region
 from repro.network.delta import LinkDelta, apply_delta
 from repro.network.links import LinkSet
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import (
+    CODE_REQUIREMENT,
+    ValidationError,
+    check_count,
+    check_positive,
+)
 
 
 def _rwp_init(
@@ -84,11 +91,14 @@ def _rwp_advance(
 
 
 def _check_rwp_args(n_steps: int, speed_range: Tuple[float, float]) -> None:
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_count(n_steps, "n_steps", minimum=1)
     lo, hi = speed_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < min speed <= max speed, got {speed_range}")
+    if not 0 < lo <= hi < math.inf:
+        raise ValidationError(
+            f"speed_range must be finite with 0 < min <= max, got {speed_range}",
+            code=CODE_REQUIREMENT,
+            param="speed_range",
+        )
 
 
 def random_waypoint_trace(
@@ -188,8 +198,7 @@ def random_waypoint_delta_trace(
     O(kN) updates beat O(N^2) rebuilds.
     """
     _check_rwp_args(n_steps, speed_range)
-    if move_threshold < 0:
-        raise ValueError(f"move_threshold must be >= 0, got {move_threshold}")
+    check_positive(move_threshold, "move_threshold", strict=False)
     rng = as_rng(seed)
     region = Region.square(region_side)
     positions, offsets, waypoints, speeds = _rwp_init(

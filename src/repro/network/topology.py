@@ -20,6 +20,7 @@ import numpy as np
 from repro.geometry.region import Region
 from repro.network.links import LinkSet
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_count
 
 
 def _place_receivers(
@@ -56,8 +57,7 @@ def paper_topology(
     Parameters mirror the paper's defaults: 500x500 region, link lengths
     in [5, 20], unit rates.
     """
-    if n_links < 0:
-        raise ValueError("n_links must be >= 0")
+    check_count(n_links, "n_links")
     if not 0 < min_length <= max_length:
         raise ValueError(f"need 0 < min_length <= max_length, got [{min_length}, {max_length}]")
     rng = as_rng(seed)
@@ -141,8 +141,7 @@ def chain_topology(
     The 1-D worst case used in hardness discussions (the knapsack
     reduction also lives on a line); fully deterministic.
     """
-    if n_links < 0:
-        raise ValueError("n_links must be >= 0")
+    check_count(n_links, "n_links")
     senders = np.zeros((n_links, 2), dtype=float)
     senders[:, 0] = np.arange(n_links, dtype=float) * hop
     receivers = senders.copy()
@@ -167,8 +166,7 @@ def exponential_length_topology(
     length diversity ``g(L)`` up — the regime where LDP's ``O(g(L))``
     factor actually bites.  Used by the ablation benchmarks.
     """
-    if n_links < 0:
-        raise ValueError("n_links must be >= 0")
+    check_count(n_links, "n_links")
     if growth <= 1.0:
         raise ValueError("growth must be > 1")
     rng = as_rng(seed)
@@ -243,11 +241,11 @@ def make_topology(name: str, n: int, seed: int) -> LinkSet:
     """The named :data:`TOPOLOGIES` family with about ``n`` links.
 
     ``grid`` rounds ``n`` to the nearest square lattice and ``chain``
-    ignores ``seed`` (it is deterministic).  An unknown name or a
-    negative ``n`` raises :class:`ValueError`.
+    ignores ``seed`` (it is deterministic).  An unknown name raises
+    :class:`ValueError`; a negative ``n`` or ``seed`` raises
+    :class:`~repro.utils.validation.ValidationError`.
     """
-    if n < 0:
-        raise ValueError(f"n_links must be >= 0, got {n}")
+    check_count(n, "n_links")
     if name == "paper":
         return paper_topology(n, seed=seed)
     if name == "clustered":

@@ -52,6 +52,7 @@ from repro.network.delta import LinkDelta
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.service import schemas
+from repro.utils.validation import check_count, check_positive
 
 __all__ = [
     "AdmissionError",
@@ -166,10 +167,8 @@ class TokenBucket:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0 or burst <= 0:
-            raise ValueError(f"rate and burst must be > 0, got {rate}, {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
+        self.rate = check_positive(rate, "rate")
+        self.burst = check_positive(burst, "burst")
         self._clock = clock
         self._tokens = float(burst)
         self._last = clock()
@@ -266,20 +265,18 @@ class ScheduleBroker:
         inline: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.default_scheduler = scheduler
         get_scheduler(scheduler)  # fail fast on unknown names
-        self.queue_limit = int(queue_limit)
-        self.batch_max = int(batch_max)
-        self.n_workers = int(n_workers)
-        self.tenant_rate = tenant_rate
-        self.tenant_burst = float(tenant_burst)
-        self.max_sessions = int(max_sessions)
+        self.queue_limit = int(check_count(queue_limit, "queue_limit", minimum=1))
+        self.batch_max = int(check_count(batch_max, "batch_max", minimum=1))
+        self.n_workers = int(check_count(n_workers, "n_workers", minimum=1))
+        # Checked here, not when a tenant's bucket is first built, so a
+        # bad rate or burst fails at startup instead of on every request.
+        self.tenant_rate = (
+            None if tenant_rate is None else check_positive(tenant_rate, "tenant_rate")
+        )
+        self.tenant_burst = check_positive(tenant_burst, "tenant_burst")
+        self.max_sessions = int(check_count(max_sessions, "max_sessions"))
         self.inline = bool(inline)
         self._clock = clock
         if cache is not None:
@@ -387,6 +384,9 @@ class ScheduleBroker:
         if self._closed:
             raise Overloaded("broker is closed")
         name = scheduler or self.default_scheduler
+        # Resolved before any counter moves: an unknown name raises
+        # KeyError and leaves the accounting identities intact.
+        scheduler_id = self._scheduler_id(name)
         self._counters["requests"] += 1
         obs_metrics.inc("service.requests")
         trace_id = self._next_trace_id("req")
@@ -400,7 +400,7 @@ class ScheduleBroker:
                 f"(burst {self.tenant_burst:g})",
                 retry_after=bucket.retry_after(),
             )
-        key = exact_key(problem, self._scheduler_id(name))
+        key = exact_key(problem, scheduler_id)
         future = self._inflight.get(key)
         coalesced = future is not None
         if coalesced:

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
 from repro.service.broker import AdmissionError, ScheduleBroker
+from repro.utils.validation import check_count, check_positive
 from repro.workload.generators import arrivals_from_spec
 
 __all__ = ["LoadReport", "build_topology_payload", "raise_nofile_limit", "run_loadgen"]
@@ -238,10 +239,17 @@ async def run_loadgen(
     """Drive a deterministic open-loop load and account every request.
 
     Exactly one of ``host``/``port`` (HTTP mode) or ``broker`` (direct
-    mode) must be given.
+    mode) must be given.  Counts and times are checked before any client
+    starts.
     """
     if (broker is None) == (host is None or port is None):
         raise ValueError("pass either host+port or broker, not both")
+    check_count(clients, "clients")
+    check_count(ticks, "ticks", minimum=1)
+    check_count(pool, "pool", minimum=1)
+    check_count(tenants, "tenants", minimum=1)
+    check_positive(tick_seconds, "tick_seconds", strict=False)
+    check_positive(timeout, "timeout")
     counts = request_trace(clients, ticks, arrival, seed)
     problems = topology_pool(pool, n_links, seed)
     report = LoadReport(

@@ -72,17 +72,36 @@ def _points(payload: Mapping[str, Any], field: str) -> np.ndarray:
     return arr
 
 
+def _is_json_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scalar(payload: Mapping[str, Any], field: str, default: float) -> float:
     raw = payload.get(field, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"topology.{field} must be a number, got {raw!r}",
-            code=CODE_BAD_TOPOLOGY,
-            param=field,
-        ) from None
-    return value
+    # JSON numbers only: float() would also take true/false and "3".
+    if _is_json_int(raw) or isinstance(raw, float):
+        try:
+            return float(raw)
+        except OverflowError:  # an integer no float holds
+            pass
+    raise ValidationError(
+        f"topology.{field} must be a number, got {raw!r}",
+        code=CODE_BAD_TOPOLOGY,
+        param=field,
+    )
+
+
+def _indices(payload: Mapping[str, Any], field: str) -> np.ndarray:
+    raw = payload.get(field, [])
+    # JSON integers only: an int64 cast would truncate 0.5 and take true/"1".
+    if isinstance(raw, list) and all(_is_json_int(i) for i in raw):
+        try:
+            return np.asarray(raw, dtype=np.int64)
+        except OverflowError:  # an integer no int64 holds
+            pass
+    raise ValidationError(
+        f"delta.{field} must be a list of integers", code=CODE_BAD_DELTA, param=field
+    )
 
 
 def parse_topology(payload: Any) -> FadingRLS:
@@ -199,12 +218,13 @@ def parse_delta(payload: Any) -> LinkDelta:
             raise ValidationError(
                 f"bad delta.inserts: {exc}", code=CODE_BAD_DELTA
             ) from None
+    moves, removes = _indices(payload, "moves"), _indices(payload, "removes")
     try:
         return LinkDelta(
-            moves=np.asarray(payload.get("moves", []), dtype=np.int64),
+            moves=moves,
             new_senders=np.asarray(payload.get("new_senders", []), dtype=float).reshape(-1, 2),
             new_receivers=np.asarray(payload.get("new_receivers", []), dtype=float).reshape(-1, 2),
-            removes=np.asarray(payload.get("removes", []), dtype=np.int64),
+            removes=removes,
             inserts=inserts,
         )
     except (TypeError, ValueError, OverflowError) as exc:

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.service import schemas
 from repro.service.broker import ScheduleBroker, ServiceError
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_interval
 
 __all__ = ["ROUTE_TEMPLATES", "ScheduleServer"]
 
@@ -86,7 +86,7 @@ class ScheduleServer:
     ) -> None:
         self.broker = broker
         self.host = host
-        self.port = port
+        self.port = int(check_interval(port, "port", 0, 65535))
         self.access_log = access_log
         self._server: Optional[asyncio.AbstractServer] = None
         self._started = time.monotonic()
@@ -335,7 +335,12 @@ class ScheduleServer:
                 raise schemas.topology_error(exc) from None
         else:
             delta = schemas.parse_delta(payload["delta"])
-            result = await self.broker.apply_delta(session_id, delta)
+            try:
+                result = await self.broker.apply_delta(session_id, delta)
+            except (IndexError, ValueError) as exc:  # the delta does not fit the session
+                raise ValidationError(
+                    str(exc), code=schemas.CODE_BAD_DELTA, param=getattr(exc, "param", None)
+                ) from None
         schedule = result["schedule"]
         return 200, {
             "trace_id": result["trace_id"],

@@ -96,6 +96,7 @@ from repro.obs import state as _obs_state
 from repro.obs import trace as _obs_trace
 from repro.obs.trace import span
 from repro.utils.rng import stable_seed
+from repro.utils.validation import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,12 @@ class RetryPolicy:
     poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.unit_timeout is not None and not self.unit_timeout > 0:
-            raise ValueError(f"unit_timeout must be > 0, got {self.unit_timeout}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_cap < 0:
-            raise ValueError(f"backoff_cap must be >= 0, got {self.backoff_cap}")
-        if not self.poll_interval > 0:
-            raise ValueError(f"poll_interval must be > 0, got {self.poll_interval}")
+        check_count(self.max_retries, "max_retries")
+        if self.unit_timeout is not None:
+            check_positive(self.unit_timeout, "unit_timeout")
+        check_positive(self.backoff_base, "backoff_base", strict=False)
+        check_positive(self.backoff_cap, "backoff_cap", strict=False)
+        check_positive(self.poll_interval, "poll_interval")
 
     @property
     def total_tries(self) -> int:

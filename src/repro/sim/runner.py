@@ -36,6 +36,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.sim.metrics import SimulationResult
 from repro.sim.parallel import WorkUnit, build_units, execute_units
+from repro.utils.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.store import UnitCheckpoint
@@ -162,8 +163,8 @@ def run_schedulers(
     -------
     dict of name -> :class:`RunResult`.
     """
-    if n_repetitions < 1:
-        raise ValueError("n_repetitions must be >= 1")
+    check_count(n_repetitions, "n_repetitions", minimum=1)
+    check_count(n_trials, "n_trials")
     with span("runner.run_schedulers", schedulers=len(schedulers), reps=n_repetitions):
         units = build_units(
             schedulers,

@@ -12,6 +12,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.utils.validation import check_count
+
 SeedLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]
 
 
@@ -25,7 +27,8 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     ----------
     seed:
         ``None``, an int, a sequence of ints, a ``SeedSequence``, or a
-        ``Generator``.
+        ``Generator``.  A negative int raises
+        :class:`~repro.utils.validation.ValidationError` naming ``seed``.
 
     Returns
     -------
@@ -33,6 +36,8 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)):
+        check_count(seed, "seed")
     return np.random.default_rng(seed)
 
 
@@ -50,8 +55,7 @@ def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     n:
         Number of child generators, ``n >= 0``.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_count(n, "n")
     if isinstance(seed, np.random.Generator):
         # Spawn via the generator's bit-generator seed sequence when
         # available; otherwise fall back to drawing child seeds.

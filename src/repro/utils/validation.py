@@ -23,6 +23,7 @@ CODE_REQUIREMENT = "requirement-failed"
 CODE_NOT_POSITIVE = "not-positive"
 CODE_NEGATIVE = "negative"
 CODE_NOT_PROBABILITY = "not-a-probability"
+CODE_OUT_OF_RANGE = "out-of-range"
 CODE_NOT_FINITE = "not-finite"
 CODE_WRONG_NDIM = "wrong-ndim"
 CODE_WRONG_AXIS = "wrong-axis-size"
@@ -39,7 +40,12 @@ class ValidationError(ValueError):
         Name of the offending parameter, when known.
     """
 
-    def __init__(self, message: str, *, code: str, param: Optional[str] = None):
+    def __init__(
+        self, message: str, *, code: str = CODE_REQUIREMENT, param: Optional[str] = None
+    ):
+        # ``code`` has a default so that unpickling (``cls(message)``
+        # plus the instance dict) works: a check that fails in a worker
+        # process reaches the parent with its code and param intact.
         super().__init__(message)
         self.code = code
         self.param = param
@@ -73,6 +79,47 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     return v
 
 
+def check_count(value: int, name: str, *, minimum: int = 0, note: str = "") -> int:
+    """Validate that an integer count is at least ``minimum`` (0 or 1).
+
+    ``note`` explains a special value in the message, e.g. ``"0 = skip"``.
+    """
+    if not value >= minimum:
+        hint = f" ({note})" if note else ""
+        raise ValidationError(
+            f"{name} must be >= {minimum}{hint}, got {value}",
+            code=CODE_NEGATIVE if minimum == 0 else CODE_NOT_POSITIVE,
+            param=name,
+        )
+    return value
+
+
+def check_interval(
+    value: float,
+    name: str,
+    lo: float,
+    hi: float,
+    *,
+    lo_open: bool = False,
+    hi_open: bool = False,
+    code: str = CODE_OUT_OF_RANGE,
+) -> float:
+    """Validate that a scalar lies in the interval from ``lo`` to ``hi``.
+
+    Each end is closed unless ``lo_open`` / ``hi_open``; NaN is outside
+    every interval.
+    """
+    v = float(value)
+    above = v > lo if lo_open else v >= lo
+    below = v < hi if hi_open else v <= hi
+    if not (above and below):
+        shown = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+        raise ValidationError(
+            f"{name} must be in {shown}, got {value!r}", code=code, param=name
+        )
+    return v
+
+
 def check_probability(value: float, name: str, *, open_interval: bool = True) -> float:
     """Validate that a scalar is a probability.
 
@@ -81,22 +128,15 @@ def check_probability(value: float, name: str, *, open_interval: bool = True) ->
     at the endpoints (``eps = 0`` makes every schedule infeasible under
     fading; ``eps = 1`` removes the constraint entirely).
     """
-    v = float(value)
-    if open_interval:
-        if not 0.0 < v < 1.0:
-            raise ValidationError(
-                f"{name} must be in (0, 1), got {value!r}",
-                code=CODE_NOT_PROBABILITY,
-                param=name,
-            )
-    else:
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(
-                f"{name} must be in [0, 1], got {value!r}",
-                code=CODE_NOT_PROBABILITY,
-                param=name,
-            )
-    return v
+    return check_interval(
+        value,
+        name,
+        0.0,
+        1.0,
+        lo_open=open_interval,
+        hi_open=open_interval,
+        code=CODE_NOT_PROBABILITY,
+    )
 
 
 def check_finite(arr: np.ndarray, name: str) -> np.ndarray:

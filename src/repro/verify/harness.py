@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.utils.validation import check_count, check_positive
 from repro.verify.differential import CheckFn, DIFFERENTIAL_CHECKS
 from repro.verify.fuzz import FAMILIES, Scenario, make_scenario
 from repro.verify.metamorphic import METAMORPHIC_RELATIONS
@@ -128,8 +129,9 @@ def run_verification(
         ``report.passed`` is the oracle verdict; ``report.summary()``
         names every failing check, scenario and reason code.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    check_count(budget, "budget")
+    if time_budget is not None:
+        check_positive(time_budget, "time_budget", strict=False)
     selected = resolve_checks(checks)
     if not selected:
         raise ValueError("no checks selected")

@@ -50,6 +50,7 @@ from typing import Any, Dict, Type
 import numpy as np
 
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_count, check_positive
 
 __all__ = [
     "ArrivalProcess",
@@ -64,15 +65,12 @@ __all__ = [
 
 
 def _check_rate(value: float, name: str) -> None:
-    if not value >= 0.0:  # also catches NaN
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    check_positive(value, name, strict=False)
 
 
 def _check_shape(n_links: int, n_slots: int) -> None:
-    if n_links < 0:
-        raise ValueError(f"n_links must be >= 0, got {n_links}")
-    if n_slots < 0:
-        raise ValueError(f"n_slots must be >= 0, got {n_slots}")
+    check_count(n_links, "n_links")
+    check_count(n_slots, "n_slots")
 
 
 class ArrivalProcess:

@@ -38,6 +38,7 @@ from repro.network.links import LinkSet
 from repro.network.topology import TOPOLOGIES, make_topology
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.utils.validation import ValidationError, check_count, check_interval
 from repro.workload.analyzers import (
     stability_region,
     summarize_workload,
@@ -93,23 +94,20 @@ class WorkloadScenario:
 
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}"
+            raise ValidationError(
+                f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}",
+                param="topology",
             )
         if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; choose from {POLICIES}"
+            raise ValidationError(
+                f"unknown policy {self.policy!r}; choose from {POLICIES}",
+                param="policy",
             )
-        if self.n_links < 0:
-            raise ValueError(f"n_links must be >= 0, got {self.n_links}")
-        if self.n_slots < 0:
-            raise ValueError(f"n_slots must be >= 0, got {self.n_slots}")
-        if self.max_queue is not None and self.max_queue < 0:
-            raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if not 0 <= self.warmup <= self.n_slots:
-            raise ValueError(
-                f"warmup must be in [0, n_slots={self.n_slots}], got {self.warmup}"
-            )
+        check_count(self.n_links, "n_links")
+        check_count(self.n_slots, "n_slots")
+        if self.max_queue is not None:
+            check_count(self.max_queue, "max_queue")
+        check_interval(self.warmup, "warmup", 0, self.n_slots)
         if not isinstance(self.arrivals, ArrivalProcess):
             raise TypeError(
                 f"arrivals must be an ArrivalProcess, got "
@@ -118,9 +116,10 @@ class WorkloadScenario:
         if self.stability is not None:
             unknown = sorted(set(self.stability) - set(_STABILITY_DEFAULTS))
             if unknown:
-                raise ValueError(
+                raise ValidationError(
                     f"unknown stability option(s) {unknown}; "
-                    f"accepted: {sorted(_STABILITY_DEFAULTS)}"
+                    f"accepted: {sorted(_STABILITY_DEFAULTS)}",
+                    param="stability",
                 )
 
     # -- construction ---------------------------------------------------

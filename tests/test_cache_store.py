@@ -20,6 +20,7 @@ from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology
+from repro.utils.validation import ValidationError
 from repro.verify.fuzz import make_scenario
 
 
@@ -78,6 +79,16 @@ def _counting_scheduler():
 
 
 # -- hits and misses ------------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [-1, 0, 1, 2, 2**63])
+def test_capacity_domain(capacity):
+    try:
+        cache = ScheduleCache(capacity=capacity)
+    except ValidationError as exc:
+        assert capacity < 1 and exc.param == "capacity"
+    else:
+        assert cache.capacity == capacity >= 1
 
 
 class TestExactTier:

@@ -341,6 +341,13 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="--max-retries"):
             main(["figures", "--panel", "fig5a", "--max-retries", "-1"])
 
+    def test_resume_on_a_plain_file_is_a_one_line_error(self, tmp_path):
+        plain = tmp_path / "ck"
+        plain.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--panel", "fig5a", "--resume", str(plain)])
+        assert str(exc.value) == f"cannot use {plain} as a checkpoint directory: not a directory"
+
     def test_resilient_run_matches_plain_run(self, tiny_cfg, tmp_path, capsys):
         out_a = tmp_path / "plain.json"
         out_b = tmp_path / "resilient.json"

@@ -16,6 +16,7 @@ from repro.core.bounds import (
     rle_ring_interference_bound,
 )
 from repro.core.problem import gamma_epsilon
+from repro.utils.validation import ValidationError
 
 G_EPS = gamma_epsilon(0.01)
 
@@ -41,6 +42,10 @@ class TestLdpBeta:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             ldp_beta(2.0, 1.0, G_EPS)
+
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            ldp_beta(float("inf"), 1.0, G_EPS)
 
 
 class TestLdpRigorousBeta:
@@ -79,6 +84,12 @@ class TestLdpSquareCapacity:
         u = ldp_square_capacity(3.0, 1.0, G_EPS)
         assert isinstance(u, int) and u >= 1
 
+    @pytest.mark.parametrize("alpha, gamma_th", [(1e308, 1.0), (2.5, 1e300)])
+    def test_overflow_is_a_validation_error(self, alpha, gamma_th):
+        # u is far past the float range: no finite capacity to return.
+        with pytest.raises(ValidationError, match=r"Eq\. 49\) overflows"):
+            ldp_square_capacity(alpha, gamma_th, G_EPS)
+
     def test_capacity_pigeonhole_holds_empirically(self):
         """Pack receivers into one LDP square until the interference
         budget breaks: the break point must not exceed u."""
@@ -112,6 +123,9 @@ class TestApproximationRatios:
 
     def test_rle_ratio_above_one(self):
         assert rle_approximation_ratio(3.0, 0.01, 1.0, 0.5) > 1.0
+
+    def test_rle_ratio_past_the_float_range_is_unbounded(self):
+        assert rle_approximation_ratio(700.0, 0.01, 1.0, 0.5) == float("inf")
 
 
 class TestRleC1:

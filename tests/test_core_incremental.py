@@ -131,6 +131,40 @@ class TestFMatrixMaintenance:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            # a zero-length move of a scheduled link
+            LinkDelta(
+                moves=np.array([0]),
+                new_senders=np.array([[10.0, 10.0]]),
+                new_receivers=np.array([[10.0, 10.0]]),
+            ),
+            LinkDelta(
+                moves=np.array([0]),
+                new_senders=np.array([[np.nan, 0.0]]),
+                new_receivers=np.array([[1.0, 0.0]]),
+            ),
+            # a valid move, then a remove past the tracked links
+            LinkDelta(
+                moves=np.array([0]),
+                new_senders=np.array([[0.0, 0.0]]),
+                new_receivers=np.array([[5.0, 0.0]]),
+                removes=np.array([9]),
+            ),
+        ],
+        ids=["zero-length", "nan", "valid-move-then-bad-remove"],
+    )
+    def test_rejected_delta_changes_nothing(self, delta):
+        links = _links(5)
+        engine, twin = IncrementalScheduler(links), IncrementalScheduler(links)
+        assert 0 in engine.schedule().active
+        twin.schedule()
+        with pytest.raises((IndexError, ValueError)):
+            engine.apply(delta)
+        _assert_state_matches_fresh(engine, links)
+        np.testing.assert_array_equal(engine._ledger, twin._ledger)
+
 
 @st.composite
 def delta_sequences(draw):

@@ -17,6 +17,7 @@ The three contracts docs/SERVICE.md promises:
 from __future__ import annotations
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.service.broker import (
     TokenBucket,
     UnknownSession,
 )
+from repro.utils.validation import ValidationError
 
 
 def _problem(n: int, seed: int) -> FadingRLS:
@@ -295,6 +297,30 @@ class TestBackpressure:
         )
         assert accounted == stats["requests"] == 7
 
+    def test_unknown_scheduler_leaves_the_accounting_balanced(self):
+        async def drive():
+            broker = ScheduleBroker(inline=True)
+            await broker.start()
+            try:
+                await broker.submit(_problem(5, 1))
+                with pytest.raises(KeyError):
+                    await broker.submit(_problem(5, 2), scheduler="nope")
+                return broker.stats
+            finally:
+                await broker.close()
+
+        stats = _run(drive())
+        accounted = (
+            stats["scheduled"]
+            + stats["coalesced"]
+            + stats["rejected_429"]
+            + stats["rejected_503"]
+            + stats["errors"]
+        )
+        assert accounted == stats["requests"] == 1
+        cache = stats["cache"]
+        assert cache["exact_hits"] + cache["misses"] == stats["scheduled"] + stats["errors"]
+
 
 # -- token buckets ---------------------------------------------------
 
@@ -477,3 +503,32 @@ class TestLifecycle:
             ScheduleBroker(n_workers=0)
         with pytest.raises(KeyError):
             ScheduleBroker(scheduler="no-such")
+
+    # Every argument is checked at construction.  A tenant's bucket is
+    # built on first use, so a bad rate or burst would otherwise fail
+    # every request instead of the start.  No large valid count starts
+    # work: threads start only in ``start()``.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in ("queue_limit", "batch_max", "n_workers", "max_sessions")
+            for value in (-1, 0, 1, 2, 2**63)
+        ]
+        + [
+            (field, value)
+            for field in ("tenant_rate", "tenant_burst")
+            for value in (-1.0, 0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 1e308)
+        ],
+    )
+    def test_constructor_accepts_exactly_its_domain(self, field, value):
+        if field.startswith("tenant_"):
+            valid = 0 < value < math.inf
+        else:
+            valid = value >= (0 if field == "max_sessions" else 1)
+        try:
+            broker = ScheduleBroker(**{field: value}, use_cache=False)
+        except ValidationError as exc:
+            assert not valid and exc.param == field
+        else:
+            assert valid and getattr(broker, field) == value

@@ -20,6 +20,7 @@ from repro.service.loadgen import (
     topology_pool,
 )
 from repro.service.server import ScheduleServer
+from repro.utils.validation import ValidationError
 
 
 class TestRequestTrace:
@@ -56,6 +57,18 @@ class TestDirectMode:
                 await broker.close()
 
         return asyncio.run(drive())
+
+    @pytest.mark.parametrize("value", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("field", ["clients", "ticks", "pool", "tenants", "n_links"])
+    def test_counts_are_checked_before_any_client_starts(self, field, value):
+        minimum = 0 if field in ("clients", "n_links") else 1
+        kwargs = {"clients": 1, "ticks": 1, "pool": 1, "n_links": 3, field: value}
+        try:
+            report = self._run(**kwargs)
+        except ValidationError as exc:
+            assert value < minimum and exc.param == field
+        else:
+            assert value >= minimum and report.unaccounted == 0
 
     def test_all_requests_accounted(self):
         report = self._run(clients=25, ticks=2, seed=1, n_links=8)

@@ -23,10 +23,12 @@ import pytest
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
+from repro.service import schemas
 from repro.service import server as server_module
 from repro.service.broker import WIRE_ERROR_CODES, ScheduleBroker
 from repro.service.loadgen import build_topology_payload
 from repro.service.server import ScheduleServer, _parse_head
+from repro.utils.validation import ValidationError
 
 
 def _problem(n=8, seed=3):
@@ -185,6 +187,20 @@ class TestScheduleEndpoint:
         )
         assert accounted == stats["requests"]
 
+    # float() would read each of these as a valid value: strings and
+    # booleans are not JSON numbers.
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "3"), ("gamma_th", "1"), ("eps", "0.01"), ("noise", "0"), ("power", "1"),
+         ("gamma_th", True), ("power", True), ("noise", False)],
+    )
+    def test_channel_parameter_must_be_a_json_number(self, field, value):
+        topology = build_topology_payload(_problem(6))
+        topology[field] = value
+        with pytest.raises(ValidationError) as exc:
+            schemas.parse_topology(topology)
+        assert (exc.value.code, exc.value.param) == ("bad-topology", field)
+
     @pytest.mark.parametrize("field", ["senders", "rates"])
     def test_integer_too_large_for_a_float_is_a_400(self, field):
         topology = build_topology_payload(_problem(6))
@@ -329,6 +345,18 @@ class TestSessionsEndpoint:
         assert (status, error["code"], error["param"]) == (400, "bad-topology", "alpha")
         assert retry == 200
 
+    # An int64 cast would truncate 0.5 to link 0 and read true and "1"
+    # as link 1.
+    @pytest.mark.parametrize("field", ["moves", "removes"])
+    @pytest.mark.parametrize("index", [0.5, True, "1"], ids=["float", "bool", "str"])
+    def test_delta_index_must_be_a_json_integer(self, field, index):
+        delta = {field: [index]}
+        if field == "moves":
+            delta.update(new_senders=[[0.0, 0.0]], new_receivers=[[1.0, 1.0]])
+        with pytest.raises(ValidationError) as exc:
+            schemas.parse_delta(delta)
+        assert (exc.value.code, exc.value.param) == ("bad-delta", field)
+
     def test_delta_integer_too_large_is_bad_delta(self):
         async def body(host, port, broker, server):
             status, resp, rw = await _request(
@@ -338,6 +366,30 @@ class TestSessionsEndpoint:
             return status, resp["error"]["code"]
 
         assert _serve(body) == (400, "bad-delta")
+
+    # Checks the session's engine makes; they answered 500 internal-error.
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            {"removes": [99]},
+            {"moves": [0], "new_senders": [[0.0, 0.0]], "new_receivers": [[0.0, 0.0]]},
+        ],
+        ids=["index-past-the-session", "zero-length-move"],
+    )
+    def test_delta_that_does_not_fit_the_session_is_bad_delta(self, delta):
+        topology = build_topology_payload(_problem(5))
+
+        async def body(host, port, broker, server):
+            opened, _, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta", {"topology": topology}
+            )
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta", {"delta": delta}, reader_writer=rw
+            )
+            rw[1].close()
+            return opened, status, resp["error"]["code"]
+
+        assert _serve(body) == (200, 400, "bad-delta")
 
 
 class TestIntrospectionEndpoints:
@@ -581,6 +633,19 @@ def _serve_statz(*flags: str) -> dict:
     return json.loads(response.split(b"\r\n\r\n", 1)[1])
 
 
+def _serve_exit(*flags: str) -> tuple:
+    """``(exit status, stderr)`` of a `repro serve` that must stop at
+    startup; it is killed after 30 s if it does not."""
+    proc = _serve_process(*flags)
+    try:
+        _, stderr = proc.communicate(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, stderr
+
+
 class TestServeCommand:
     @pytest.mark.parametrize("with_dir", [False, True])
     def test_cache_capacity_flag_sizes_the_cache(self, tmp_path, with_dir):
@@ -593,28 +658,18 @@ class TestServeCommand:
     @pytest.mark.parametrize("with_dir", [False, True])
     def test_bad_cache_capacity_is_a_one_line_error(self, tmp_path, with_dir):
         flags = ["--cache-capacity", "0"] + (["--cache-dir", str(tmp_path)] if with_dir else [])
-        proc = _serve_process(*flags)
-        try:
-            _, stderr = proc.communicate(timeout=30.0)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 1
-        assert stderr == "capacity must be >= 1, got 0\n"
+        assert _serve_exit(*flags) == (1, "capacity must be >= 1, got 0\n")
 
     def test_cache_dir_on_a_plain_file_is_a_one_line_error(self, tmp_path):
         plain = tmp_path / "cache"
         plain.write_text("not a directory")
-        proc = _serve_process("--cache-dir", str(plain))
-        try:
-            _, stderr = proc.communicate(timeout=30.0)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 1
-        assert stderr == f"cannot use {plain} as a cache directory: not a directory\n"
+        message = f"cannot use {plain} as a cache directory: not a directory\n"
+        assert _serve_exit("--cache-dir", str(plain)) == (1, message)
+
+    def test_bad_tenant_rate_fails_at_startup(self):
+        # Checked when the broker is built: before, the server booted and
+        # every /v1/schedule answered 500.
+        assert _serve_exit("--tenant-rate", "0") == (1, "tenant_rate must be > 0, got 0.0\n")
 
 
 class TestHeadParser:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import as_rng, spawn_rngs, stable_seed
+from repro.utils.validation import ValidationError
 
 
 class TestAsRng:
@@ -27,6 +28,14 @@ class TestAsRng:
     def test_seed_sequence_accepted(self):
         ss = np.random.SeedSequence(7)
         assert isinstance(as_rng(ss), np.random.Generator)
+
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+    def test_negative_seed_names_the_parameter(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            as_rng(seed)
+        assert exc.value.param == "seed"
+        assert str(exc.value) == f"seed must be >= 0, got {seed}"
 
 
 class TestSpawnRngs:

@@ -1,5 +1,7 @@
 """Tests for repro.utils.validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from repro.utils.validation import (
     CODE_NOT_FINITE,
     CODE_NOT_POSITIVE,
     CODE_NOT_PROBABILITY,
+    CODE_OUT_OF_RANGE,
     CODE_REQUIREMENT,
     CODE_WRONG_AXIS,
     CODE_WRONG_NDIM,
     ValidationError,
+    check_count,
     check_finite,
+    check_interval,
     check_positive,
     check_probability,
     check_shape,
@@ -146,6 +151,13 @@ class TestStructuredErrorPaths:
             check_shape(np.zeros((3, 3)), (None, 2), "senders")
         assert exc.value.code == CODE_WRONG_AXIS
 
+    def test_survives_pickling(self):
+        # A check that fails in a worker process reaches the parent whole.
+        exc = pickle.loads(pickle.dumps(ValidationError("x bad", code=CODE_NEGATIVE, param="x")))
+        assert (type(exc), str(exc), exc.code, exc.param) == (
+            ValidationError, "x bad", CODE_NEGATIVE, "x"
+        )
+
     def test_problem_surfaces_codes(self):
         # End-to-end: FadingRLS construction errors carry codes too.
         from repro.core.problem import FadingRLS
@@ -158,6 +170,45 @@ class TestStructuredErrorPaths:
             FadingRLS(links=links, eps=1.5)
         assert exc.value.code == CODE_NOT_PROBABILITY
         assert exc.value.param == "eps"
+
+
+class TestCheckCount:
+    def test_minimum_ok(self):
+        assert check_count(0, "n") == 0
+        assert check_count(1, "n", minimum=1) == 1
+
+    @pytest.mark.parametrize(
+        "value, minimum, code",
+        [(-1, 0, CODE_NEGATIVE), (0, 1, CODE_NOT_POSITIVE), (float("nan"), 0, CODE_NEGATIVE)],
+    )
+    def test_below_minimum_rejected(self, value, minimum, code):
+        with pytest.raises(ValidationError) as exc:
+            check_count(value, "--steps", minimum=minimum)
+        assert (exc.value.code, exc.value.param) == (code, "--steps")
+        assert str(exc.value) == f"--steps must be >= {minimum}, got {value}"
+
+    def test_note_explains_a_special_value(self):
+        with pytest.raises(ValidationError) as exc:
+            check_count(-5, "--trials", note="0 = skip")
+        assert str(exc.value) == "--trials must be >= 0 (0 = skip), got -5"
+
+
+class TestCheckInterval:
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1e6])
+    def test_closed_ends_ok(self, value):
+        assert check_interval(value, "rate", 0.0, 1e6) == value
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), 1e308])
+    def test_outside_rejected(self, value):
+        with pytest.raises(ValidationError) as exc:
+            check_interval(value, "--rate", 0.0, 1e6)
+        assert (exc.value.code, exc.value.param) == (CODE_OUT_OF_RANGE, "--rate")
+        assert str(exc.value) == f"--rate must be in [0, 1e+06], got {value!r}"
+
+    def test_open_end_excluded(self):
+        assert check_interval(1.0, "q", 0.0, 1.0, lo_open=True) == 1.0
+        with pytest.raises(ValidationError, match=r"^q must be in \(0, 1\], got 0.0$"):
+            check_interval(0.0, "q", 0.0, 1.0, lo_open=True)
 
 
 class TestCheckShape:
