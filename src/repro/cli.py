@@ -46,7 +46,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro import obs
 from repro.core.base import SchedulerError, get_scheduler, list_schedulers
@@ -93,14 +95,24 @@ def _load_links(path: str) -> LinkSet:
         raise SystemExit(message if str(p) in message else f"{p}: {message}")
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Exit with one line naming ``path`` when writing it fails (a
+    missing parent directory, a directory in the way), as
+    :func:`_load_links` does for input."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _save_links(links: LinkSet, path: str) -> None:
     p = Path(path)
-    if p.suffix == ".json":
-        linkset_to_json(links, p)
-    elif p.suffix == ".csv":
-        linkset_to_csv(links, p)
-    else:
+    writers = {".json": linkset_to_json, ".csv": linkset_to_csv}
+    if p.suffix not in writers:
         raise SystemExit(f"unsupported link file extension {p.suffix!r} (use .csv or .json)")
+    with _writing(path):
+        writers[p.suffix](links, p)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -213,7 +225,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         payload["channel"] = channel or "rayleigh"
         payload["power_policy"] = policy
     if args.output:
-        write_json(payload, args.output)
+        with _writing(args.output):
+            write_json(payload, args.output)
         print(f"wrote result to {args.output}")
     print(
         f"{schedule.algorithm}: {schedule.size}/{len(links)} links scheduled, "
@@ -260,7 +273,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(format_series(sweep, metric, title=title))
         print()
     if args.output:
-        write_json(collected, args.output)
+        with _writing(args.output):
+            write_json(collected, args.output)
         print(f"wrote series to {args.output}")
     return 0
 
@@ -355,7 +369,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             f"{cache_stats['entries']}/{cache_stats['capacity']} entries"
         )
     if args.output:
-        write_json(payload, args.output)
+        with _writing(args.output):
+            write_json(payload, args.output)
         print(f"wrote traffic payload to {args.output}")
     return 0
 
@@ -376,7 +391,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     if args.output:
-        write_json(report.to_dict(), args.output)
+        with _writing(args.output):
+            write_json(report.to_dict(), args.output)
         print(f"wrote verification report to {args.output}")
     return 0 if report.passed else 1
 
@@ -433,7 +449,8 @@ def cmd_mobility(args: argparse.Namespace) -> int:
                 for p in points
             ],
         }
-        write_json(payload, args.output)
+        with _writing(args.output):
+            write_json(payload, args.output)
         print(f"wrote mobility series to {args.output}")
     return 0 if all(p.all_feasible for p in points) else 1
 
@@ -449,7 +466,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg = cfg.with_channel(channel=_channel(args.channel), power_policy=args.power_policy)
     text = generate_report(cfg)
     if args.output:
-        Path(args.output).write_text(text)
+        with _writing(args.output):
+            Path(args.output).write_text(text)
         print(f"wrote report to {args.output}")
     else:
         print(text)
@@ -502,7 +520,8 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
                 for cell in cells
             ]
         }
-        write_json(payload, args.output)
+        with _writing(args.output):
+            write_json(payload, args.output)
         print(f"wrote power-sweep grid to {args.output}")
     return 0
 
@@ -668,7 +687,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     summary = report.to_dict()
     print(json.dumps(summary, indent=2))
     if args.output:
-        Path(args.output).write_text(json.dumps(summary, indent=2) + "\n")
+        with _writing(args.output):
+            Path(args.output).write_text(json.dumps(summary, indent=2) + "\n")
     failures = []
     if report.unaccounted != 0:
         failures.append(f"{report.unaccounted} requests unaccounted for")
@@ -1192,12 +1212,13 @@ def _run_observed(args: argparse.Namespace) -> int:
         if args.trace:
             from repro.obs.export import write_trace
 
-            write_trace(
-                args.trace,
-                obs.drain_spans(),
-                metrics_snapshot=obs_metrics.snapshot(),
-                command=args.command,
-            )
+            with _writing(args.trace):
+                write_trace(
+                    args.trace,
+                    obs.drain_spans(),
+                    metrics_snapshot=obs_metrics.snapshot(),
+                    command=args.command,
+                )
             print(f"wrote trace to {args.trace}", file=sys.stderr)
         if args.metrics:
             print(obs_metrics.format_snapshot(), file=sys.stderr)

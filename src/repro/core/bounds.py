@@ -151,7 +151,9 @@ def ldp_ring_interference_bound(
         dist = 2.0 * q * beta - 1.0
     if np.any(dist <= 0):
         raise ValueError("beta too small: nonpositive separation in ring sum")
-    with np.errstate(over="ignore"):  # far rings' terms underflow to 0
+    # Far rings' terms underflow to 0.  An extreme alpha or gamma_th
+    # makes the sum inf or nan, which the callers report as an overflow.
+    with np.errstate(all="ignore"):
         return float(np.sum(8.0 * q * gamma_th / dist**alpha))
 
 

@@ -10,9 +10,9 @@ deterministic load generator (:mod:`repro.service.loadgen`) reusing the
 :mod:`repro.workload` arrival families.
 
 Run it with ``repro serve`` and drive it with ``repro loadtest``; the
-wire contract lives in ``docs/SERVICE.md``.  The stdlib core keeps
-tier-1 dependency-free; a FastAPI/uvicorn adapter can be layered on via
-the optional ``service`` extra.
+wire contract lives in ``docs/SERVICE.md``.  The transport is stdlib
+asyncio with orjson as its JSON codec; a FastAPI/uvicorn adapter can be
+layered on via the optional ``service`` extra.
 """
 
 from repro.service.broker import (

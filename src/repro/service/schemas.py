@@ -27,6 +27,7 @@ A session request is either ``{"topology": ..., "scheduler": ...}``
 
 from __future__ import annotations
 
+import reprlib
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -84,8 +85,10 @@ def _scalar(payload: Mapping[str, Any], field: str, default: float) -> float:
             return float(raw)
         except OverflowError:  # an integer no float holds
             pass
+    # reprlib bounds the echo: a request value can be megabytes long, or
+    # nested past the recursion limit that repr() would hit.
     raise ValidationError(
-        f"topology.{field} must be a number, got {raw!r}",
+        f"topology.{field} must be a number, got {reprlib.repr(raw)}",
         code=CODE_BAD_TOPOLOGY,
         param=field,
     )
@@ -163,7 +166,7 @@ def parse_scheduler(payload: Mapping[str, Any]) -> str:
     available = list_schedulers()
     if name not in available:
         raise ValidationError(
-            f"unknown scheduler {name!r}; available: {available}",
+            f"unknown scheduler {reprlib.repr(name)}; available: {available}",
             code=CODE_UNKNOWN_SCHEDULER,
             param="scheduler",
         )

@@ -162,6 +162,34 @@ class TestSchedule:
         assert line.startswith(message.format(path=path))
 
 
+class TestOutputPaths:
+    # Each ended in a FileNotFoundError or IsADirectoryError traceback.
+    @pytest.mark.parametrize(
+        "argv, target, reason",
+        [
+            pytest.param(
+                ["generate", "{out}"],
+                "missing/links.csv",
+                "No such file or directory",
+                id="generate-into-a-missing-directory",
+            ),
+            pytest.param(
+                ["schedule", "--n-links", "6", "--trials", "0", "--output", "{out}"],
+                "",
+                "Is a directory",
+                id="schedule-output-a-directory",
+            ),
+            pytest.param(
+                ["--trace", "{out}", "list"], "", "Is a directory", id="trace-a-directory"
+            ),
+        ],
+    )
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path, argv, target, reason):
+        out = tmp_path / target
+        line = _one_line_error([arg.format(out=out) for arg in argv])
+        assert line == f"cannot write {out}: {reason}"
+
+
 class TestTraffic:
     @pytest.mark.parametrize("flag", ["--n-links", "--max-queue"])
     def test_negative_count_is_a_one_line_error(self, flag):
@@ -231,6 +259,17 @@ class TestConstants:
         out = capsys.readouterr().out
         assert "gamma_eps" in out and "c1" in out
         assert len(out.strip().splitlines()) == 4  # header + rule + 2 rows
+
+    # NumPy's divide-by-zero and invalid-value warnings from the ring sum
+    # came before the error line.
+    @pytest.mark.parametrize(
+        "flag, shown",
+        [("--alpha", "alpha=1e+308, gamma_th=1.0"), ("--gamma-th", "alpha=2.5, gamma_th=1e+308")],
+        ids=["alpha", "gamma-th"],
+    )
+    def test_overflow_is_one_stderr_line(self, flag, shown):
+        line = _one_line_error(["constants", flag, "1e308"])
+        assert line == f"the LDP square capacity (Eq. 49) overflows at {shown}"
 
 
 class TestChannelFlag:
