@@ -593,7 +593,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         broker = ScheduleBroker(
             scheduler=args.scheduler,
             queue_limit=args.queue_limit,
-            batch_max=args.batch_max,
             n_workers=args.workers,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
@@ -603,7 +602,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         access = None if args.quiet else (lambda line: print(line, file=sys.stderr))
         server = ScheduleServer(broker, host=args.host, port=args.port, access_log=access)
-        await broker.start()
         host, port = await server.start()
         print(f"repro-service listening on http://{host}:{port}", flush=True)
         stop = asyncio.Event()
@@ -636,38 +634,22 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     from repro.service.broker import ScheduleBroker
     from repro.service.loadgen import raise_nofile_limit, run_loadgen
-    from repro.service.server import ScheduleServer
 
     raise_nofile_limit()
+    target = {}
+    if args.url:
+        parsed = urlparse(args.url)
+        if parsed.hostname is None or parsed.port is None:
+            raise SystemExit(f"--url must look like http://host:port, got {args.url!r}")
+        target = {"host": parsed.hostname, "port": parsed.port}
 
     async def _drive() -> "LoadReport":  # noqa: F821 - forward ref for mypy-free repo
-        if args.url:
-            parsed = urlparse(args.url)
-            if parsed.hostname is None or parsed.port is None:
-                raise SystemExit(f"--url must look like http://host:port, got {args.url!r}")
-            return await run_loadgen(
-                host=parsed.hostname,
-                port=parsed.port,
-                clients=args.clients,
-                ticks=args.ticks,
-                arrival=args.arrival,
-                pool=args.pool,
-                n_links=args.n_links,
-                scheduler=args.scheduler,
-                tenants=args.tenants,
-                seed=args.seed,
-                tick_seconds=args.tick_seconds,
-                timeout=args.timeout,
-            )
-        # self-serve: boot an in-process server and aim the clients at it
-        broker = ScheduleBroker(scheduler=args.scheduler)
-        server = ScheduleServer(broker)
-        await broker.start()
-        host, port = await server.start()
+        # Without --url, run_loadgen serves this broker in process.
+        broker = None if args.url else ScheduleBroker(scheduler=args.scheduler)
         try:
             return await run_loadgen(
-                host=host,
-                port=port,
+                **target,
+                broker=broker,
                 clients=args.clients,
                 ticks=args.ticks,
                 arrival=args.arrival,
@@ -680,8 +662,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
             )
         finally:
-            await server.close()
-            await broker.close(drain=False)
+            if broker is not None:
+                await broker.close(drain=False)
 
     report = asyncio.run(_drive())
     summary = report.to_dict()
@@ -1073,16 +1055,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="default scheduler for requests that omit one",
     )
     sv.add_argument(
-        "--workers", type=int, default=2, help="broker worker tasks / threads"
+        "--workers", type=int, default=2, help="threads that run cache misses"
     )
     sv.add_argument(
         "--queue-limit",
         type=int,
         default=1024,
-        help="max distinct pending requests before 503 queue-full",
-    )
-    sv.add_argument(
-        "--batch-max", type=int, default=32, help="max requests drained per batch"
+        help="max distinct computations pending or running before 503 queue-full",
     )
     sv.add_argument(
         "--tenant-rate",

@@ -298,7 +298,10 @@ class FadingRLS:
                 nu = np.zeros(self.n_links, dtype=float)
             else:
                 lengths = self.links.lengths
-                nu = self.gamma_th * self.noise * lengths**self.alpha / self.tx_powers()
+                # An overflow to inf is the right value: noise alone
+                # swamps the link, and serviceable() is False for it.
+                with np.errstate(over="ignore"):
+                    nu = self.gamma_th * self.noise * lengths**self.alpha / self.tx_powers()
             self._cache["noise_factors"] = nu
         return self._cache["noise_factors"]
 

@@ -74,9 +74,14 @@ class LinkSet:
                 )
             if np.any(rates <= 0) or not np.all(np.isfinite(rates)):
                 raise ValueError("rates must be positive and finite")
-        lengths = np.sqrt(np.einsum("ij,ij->i", r - s, r - s))
+        # Finite coordinates can still be too far apart for a double:
+        # that length overflows to inf and is refused below.
+        with np.errstate(over="ignore"):
+            lengths = np.sqrt(np.einsum("ij,ij->i", r - s, r - s))
         if np.any(lengths <= 0):
             raise ValueError("every link must have positive length (sender != receiver)")
+        if not np.all(np.isfinite(lengths)):
+            raise ValueError("every link must have a finite length")
         # Freeze the arrays: LinkSet is shared between schedulers.
         for arr in (s, r, rates):
             arr.setflags(write=False)

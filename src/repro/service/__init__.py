@@ -2,12 +2,13 @@
 
 The package splits plexi-style into a transport
 (:mod:`repro.service.server` — routing, JSON schemas, validation) and a
-scheduling brain (:mod:`repro.service.broker` — bounded queue,
-coalescing by :func:`~repro.cache.fingerprint.exact_key`, per-tenant
-token buckets, 429/503 backpressure, a worker pool draining through
-:class:`~repro.cache.ScheduleCache` into :mod:`repro.backend`), plus a
-deterministic load generator (:mod:`repro.service.loadgen`) reusing the
-:mod:`repro.workload` arrival families.
+scheduling brain (:mod:`repro.service.broker` — coalescing by
+:func:`~repro.cache.fingerprint.exact_key`, per-tenant token buckets,
+429/503 backpressure, cache hits on the event loop and each miss one
+call on a thread pool, through :class:`~repro.cache.ScheduleCache` into
+:mod:`repro.backend`), plus a deterministic HTTP load generator
+(:mod:`repro.service.loadgen`) reusing the :mod:`repro.workload`
+arrival families.
 
 Run it with ``repro serve`` and drive it with ``repro loadtest``; the
 wire contract lives in ``docs/SERVICE.md``.  The transport is stdlib

@@ -14,12 +14,10 @@ Accounting is the core invariant: every request ends in exactly one of
 ``transport_errors`` — :attr:`LoadReport.unaccounted` must be 0, which
 is the "zero dropped-without-429" acceptance criterion.
 
-Two drive modes share all bookkeeping:
-
-- **HTTP** (``host``/``port``): one persistent stdlib-asyncio
-  connection per client against a live ``repro serve`` process.
-- **direct** (``broker=``): in-process :meth:`ScheduleBroker.submit`
-  calls, used by unit and property tests where sockets add nothing.
+Every client holds one persistent stdlib-asyncio HTTP connection,
+either to a live ``repro serve`` process (``host``/``port``) or to a
+:class:`~repro.service.server.ScheduleServer` that serves a given
+``broker=`` in process, on an ephemeral port, for the run.
 """
 
 from __future__ import annotations
@@ -34,7 +32,8 @@ import numpy as np
 
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
-from repro.service.broker import AdmissionError, ScheduleBroker
+from repro.service.broker import ScheduleBroker
+from repro.service.server import ScheduleServer
 from repro.utils.validation import check_count, check_positive
 from repro.workload.generators import arrivals_from_spec
 
@@ -238,9 +237,10 @@ async def run_loadgen(
 ) -> LoadReport:
     """Drive a deterministic open-loop load and account every request.
 
-    Exactly one of ``host``/``port`` (HTTP mode) or ``broker`` (direct
-    mode) must be given.  Counts and times are checked before any client
-    starts.
+    Exactly one of ``host``/``port`` (a live server) or ``broker`` (served
+    in process for the run; the caller still owns and closes it) must be
+    given.  Counts and times are checked before any server boots or
+    client starts.
     """
     if (broker is None) == (host is None or port is None):
         raise ValueError("pass either host+port or broker, not both")
@@ -256,23 +256,50 @@ async def run_loadgen(
         clients=clients, ticks=ticks, arrival=arrival, seed=seed,
         sent=int(counts.sum()),
     )
-    raw_requests: List[List[bytes]] = []
-    if broker is None:
-        assert host is not None and port is not None
-        raw_requests = [
-            [
-                _serialise_request(
-                    host,
-                    {
-                        "topology": build_topology_payload(problem),
-                        "scheduler": scheduler,
-                        "tenant": f"tenant-{t}",
-                    },
-                )
-                for problem in problems
-            ]
-            for t in range(tenants)
+    server = None
+    if broker is not None:
+        server = ScheduleServer(broker)
+        host, port = await server.start()
+    assert host is not None and port is not None
+    try:
+        return await _drive(
+            host, port, report, counts, problems,
+            scheduler=scheduler, tenants=tenants, tick_seconds=tick_seconds,
+            timeout=timeout,
+        )
+    finally:
+        if server is not None:
+            await server.close()
+
+
+async def _drive(
+    host: str,
+    port: int,
+    report: LoadReport,
+    counts: np.ndarray,
+    problems: List[FadingRLS],
+    *,
+    scheduler: str,
+    tenants: int,
+    tick_seconds: float,
+    timeout: float,
+) -> LoadReport:
+    """Run ``report.clients`` HTTP clients through ``counts``' ticks."""
+    clients, ticks, pool = report.clients, report.ticks, len(problems)
+    raw_requests = [
+        [
+            _serialise_request(
+                host,
+                {
+                    "topology": build_topology_payload(problem),
+                    "scheduler": scheduler,
+                    "tenant": f"tenant-{t}",
+                },
+            )
+            for problem in problems
         ]
+        for t in range(tenants)
+    ]
 
     tick_gates = [asyncio.Event() for _ in range(ticks)]
     # Barrier: no tick fires until every client has finished (or failed)
@@ -312,16 +339,13 @@ async def run_loadgen(
         tenant_idx = c % tenants
         planned = int(counts[:, c].sum())
         done = 0
-        conn: Optional[_HttpClient] = None
-        if broker is None:
-            assert host is not None and port is not None
-            conn = _HttpClient(host, port, timeout)
-            try:
-                await conn.connect()
-            except (OSError, asyncio.TimeoutError):
-                report.transport_errors += planned
-                _ready()
-                return
+        conn = _HttpClient(host, port, timeout)
+        try:
+            await conn.connect()
+        except (OSError, asyncio.TimeoutError):
+            report.transport_errors += planned
+            _ready()
+            return
         _ready()
         try:
             for t in range(ticks):
@@ -331,26 +355,7 @@ async def run_loadgen(
                     t0 = time.perf_counter()
                     _track(+1)
                     try:
-                        if conn is not None:
-                            status = await conn.request(
-                                raw_requests[tenant_idx][pool_idx]
-                            )
-                            _bucket(status)
-                        else:
-                            assert broker is not None
-                            try:
-                                await broker.submit(
-                                    problems[pool_idx],
-                                    scheduler=scheduler,
-                                    tenant=f"tenant-{tenant_idx}",
-                                )
-                                report.ok += 1
-                            except AdmissionError as exc:
-                                _bucket(exc.status)
-                            except Exception:
-                                # a scheduler failure is the in-process
-                                # twin of an HTTP 500
-                                report.other_status += 1
+                        _bucket(await conn.request(raw_requests[tenant_idx][pool_idx]))
                         done += 1
                         report.latencies.append(time.perf_counter() - t0)
                     except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
@@ -362,8 +367,7 @@ async def run_loadgen(
                     finally:
                         _track(-1)
         finally:
-            if conn is not None:
-                await conn.aclose()
+            await conn.aclose()
 
     async def _pacer() -> None:
         await all_ready.wait()

@@ -2,8 +2,8 @@
 
 One registered differential check over
 :class:`repro.service.broker.ScheduleBroker`, driving the whole broker
-path — admission, coalescing, batching, the worker pool, the schedule
-cache — on each fuzzed scenario and comparing against a
+path ``repro serve`` runs — admission, coalescing, the worker threads,
+the schedule cache — on each fuzzed scenario and comparing against a
 direct scheduler call:
 
 - **serving bit-identity** — every answer the broker returns (the
@@ -14,9 +14,9 @@ direct scheduler call:
   must coalesce onto exactly one scheduler run
   (``service-coalesce-divergence``);
 - **deterministic backpressure** — a seeded burst of distinct
-  topologies against a stalled broker with ``queue_limit = q`` must
-  accept exactly the first ``q`` and reject the rest with 503, in
-  order (``service-backpressure-nondeterminism``);
+  topologies submitted in one event-loop turn against a broker with
+  ``queue_limit = q`` must accept exactly the first ``q`` and reject
+  the rest with 503, in order (``service-backpressure-nondeterminism``);
 - **request accounting** — the broker's counters must balance:
   ``requests == scheduled + coalesced + rejected`` with no request
   unaccounted for (``service-accounting-loss``).
@@ -72,7 +72,7 @@ def _burst_problems(problem: FadingRLS) -> List[FadingRLS]:
     """``_BURST`` distinct single-link-dropped variants of ``problem``.
 
     Each drops a different link, so no two share an exact key and none
-    coalesce — the burst really does occupy queue slots.
+    coalesce — each one really is a computation in flight.
     """
     n = problem.n_links
     return [
@@ -83,12 +83,11 @@ def _burst_problems(problem: FadingRLS) -> List[FadingRLS]:
 async def _drive_serving(problem: FadingRLS) -> Dict[str, Any]:
     """Coalescing probe: ``_N_DUPLICATES`` identical concurrent submits.
 
-    Submissions are scheduled before the worker runs (a single
-    ``gather`` enqueues them back-to-back on the loop), so exactly one
-    enters the queue and the rest attach to its future.
+    A single ``gather`` runs every submission up to its first await in
+    one event-loop turn, before the computation can report back, so
+    exactly one starts a computation and the rest attach to its future.
     """
-    broker = ScheduleBroker(n_workers=2, inline=True)
-    await broker.start()
+    broker = ScheduleBroker(n_workers=2)
     try:
         results = await asyncio.gather(
             *(broker.submit(problem) for _ in range(_N_DUPLICATES))
@@ -104,13 +103,14 @@ async def _drive_serving(problem: FadingRLS) -> Dict[str, Any]:
 
 
 async def _drive_backpressure(problems: List[FadingRLS]) -> Dict[str, Any]:
-    """Overload probe: burst a stalled broker, then drain it.
+    """Overload probe: burst the broker, then collect the answers.
 
-    The broker's workers are not started while the burst lands, so the
-    queue fills deterministically: the first ``_QUEUE_LIMIT`` distinct
-    submissions are accepted, the rest must raise 503 in order.
+    Every submit runs to its first await in one event-loop turn, and a
+    computation's result reaches the loop only on a later turn, so the
+    in-flight set fills deterministically: the first ``_QUEUE_LIMIT``
+    distinct submissions are accepted, the rest must raise 503 in order.
     """
-    broker = ScheduleBroker(queue_limit=_QUEUE_LIMIT, n_workers=1, inline=True)
+    broker = ScheduleBroker(queue_limit=_QUEUE_LIMIT, n_workers=1)
     tasks = [asyncio.ensure_future(broker.submit(p)) for p in problems]
     await asyncio.sleep(0)  # let every submit run to its first await
     rejected = [
@@ -118,7 +118,6 @@ async def _drive_backpressure(problems: List[FadingRLS]) -> Dict[str, Any]:
         for i, t in enumerate(tasks)
         if t.done() and isinstance(t.exception(), Overloaded)
     ]
-    await broker.start()  # now drain the accepted ones
     accepted: List[Schedule] = []
     for i, task in enumerate(tasks):
         if i in rejected:

@@ -11,19 +11,24 @@ import pytest
 from repro.cli import main
 
 
-def _one_line_error(argv):
-    """Run ``python -m repro *argv``; it must exit 1 with one stderr line
-    and no traceback.  Returns that line."""
+def _run_cli(argv):
+    """Run ``python -m repro *argv`` in a child process."""
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _one_line_error(argv):
+    """Run ``python -m repro *argv``; it must exit 1 with one stderr line
+    and no traceback.  Returns that line."""
+    proc = _run_cli(argv)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -270,6 +275,22 @@ class TestConstants:
     def test_overflow_is_one_stderr_line(self, flag, shown):
         line = _one_line_error(["constants", flag, "1e308"])
         assert line == f"the LDP square capacity (Eq. 49) overflows at {shown}"
+
+
+# Noise alone swamps every link: its noise factor overflows to inf, and
+# NumPy's overflow warning used to reach stderr.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--n-links", "6", "--noise", "1e308"],
+        ["traffic", "--n-links", "3", "--slots", "5", "--no-stability", "--noise", "1e308"],
+    ],
+    ids=["schedule", "traffic"],
+)
+def test_overflowing_noise_runs_with_a_clean_stderr(argv):
+    proc = _run_cli(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestChannelFlag:

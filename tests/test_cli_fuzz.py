@@ -7,15 +7,16 @@ parameter (a :class:`~repro.utils.validation.ValidationError` that
 exit status 2 with its usage text, and never in a traceback.
 
 Every size is tiny and ``--jobs`` never exceeds 2, so no example starts
-more than two worker processes.  ``serve`` and ``loadtest`` stop right
-after the broker and server are constructed: nothing binds a port and
-no worker thread starts.  The broker, cache and load-generator checks
-are tested directly in their own test files.
+more than two worker processes.  ``serve`` and ``loadtest`` stop where
+the server would bind, after the broker and server are constructed:
+nothing binds a port and no worker thread starts.  The broker, cache
+and load-generator checks are tested directly in their own test files.
 """
 
 from __future__ import annotations
 
 import io
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -110,7 +111,7 @@ COMMANDS = {
             **{
                 flag: BOUNDARY
                 for flag in (
-                    "--port", "--workers", "--queue-limit", "--batch-max", "--tenant-rate",
+                    "--port", "--workers", "--queue-limit", "--tenant-rate",
                     "--tenant-burst", "--cache-capacity", "--max-sessions",
                 )
             },
@@ -137,7 +138,7 @@ TIME_LIMIT = 30.0
 
 
 class _Booted(Exception):
-    """Raised in place of ``ScheduleBroker.start``: construction succeeded."""
+    """Raised in place of ``ScheduleServer.start``: construction succeeded."""
 
 
 @pytest.fixture
@@ -145,7 +146,7 @@ def front_door(tmp_path, monkeypatch):
     """``run(name, (flag, value), ...)``: one CLI call, checked against
     the exit contract; returns ``(exit status, stdout, stderr)``."""
     from repro.experiments.config import ExperimentConfig
-    from repro.service.broker import ScheduleBroker
+    from repro.service.server import ScheduleServer
 
     tiny = ExperimentConfig(
         n_links_sweep=(5,),
@@ -159,7 +160,7 @@ def front_door(tmp_path, monkeypatch):
     async def _stop_at_start(self):
         raise _Booted
 
-    monkeypatch.setattr(ScheduleBroker, "start", _stop_at_start)
+    monkeypatch.setattr(ScheduleServer, "start", _stop_at_start)
     plain = tmp_path / "plain"
     plain.write_text("not a directory")
     trace = tmp_path / "run.jsonl"
@@ -173,6 +174,7 @@ def front_door(tmp_path, monkeypatch):
             argv += [flag, value]
         argv = [arg.format(**paths) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
+        threads = set(threading.enumerate())
         start = time.monotonic()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -182,6 +184,8 @@ def front_door(tmp_path, monkeypatch):
             except _Booted:
                 code = 0
         elapsed = time.monotonic() - start
+        if name in ("serve", "loadtest"):
+            assert set(threading.enumerate()) <= threads, argv
         if isinstance(code, str):  # SystemExit(message): exit status 1
             assert "\n" not in code and code.strip(), argv
             code = 1
@@ -268,7 +272,6 @@ TENTPOLE_CASES = [
          "--unit-timeout must be > 0, got nan"),
         (["serve", "--workers", "0"], "n_workers must be >= 1, got 0"),
         (["serve", "--queue-limit", "0"], "queue_limit must be >= 1, got 0"),
-        (["serve", "--batch-max", "0"], "batch_max must be >= 1, got 0"),
         (["schedule", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["generate", "{tmp}/F.csv", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["power-sweep", "--n-links", "4", "--reps", "1", "--trials", "-1"],
@@ -283,4 +286,17 @@ def test_bad_value_is_one_line_naming_it(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert str(exc.value) == message
+    assert capsys.readouterr().err == ""
+
+
+def test_loadtest_checks_its_counts_before_it_boots(monkeypatch, capsys):
+    from repro.service.server import ScheduleServer
+
+    def _must_not_bind(self):
+        raise AssertionError("a server booted before the counts were checked")
+
+    monkeypatch.setattr(ScheduleServer, "start", _must_not_bind)
+    with pytest.raises(SystemExit) as exc:
+        main(["loadtest", "--clients", "-1"])
+    assert str(exc.value) == "clients must be >= 0, got -1"
     assert capsys.readouterr().err == ""

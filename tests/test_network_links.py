@@ -1,5 +1,7 @@
 """Tests for repro.network.links."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ class TestLinkSetConstruction:
     def test_zero_length_link_rejected(self):
         with pytest.raises(ValueError):
             LinkSet(senders=[[1.0, 1.0]], receivers=[[1.0, 1.0]])
+
+    def test_overflowing_length_rejected_without_a_warning(self):
+        # Finite coordinates whose difference overflows a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite length"):
+                LinkSet(senders=[[1e308, 0.0]], receivers=[[-1e308, 0.0]])
 
     def test_immutability(self):
         ls = make_linkset(2)

@@ -2,12 +2,14 @@
 
 The three contracts docs/SERVICE.md promises:
 
-- **bit-identity** — whatever mix of batching and coalescing serves a
-  request, the returned schedule is bit-identical to a direct
-  scheduler call on the same problem (Hypothesis-probed over random
-  instances, duplicate mixes, and batch sizes);
+- **bit-identity** — whether a request is computed on a worker thread,
+  coalesced onto another's computation or answered from the cache, the
+  returned schedule is bit-identical to a direct scheduler call on the
+  same problem (Hypothesis-probed over random instances and duplicate
+  mixes);
 - **deterministic backpressure** — a seeded overload burst against a
-  bounded queue accepts/rejects the exact same positions on every run,
+  bound on computations in flight accepts/rejects the exact same
+  positions on every run,
   and per-tenant token buckets under an injectable clock reject on a
   schedule that is a pure function of the timestamps;
 - **accounting** — requests = scheduled + coalesced + rejected +
@@ -62,15 +64,13 @@ class TestServingBitIdentity:
         n=st.integers(3, 12),
         seed=st.integers(0, 500),
         duplicates=st.integers(1, 5),
-        batch_max=st.sampled_from([1, 2, 32]),
     )
-    def test_batched_coalesced_equals_direct(self, n, seed, duplicates, batch_max):
+    def test_batched_coalesced_equals_direct(self, n, seed, duplicates):
         problem = _problem(n, seed)
         direct = get_scheduler("rle")(problem)
 
         async def drive():
-            broker = ScheduleBroker(batch_max=batch_max, n_workers=2, inline=True)
-            await broker.start()
+            broker = ScheduleBroker(n_workers=2)
             try:
                 return await asyncio.gather(
                     *(broker.submit(problem) for _ in range(duplicates))
@@ -88,8 +88,7 @@ class TestServingBitIdentity:
         directs = [get_scheduler("rle")(p) for p in problems]
 
         async def drive():
-            broker = ScheduleBroker(batch_max=3, n_workers=2, inline=True)
-            await broker.start()
+            broker = ScheduleBroker(n_workers=2)
             try:
                 return await asyncio.gather(*(broker.submit(p) for p in problems))
             finally:
@@ -102,8 +101,7 @@ class TestServingBitIdentity:
         problem = _problem(10, 3)
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 await asyncio.gather(*(broker.submit(problem) for _ in range(8)))
                 return broker.stats
@@ -119,8 +117,7 @@ class TestServingBitIdentity:
         problem = _problem(8, 5)
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 first = await broker.submit(problem)
                 second = await broker.submit(problem)
@@ -136,7 +133,6 @@ class TestServingBitIdentity:
     @staticmethod
     def _tiers(broker, problems):
         async def drive():
-            await broker.start()
             try:
                 return [(await broker.submit(p))["tier"] for p in problems]
             finally:
@@ -146,7 +142,7 @@ class TestServingBitIdentity:
 
     def test_tier_is_miss_without_a_cache(self):
         p1, p2 = _problem(8, 5), _problem(8, 6)
-        broker = ScheduleBroker(use_cache=False, inline=True)
+        broker = ScheduleBroker(use_cache=False)
         tiers = self._tiers(broker, [p1, p1, p2, p1])
         # The scheduler ran for every request, so none came from a cache.
         assert tiers == ["miss", "miss", "miss", "miss"]
@@ -155,7 +151,7 @@ class TestServingBitIdentity:
     def test_tier_follows_evictions(self):
         p1, p2 = _problem(8, 5), _problem(8, 6)
         cache = ScheduleCache(capacity=1)
-        broker = ScheduleBroker(cache=cache, inline=True)
+        broker = ScheduleBroker(cache=cache)
         tiers = self._tiers(broker, [p1, p1, p2, p1])
         # p2 evicts p1, so the last p1 is computed afresh.
         assert tiers == ["miss", "cache", "miss", "miss"]
@@ -166,8 +162,7 @@ class TestServingBitIdentity:
         problem = _problem(8, 5)
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 cold = await asyncio.gather(*(broker.submit(problem) for _ in range(3)))
                 warm = await asyncio.gather(*(broker.submit(problem) for _ in range(3)))
@@ -185,8 +180,7 @@ class TestServingBitIdentity:
         direct = get_scheduler("rle")(problem)
 
         async def drive():
-            broker = ScheduleBroker(use_cache=False, inline=True)
-            await broker.start()
+            broker = ScheduleBroker(use_cache=False)
             try:
                 return await broker.submit(problem)
             finally:
@@ -198,8 +192,7 @@ class TestServingBitIdentity:
         good = _problem(6, 1)
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 ok = await broker.submit(good)
                 with pytest.raises(KeyError):
@@ -217,10 +210,11 @@ class TestServingBitIdentity:
 
 
 def _burst_pattern(problems, queue_limit):
-    """(accepted, rejected) index sets of one stalled-broker burst."""
+    """(accepted, rejected) index sets of one burst submitted in one
+    event-loop turn, before any computation can report back."""
 
     async def drive():
-        broker = ScheduleBroker(queue_limit=queue_limit, inline=True)
+        broker = ScheduleBroker(queue_limit=queue_limit)
         tasks = [asyncio.ensure_future(broker.submit(p)) for p in problems]
         await asyncio.sleep(0)
         rejected = [
@@ -228,7 +222,6 @@ def _burst_pattern(problems, queue_limit):
             for i, t in enumerate(tasks)
             if t.done() and isinstance(t.exception(), Overloaded)
         ]
-        await broker.start()
         accepted = []
         for i, task in enumerate(tasks):
             if i not in rejected:
@@ -260,11 +253,10 @@ class TestBackpressure:
         problems = [_problem(3 + i, 50 + i) for i in range(4)]
 
         async def drive():
-            broker = ScheduleBroker(queue_limit=2, inline=True)
+            broker = ScheduleBroker(queue_limit=2)
             tasks = [asyncio.ensure_future(broker.submit(p)) for p in problems]
             await asyncio.sleep(0)
             errors = [t.exception() for t in tasks if t.done() and t.exception()]
-            await broker.start()
             await asyncio.gather(*tasks, return_exceptions=True)
             await broker.close()
             return errors, broker.stats
@@ -279,10 +271,9 @@ class TestBackpressure:
         problems = [_problem(3 + i % 3, i) for i in range(7)]
 
         async def drive():
-            broker = ScheduleBroker(queue_limit=2, inline=True)
+            broker = ScheduleBroker(queue_limit=2)
             tasks = [asyncio.ensure_future(broker.submit(p)) for p in problems]
             await asyncio.sleep(0)
-            await broker.start()
             await asyncio.gather(*tasks, return_exceptions=True)
             await broker.close()
             return broker.stats
@@ -299,8 +290,7 @@ class TestBackpressure:
 
     def test_unknown_scheduler_leaves_the_accounting_balanced(self):
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 await broker.submit(_problem(5, 1))
                 with pytest.raises(KeyError):
@@ -380,9 +370,8 @@ class TestTokenBucket:
 
         async def drive():
             broker = ScheduleBroker(
-                tenant_rate=1.0, tenant_burst=2.0, clock=clock, inline=True
+                tenant_rate=1.0, tenant_burst=2.0, clock=clock
             )
-            await broker.start()
             try:
                 await broker.submit(problem, tenant="a")
                 await broker.submit(problem, tenant="a")
@@ -412,8 +401,7 @@ class TestSessions:
         delta = LinkDelta(removes=np.array([1, 3]))
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 opened = await broker.open_session("s", problem)
                 repaired = await broker.apply_delta("s", delta)
@@ -433,8 +421,7 @@ class TestSessions:
         problem = _problem(5, 4)
 
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             try:
                 with pytest.raises(UnknownSession):
                     await broker.apply_delta("ghost", LinkDelta())
@@ -450,8 +437,7 @@ class TestSessions:
 
     def test_session_capacity_503(self):
         async def drive():
-            broker = ScheduleBroker(max_sessions=2, inline=True)
-            await broker.start()
+            broker = ScheduleBroker(max_sessions=2)
             try:
                 await broker.open_session("a", _problem(4, 1))
                 await broker.open_session("b", _problem(4, 2))
@@ -471,34 +457,19 @@ class TestSessions:
 class TestLifecycle:
     def test_submit_after_close_is_overloaded(self):
         async def drive():
-            broker = ScheduleBroker(inline=True)
-            await broker.start()
+            broker = ScheduleBroker()
             await broker.close()
             with pytest.raises(Overloaded):
                 await broker.submit(_problem(4, 0))
+            with pytest.raises(Overloaded):  # its threads are gone too
+                await broker.open_session("s", _problem(4, 0))
+            assert broker.stats["open_sessions"] == 0
 
         _run(drive())
-
-    def test_executor_mode_matches_inline(self):
-        problem = _problem(11, 21)
-
-        async def drive(inline):
-            broker = ScheduleBroker(inline=inline, n_workers=2)
-            await broker.start()
-            try:
-                return (await broker.submit(problem))["schedule"]
-            finally:
-                await broker.close()
-
-        a = _run(drive(True))
-        b = _run(drive(False))
-        assert np.array_equal(a.active, b.active)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ScheduleBroker(queue_limit=0)
-        with pytest.raises(ValueError):
-            ScheduleBroker(batch_max=0)
         with pytest.raises(ValueError):
             ScheduleBroker(n_workers=0)
         with pytest.raises(KeyError):
@@ -507,12 +478,12 @@ class TestLifecycle:
     # Every argument is checked at construction.  A tenant's bucket is
     # built on first use, so a bad rate or burst would otherwise fail
     # every request instead of the start.  No large valid count starts
-    # work: threads start only in ``start()``.
+    # work: the executor starts a thread only when a computation needs one.
     @pytest.mark.parametrize(
         "field, value",
         [
             (field, value)
-            for field in ("queue_limit", "batch_max", "n_workers", "max_sessions")
+            for field in ("queue_limit", "n_workers", "max_sessions")
             for value in (-1, 0, 1, 2, 2**63)
         ]
         + [

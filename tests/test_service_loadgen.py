@@ -47,10 +47,11 @@ class TestRequestTrace:
 
 
 class TestDirectMode:
+    """``run_loadgen(broker=...)`` serves the broker in process over HTTP."""
+
     def _run(self, **kwargs):
         async def drive():
-            broker = ScheduleBroker(inline=True, **kwargs.pop("broker_kwargs", {}))
-            await broker.start()
+            broker = ScheduleBroker(**kwargs.pop("broker_kwargs", {}))
             try:
                 return await run_loadgen(broker=broker, **kwargs)
             finally:
@@ -120,9 +121,8 @@ class TestDirectMode:
 class TestHttpMode:
     def test_against_live_server(self):
         async def drive():
-            broker = ScheduleBroker(inline=True)
+            broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
-            await broker.start()
             host, port = await server.start()
             try:
                 return await run_loadgen(
@@ -158,7 +158,7 @@ class TestHttpMode:
         with pytest.raises(ValueError):
             asyncio.run(
                 run_loadgen(
-                    host="h", port=1, broker=ScheduleBroker(inline=True), clients=1
+                    host="h", port=1, broker=ScheduleBroker(), clients=1
                 )
             )
 

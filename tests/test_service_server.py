@@ -75,9 +75,8 @@ def _serve(test_coro_factory, **broker_kwargs):
     """Boot broker+server on an ephemeral port, run the test body, tear down."""
 
     async def runner():
-        broker = ScheduleBroker(inline=True, **broker_kwargs)
+        broker = ScheduleBroker(**broker_kwargs)
         server = ScheduleServer(broker, port=0)
-        await broker.start()
         host, port = await server.start()
         try:
             return await test_coro_factory(host, port, broker, server)
@@ -132,6 +131,9 @@ class TestScheduleEndpoint:
             ({"topology": {"senders": [[0, 0]], "receivers": "bogus"}}, "bad-topology"),
             ({"topology": None}, "bad-topology"),
             ({}, "bad-topology"),
+            # Finite coordinates, but the link's length overflows a double.
+            ({"topology": {"senders": [[1e308, 0]], "receivers": [[-1e308, 0]]}},
+             "bad-topology"),
             (
                 {
                     "topology": build_topology_payload(_problem(3)),
@@ -537,9 +539,8 @@ class TestIntrospectionEndpoints:
         lines = []
 
         async def runner():
-            broker = ScheduleBroker(inline=True)
+            broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0, access_log=lines.append)
-            await broker.start()
             host, port = await server.start()
             try:
                 _, _, rw = await _request(host, port, "GET", "/v1/healthz")
@@ -566,9 +567,8 @@ class TestShutdown:
         """close() returns with every connection handler finished."""
 
         async def runner():
-            broker = ScheduleBroker(inline=True)
+            broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
-            await broker.start()
             host, port = await server.start()
             _, _, (reader, writer) = await _request(host, port, "GET", "/v1/healthz")
             handlers = set(server._handlers)
@@ -588,9 +588,8 @@ class TestShutdown:
         """A request mid-dispatch gets its response, marked Connection: close."""
 
         async def runner():
-            broker = ScheduleBroker(inline=True)
+            broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
-            await broker.start()
             host, port = await server.start()
             release = asyncio.Event()
             dispatch = server._dispatch
@@ -628,9 +627,8 @@ class TestShutdown:
         monkeypatch.setattr(server_module, "CLOSE_GRACE_SECONDS", 0.2)
 
         async def runner():
-            broker = ScheduleBroker(inline=True)
+            broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
-            await broker.start()
             host, port = await server.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
