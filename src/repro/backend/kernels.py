@@ -6,9 +6,8 @@ the backend layer (:mod:`repro.backend.base`) dispatches:
 - :func:`factor_block` — the Eq. 17 interference factors of one
   ``(rows, cols)`` block, the one place the factor arithmetic lives.
   :func:`fmatrix` is its full ``N x N`` block;
-  :meth:`FadingRLS.factor_block`, the incremental engine's row and
-  column refresh and :func:`repro.channel.rayleigh.success_probability`
-  compute smaller blocks with it;
+  :meth:`FadingRLS.factor_block` and the incremental engine's row and
+  column refresh compute smaller blocks with it;
 - :func:`feasible_verdict` — the Corollary 3.1 feasibility check on the
   active set's ``(K, K)`` factor block.  Where
   :meth:`FadingRLS.interference_on` reduces a full ``(N,)`` masked

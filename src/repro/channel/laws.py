@@ -14,8 +14,11 @@ bundles
   :func:`~repro.channel.sampling.iter_fading_trials`'s chunked
   RNG-stream contract (chunking along the trial axis never changes the
   drawn bits — see `Stream contract`_ below), and
-- an optional closed-form per-link success probability (Rayleigh's
-  Thm 3.1; the deterministic model's indicator).
+- :meth:`ChannelLaw.success_probability`, the per-link success
+  probability in closed form where one exists and ``None`` where the
+  law is Monte-Carlo only: Rayleigh's Thm 3.1
+  (:meth:`~repro.core.problem.FadingRLS.success_probabilities`) and
+  the deterministic model's SINR indicator.
 
 Laws register by name in :data:`CHANNEL_LAWS` and are selected by
 **spec strings** — ``"rayleigh"``, ``"nakagami:m=2"``,
@@ -105,36 +108,16 @@ class ChannelLaw:
         return f"{self.name}:{body}"
 
     # -- closed form -------------------------------------------------
-    @property
-    def has_closed_form(self) -> bool:
-        """Does :meth:`success_probability` return an exact answer?"""
-        return False
-
     def success_probability(self, problem, active) -> Optional[np.ndarray]:
         """Exact per-link success probabilities, or ``None`` (MC only).
 
         Returns a ``(K,)`` array over the sorted active set when the law
-        admits a closed form under ``problem``'s parameters.
+        admits a closed form under ``problem``'s parameters; whether a
+        law has one is exactly whether this returns ``None``.
         """
         return None
 
     # -- sampling ----------------------------------------------------
-    def mean_power(
-        self,
-        distances: np.ndarray,
-        active: np.ndarray,
-        alpha: float,
-        *,
-        power: Union[float, np.ndarray] = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted active indices and the ``(K, K)`` mean-power matrix.
-
-        Every law shares the deterministic path-loss x power part of
-        the draw (:func:`~repro.channel.sampling.fading_means`); only
-        the random factor around it differs.
-        """
-        return fading_means(distances, active, alpha, power=power)
-
     def start_stream(self, rng: np.random.Generator, means: np.ndarray):
         """Per-replay sampler state consumed by :meth:`sample_chunk`.
 
@@ -191,10 +174,6 @@ class RayleighLaw(ChannelLaw):
 
     name = "rayleigh"
 
-    @property
-    def has_closed_form(self) -> bool:
-        return True
-
     def success_probability(self, problem, active) -> np.ndarray:
         """Thm 3.1 exactly (the paper's closed form)."""
         return _closed_form_rayleigh(problem, active)
@@ -233,10 +212,6 @@ class NakagamiLaw(ChannelLaw):
         if _finite_float(self, "m") <= 0:
             raise ValueError(f"m must be > 0, got {self.m}")
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.m == 1.0
-
     def success_probability(self, problem, active) -> Optional[np.ndarray]:
         """Thm 3.1 at ``m = 1`` (Rayleigh in distribution); else MC only."""
         if self.m != 1.0:
@@ -273,10 +248,6 @@ class ShadowingLaw(ChannelLaw):
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
         if not isinstance(self.static, bool):
             raise ValueError(f"static must be true or false, got {self.static!r}")
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.sigma_db == 0.0
 
     def success_probability(self, problem, active) -> Optional[np.ndarray]:
         """Thm 3.1 at ``sigma_db = 0`` (pure Rayleigh); else MC only."""
@@ -324,14 +295,13 @@ class DeterministicLaw(ChannelLaw):
 
     name = "deterministic"
 
-    @property
-    def has_closed_form(self) -> bool:
-        return True
-
     def success_probability(self, problem, active) -> np.ndarray:
         """0/1 indicator of the deterministic SINR test per active link."""
-        idx, means = self.mean_power(
-            problem.distances(), active, problem.alpha, power=problem.tx_powers()
+        idx, means = fading_means(
+            problem.distances(),
+            problem.active_mask(active),
+            problem.alpha,
+            power=problem.tx_powers(),
         )
         if idx.size == 0:
             return np.zeros(0, dtype=float)

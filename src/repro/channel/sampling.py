@@ -48,9 +48,9 @@ from typing import TYPE_CHECKING, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.channel.pathloss import pathloss_matrix
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (laws uses fading_means)
     from repro.channel.laws import ChannelLaw
@@ -90,23 +90,27 @@ def fading_means(
     """Active index array and the ``(K, K)`` mean received-power matrix.
 
     ``means[a, b] = P_a * d(s_a, r_b)^-alpha`` over the sorted active
-    set — the Rayleigh fading draw is ``Exp(1)`` variates scaled by this
-    matrix.  Shared by the batched and streaming samplers so both agree
-    on the deterministic part of the draw.
+    set: the log-distance path loss of Eq. 4, which every law shares.
+    The Rayleigh fading draw is ``Exp(1)`` variates scaled by this
+    matrix, and the deterministic model receives exactly it.  Shared by
+    the batched and streaming samplers so both agree on the
+    deterministic part of the draw.
     """
     d = np.asarray(distances, dtype=float)
     n = d.shape[0]
     idx = _resolve_active(d, active)
+    check_positive(alpha, "alpha")
+    sub = d[np.ix_(idx, idx)]
+    if np.any(sub <= 0):
+        raise ValueError("distance matrix must be strictly positive")
     p = np.asarray(power, dtype=float)
     if p.ndim == 0:
-        means = pathloss_matrix(d[np.ix_(idx, idx)], alpha, float(p))
-    else:
-        if p.shape != (n,):
-            raise ValueError(f"power must be scalar or shape ({n},), got {p.shape}")
-        if np.any(p <= 0):
-            raise ValueError("power must be positive")
-        means = pathloss_matrix(d[np.ix_(idx, idx)], alpha) * p[idx, None]
-    return idx, means
+        return idx, check_positive(float(p), "power") * sub**-alpha
+    if p.shape != (n,):
+        raise ValueError(f"power must be scalar or shape ({n},), got {p.shape}")
+    if np.any(p <= 0):
+        raise ValueError("power must be positive")
+    return idx, sub**-alpha * p[idx, None]
 
 
 def _trials_per_chunk(k: int) -> int:

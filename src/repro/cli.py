@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro import obs
-from repro.core.base import SchedulerError, get_scheduler, list_schedulers
+from repro.core.base import SchedulerError, get_scheduler, list_schedulers, takes_seed
 from repro.core.problem import FadingRLS
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -194,7 +194,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core.powercontrol import run_scheduler_with_power
 
     scheduler = get_scheduler(args.algorithm)
-    kwargs = {"seed": args.seed} if args.algorithm in ("dls", "random", "protocol_mis") else {}
+    kwargs = {"seed": args.seed} if takes_seed(scheduler) else {}
     channel = _channel(args.channel)
     policy = args.power_policy or "uniform"
     with span("scheduler.run", algorithm=args.algorithm):
@@ -489,18 +489,15 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
     policies = tuple(args.policy) if args.policy else POWER_POLICIES
     for spec in channels:
         _channel(spec)
-    try:
-        cells = power_sweep(
-            cfg,
-            channels=channels,
-            policies=policies,
-            schedulers=args.algorithm or None,
-            n_links=args.n_links,
-            n_repetitions=args.reps,
-            n_trials=args.trials,
-        )
-    except KeyError as exc:  # an unknown --algorithm name
-        raise SystemExit(str(exc))
+    cells = power_sweep(
+        cfg,
+        channels=channels,
+        policies=policies,
+        schedulers=args.algorithm or None,
+        n_links=args.n_links,
+        n_repetitions=args.reps,
+        n_trials=args.trials,
+    )
     print(format_power_sweep(cells))
     if args.output:
         payload = {
@@ -766,6 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the command under cProfile and print the hottest entries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schedulers = list_schedulers()
 
     g = sub.add_parser("generate", help="generate a random workload file")
     g.add_argument("output", help="destination .csv or .json")
@@ -778,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", help="workload file (.csv or .json); omit for a random one")
     s.add_argument("--topology", choices=TOPOLOGIES, default="paper")
     s.add_argument("--n-links", type=int, default=300)
-    s.add_argument("--algorithm", default="rle")
+    s.add_argument("--algorithm", default="rle", choices=schedulers)
     s.add_argument("--alpha", type=float, default=3.0)
     s.add_argument("--gamma-th", type=float, default=1.0)
     s.add_argument("--eps", type=float, default=0.01)
@@ -839,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     w.add_argument("--topology", choices=TOPOLOGIES, default="paper")
     w.add_argument("--n-links", type=int, default=12)
-    w.add_argument("--algorithm", default="rle")
+    w.add_argument("--algorithm", default="rle", choices=schedulers)
     w.add_argument(
         "--policy",
         choices=("backlogged", "multislot", "incremental"),
@@ -933,6 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         action="append",
         default=None,
+        choices=schedulers,
         metavar="NAME",
         help="scheduler to include (repeatable; default: ldp and rle)",
     )
@@ -1009,6 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME",
         default=None,
+        choices=schedulers,
         help="scheduler to include (repeatable; default: every registered one)",
     )
     ps.add_argument("--n-links", type=int, default=12)
@@ -1051,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--scheduler",
         default="rle",
-        choices=list_schedulers(),
+        choices=schedulers,
         help="default scheduler for requests that omit one",
     )
     sv.add_argument(
@@ -1126,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-links", type=int, default=12, help="links per request topology"
     )
     lt.add_argument(
-        "--scheduler", default="rle", choices=list_schedulers(), help="scheduler"
+        "--scheduler", default="rle", choices=schedulers, help="scheduler"
     )
     lt.add_argument(
         "--tenants", type=int, default=1, help="tenant labels cycled across clients"

@@ -8,6 +8,7 @@ at import time.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, List
 
 from repro.core.schedule import Schedule
@@ -52,6 +53,15 @@ def get_scheduler(name: str) -> SchedulerFn:
         raise KeyError(
             f"unknown scheduler {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
+
+
+def takes_seed(fn: SchedulerFn) -> bool:
+    """Does the scheduler take a ``seed`` keyword?
+
+    Such a scheduler draws fresh OS entropy when it gets no seed, so a
+    caller that wants reproducible runs passes one whenever this holds.
+    """
+    return "seed" in inspect.signature(fn).parameters
 
 
 def list_schedulers() -> List[str]:

@@ -213,7 +213,10 @@ class IncrementalScheduler:
                     f"{name} reference link {int(idx.max())} "
                     f"but the engine tracks only {self.n_links}"
                 )
-        disp = delta.new_receivers - delta.new_senders
+        # Finite endpoints can still be too far apart for a double: that
+        # length overflows to inf and is refused below, as in LinkSet.
+        with np.errstate(over="ignore"):
+            disp = delta.new_receivers - delta.new_senders
         length2 = np.einsum("ij,ij->i", disp, disp)
         if not np.all((length2 > 0.0) & np.isfinite(length2)):
             raise ValidationError(

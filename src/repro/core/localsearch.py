@@ -127,13 +127,13 @@ def local_search_schedule(
     """Scheduler facade: start from a registered scheduler's output and
     locally improve it.  ``start=None`` starts from the empty schedule
     (pure local search)."""
-    from repro.core.base import get_scheduler
+    from repro.core.base import get_scheduler, takes_seed
 
     if start is None:
         initial = Schedule.empty("empty")
     else:
         fn = get_scheduler(start)
-        if start in ("dls", "random", "protocol_mis"):
+        if takes_seed(fn):
             start_kwargs.setdefault("seed", seed)
         initial = fn(problem, **start_kwargs)
     return improve_schedule(problem, initial, seed=seed)

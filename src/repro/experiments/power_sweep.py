@@ -13,9 +13,9 @@ workload noise).
 The default grid keeps instances small (``n_links <= 22``) because the
 registry includes the exact solvers (``brute_force`` raises above
 :data:`repro.core.exact.BRUTE_FORCE_LIMIT` links); the seeded
-schedulers (``dls``, ``random``, ``protocol_mis``) get identity-derived
-seeds so the whole sweep is deterministic and bit-identical across
-``n_jobs``.
+schedulers (those that take a ``seed``,
+:func:`repro.core.base.takes_seed`) get identity-derived seeds so the
+whole sweep is deterministic and bit-identical across ``n_jobs``.
 
 CLI: ``python -m repro power-sweep`` (see :mod:`repro.cli`).
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import get_scheduler, list_schedulers
+from repro.core.base import get_scheduler, list_schedulers, takes_seed
 from repro.core.exact import BRUTE_FORCE_LIMIT
 from repro.core.powercontrol import POWER_POLICIES
 from repro.obs import metrics as obs_metrics
@@ -45,11 +45,6 @@ DEFAULT_CHANNELS: Tuple[str, ...] = (
     "shadowing:sigma_db=6",
     "deterministic",
 )
-
-#: Schedulers whose default ``seed=None`` draws fresh OS entropy; the
-#: sweep pins them with identity-derived seeds to stay deterministic.
-SEEDED_SCHEDULERS: Tuple[str, ...] = ("dls", "random", "protocol_mis")
-
 
 @dataclass(frozen=True)
 class PowerSweepCell:
@@ -115,10 +110,12 @@ def power_sweep(
             param="n_links",
         )
     sched_map = {name: get_scheduler(name) for name in names}
+    # A seeded scheduler draws fresh OS entropy without a seed; pin it
+    # with an identity-derived one so the sweep stays deterministic.
     kwargs_map = {
         name: {"seed": stable_seed("powersweep", name, root=cfg.root_seed)}
-        for name in names
-        if name in SEEDED_SCHEDULERS
+        for name, fn in sched_map.items()
+        if takes_seed(fn)
     }
     workload = cfg.workload(n_links)
     cells: List[PowerSweepCell] = []

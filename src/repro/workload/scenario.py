@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.core.base import list_schedulers
 from repro.core.problem import FadingRLS
 from repro.network.links import LinkSet
 from repro.network.topology import TOPOLOGIES, make_topology
@@ -102,6 +103,11 @@ class WorkloadScenario:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; choose from {POLICIES}",
                 param="policy",
+            )
+        if self.scheduler not in list_schedulers():
+            raise ValidationError(
+                f"unknown scheduler {self.scheduler!r}; choose from {list_schedulers()}",
+                param="scheduler",
             )
         check_count(self.n_links, "n_links")
         check_count(self.n_slots, "n_slots")

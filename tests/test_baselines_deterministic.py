@@ -33,14 +33,12 @@ class TestAffectanceMatrix:
 class TestDeterministicFeasibility:
     def test_matches_sinr_threshold(self, tight_problem):
         """Affectance budget 1 is exactly SINR >= gamma_th."""
-        from repro.channel.deterministic import deterministic_success
+        from repro.channel.laws import DeterministicLaw
 
         active = np.array([0, 1, 2])
         by_affectance = deterministic_informed(tight_problem, active)
-        by_sinr = deterministic_success(
-            tight_problem.distances(), active, tight_problem.alpha, tight_problem.gamma_th
-        )
-        np.testing.assert_array_equal(by_affectance[active], by_sinr)
+        by_sinr = DeterministicLaw().success_probability(tight_problem, active)
+        np.testing.assert_array_equal(by_affectance[active], by_sinr == 1.0)
 
     def test_single_link_feasible(self, tight_problem):
         assert deterministic_is_feasible(tight_problem, [0])

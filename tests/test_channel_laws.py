@@ -134,13 +134,20 @@ class TestRegistry:
         )
         assert get_channel_law("deterministic").spec == "deterministic"
 
-    def test_closed_form_flags(self):
-        assert get_channel_law("rayleigh").has_closed_form
-        assert get_channel_law("nakagami:m=1").has_closed_form
-        assert not get_channel_law("nakagami:m=2").has_closed_form
-        assert get_channel_law("shadowing:sigma_db=0").has_closed_form
-        assert not get_channel_law("shadowing:sigma_db=6").has_closed_form
-        assert get_channel_law("deterministic").has_closed_form
+    def test_closed_form_flags(self, problem):
+        # A law has a closed form exactly where success_probability
+        # answers instead of returning None.
+        active = np.array([0, 1])
+        for spec, closed in (
+            ("rayleigh", True),
+            ("nakagami:m=1", True),
+            ("nakagami:m=2", False),
+            ("shadowing:sigma_db=0", True),
+            ("shadowing:sigma_db=6", False),
+            ("deterministic", True),
+        ):
+            got = get_channel_law(spec).success_probability(problem, active)
+            assert (got is not None) == closed, spec
 
 
 class TestClosedForms:

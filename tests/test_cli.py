@@ -115,9 +115,13 @@ class TestSchedule:
             == 0
         )
 
-    def test_unknown_algorithm(self):
-        with pytest.raises(KeyError):
-            main(["schedule", "--algorithm", "nope", "--n-links", "5"])
+    def test_unknown_algorithm(self, capsys):
+        # argparse refuses the name (exit 2) on every command that takes one.
+        for command in ("schedule", "traffic", "mobility", "power-sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--algorithm", "nope"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_negative_n_links_is_a_one_line_error(self):
         assert _one_line_error(["schedule", "--n-links", "-2"]) == "n_links must be >= 0, got -2"

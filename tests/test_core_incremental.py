@@ -9,6 +9,8 @@ schedule passes the fresh instance's Corollary 3.1 feasibility check.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,16 +154,25 @@ class TestFMatrixMaintenance:
                 new_receivers=np.array([[5.0, 0.0]]),
                 removes=np.array([9]),
             ),
+            # finite endpoints too far apart for a double
+            LinkDelta(
+                moves=np.array([0]),
+                new_senders=np.array([[1e308, 0.0]]),
+                new_receivers=np.array([[-1e308, 0.0]]),
+            ),
         ],
-        ids=["zero-length", "nan", "valid-move-then-bad-remove"],
+        ids=["zero-length", "nan", "valid-move-then-bad-remove", "overflowing-length"],
     )
     def test_rejected_delta_changes_nothing(self, delta):
         links = _links(5)
         engine, twin = IncrementalScheduler(links), IncrementalScheduler(links)
         assert 0 in engine.schedule().active
         twin.schedule()
-        with pytest.raises((IndexError, ValueError)):
-            engine.apply(delta)
+        # Refused with a typed error and no RuntimeWarning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((IndexError, ValueError)):
+                engine.apply(delta)
         _assert_state_matches_fresh(engine, links)
         np.testing.assert_array_equal(engine._ledger, twin._ledger)
 

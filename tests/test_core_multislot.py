@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.base import get_scheduler, list_schedulers
+from repro.core.base import get_scheduler, list_schedulers, takes_seed
 from repro.core.ldp import ldp_schedule
 from repro.core.multislot import (
     MultiSlotSchedule,
@@ -17,9 +17,6 @@ from repro.core.rle import rle_schedule
 from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology
-
-#: Schedulers whose signature takes a ``seed`` keyword.
-SEEDED = {"dls", "random", "protocol_mis"}
 
 
 class TestMultiSlot:
@@ -87,8 +84,9 @@ class TestCoverInvariant:
     @pytest.mark.parametrize("name", list_schedulers())
     def test_cover_invariant(self, name):
         p = FadingRLS(links=paper_topology(10, seed=4))
-        kwargs = {"seed": 0} if name in SEEDED else {}
-        ms = multislot_schedule(p, get_scheduler(name), **kwargs)
+        fn = get_scheduler(name)
+        kwargs = {"seed": 0} if takes_seed(fn) else {}
+        ms = multislot_schedule(p, fn, **kwargs)
         assignment = ms.slot_of(p.n_links)
         # slot_of validates disjointness + coverage; also pin the
         # assignment against the slots themselves.

@@ -84,15 +84,18 @@ class TestClosedFormWithNoise:
         assert prob == pytest.approx(np.exp(-1.0 * noise * 10.0**3))
 
     def test_channel_function_matches_problem(self):
-        from repro.channel.rayleigh import success_probability
-
+        """Thm 3.1 with noise as the explicit product
+        ``exp(-gamma N0 d_jj^alpha / P) prod_{i != j} 1 / (1 + gamma (d_jj / d_ij)^alpha)``."""
         p = noisy_problem(n=30, noise=1e-5, seed=2)
         active = np.arange(30)
         via_problem = p.success_probabilities(active)[active]
-        via_channel = success_probability(
-            p.distances(), active, p.alpha, p.gamma_th, noise=p.noise, power=p.power
-        )
-        np.testing.assert_allclose(via_problem, via_channel, rtol=1e-10)
+        d, g, a = p.distances(), p.gamma_th, p.alpha
+        explicit = [
+            np.exp(-g * p.noise * d[j, j] ** a / p.power)
+            * np.prod([1.0 / (1.0 + g * (d[j, j] / d[i, j]) ** a) for i in active if i != j])
+            for j in active
+        ]
+        np.testing.assert_allclose(via_problem, explicit, rtol=1e-10)
 
     def test_monte_carlo_agreement_with_noise(self):
         """Closed form with noise == empirical fading + noise."""

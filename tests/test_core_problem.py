@@ -146,12 +146,14 @@ class TestObjective:
         assert 0 < probs[0] < 1 and 0 < probs[1] < 1
 
     def test_success_probability_matches_theorem31(self, tight_problem):
-        from repro.channel.rayleigh import success_probability
-
+        """Thm 3.1 as the explicit product over interferers:
+        ``prod_{i != j} 1 / (1 + gamma (d_jj / d_ij)^alpha)``."""
         probs = tight_problem.success_probabilities([0, 1, 2])
-        direct = success_probability(
-            tight_problem.distances(), np.array([0, 1, 2]), 3.0, 1.0
-        )
+        d, g, a = tight_problem.distances(), tight_problem.gamma_th, tight_problem.alpha
+        direct = [
+            np.prod([1.0 / (1.0 + g * (d[j, j] / d[i, j]) ** a) for i in range(3) if i != j])
+            for j in range(3)
+        ]
         np.testing.assert_allclose(probs, direct)
 
     def test_expected_throughput_bounded_by_scheduled(self, tight_problem):

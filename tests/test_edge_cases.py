@@ -119,13 +119,13 @@ class TestDegenerateInstances:
     def test_single_link_everything_works(self):
         links = LinkSet(senders=[[5.0, 5.0]], receivers=[[6.0, 5.0]])
         p = FadingRLS(links=links)
-        from repro.core.base import get_scheduler, list_schedulers
+        from repro.core.base import get_scheduler, list_schedulers, takes_seed
 
         for name in list_schedulers():
             if name.startswith("_"):
                 continue  # throwaway schedulers registered by other tests
-            kwargs = {"seed": 0} if name in ("dls", "random", "protocol_mis", "local_search") else {}
-            s = get_scheduler(name)(p, **kwargs)
+            fn = get_scheduler(name)
+            s = fn(p, **({"seed": 0} if takes_seed(fn) else {}))
             assert s.size == 1, name
 
     def test_collinear_crowd(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
+from repro.utils.validation import ValidationError
 from repro.workload.analyzers import (
     drift_estimate,
     is_divergent,
@@ -145,6 +146,11 @@ class TestWorkloadScenario:
         with pytest.raises(ValueError, match="topology"):
             WorkloadScenario(topology="mesh")
 
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ValidationError, match="unknown scheduler 'nope'") as exc:
+            WorkloadScenario(scheduler="nope")
+        assert exc.value.param == "scheduler"
+
     def test_unknown_stability_option_rejected(self):
         with pytest.raises(ValueError, match="stability option"):
             WorkloadScenario(stability={"bisect_harder": True})
@@ -248,9 +254,13 @@ class TestTrafficCli:
 
     def test_bad_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "scenario.json"
-        cfg_path.write_text(json.dumps({"topology": "mesh"}))
-        with pytest.raises(SystemExit, match="bad scenario config"):
-            main(["traffic", "--config", str(cfg_path)])
+        for config, reason in (
+            ({"topology": "mesh"}, "unknown topology 'mesh'"),
+            ({"scheduler": "nope"}, "unknown scheduler 'nope'"),
+        ):
+            cfg_path.write_text(json.dumps(config))
+            with pytest.raises(SystemExit, match=f"bad scenario config .*{reason}"):
+                main(["traffic", "--config", str(cfg_path)])
 
     def test_policy_choices_enforced(self):
         with pytest.raises(SystemExit):
