@@ -14,17 +14,28 @@ The policy is deterministic: victim selection depends only on hit
 counts, the cache's logical clock and insertion order — never on wall
 time — so eviction traces are byte-reproducible (the golden-trace test
 pins one).
+
+An eviction costs O(log n) amortised, not a scan of every entry.  The
+policy keeps each cached entry in a heap under the rank it had when it
+was pushed.  A rank only grows (hits and the last-use time go up, the
+rest is fixed), so a stored rank is never above the entry's current
+one: popping the lowest stored rank and re-pushing it while it is stale
+finds the same victim as the minimum over every entry, and each hit
+costs at most one re-push.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.cache.store import CacheEntry
 
 __all__ = ["RepetitionAwarePolicy"]
+
+Rank = Tuple[int, int, int]
 
 
 class RepetitionAwarePolicy:
@@ -41,6 +52,8 @@ class RepetitionAwarePolicy:
             raise ValueError(f"ghost_capacity must be >= 0, got {ghost_capacity}")
         self.ghost_capacity = int(ghost_capacity)
         self._ghosts: "OrderedDict[str, int]" = OrderedDict()
+        # (rank when pushed, exact key): one item per tracked entry
+        self._heap: List[Tuple[Rank, str]] = []
 
     @property
     def ghosts(self) -> Mapping[str, int]:
@@ -60,14 +73,32 @@ class RepetitionAwarePolicy:
         while len(self._ghosts) > self.ghost_capacity:
             self._ghosts.popitem(last=False)
 
-    def victim(self, entries: Mapping[str, "CacheEntry"]) -> str:
-        """Evict the fewest-hit entry (ties: LRU, then oldest)."""
-        return min(
-            entries,
-            key=lambda k: (
-                entries[k].hits + entries[k].seeded,
-                entries[k].last_used,
-                entries[k].inserted_seq,
-            ),
-        )
+    @staticmethod
+    def rank(entry: "CacheEntry") -> Rank:
+        """Eviction order: fewest lifetime hits, then least recently
+        used, then oldest insertion (unique, so there are no ties)."""
+        return (entry.hits + entry.seeded, entry.last_used, entry.inserted_seq)
 
+    def admit(self, entry: "CacheEntry") -> None:
+        """Track a newly cached entry as an eviction candidate."""
+        heapq.heappush(self._heap, (self.rank(entry), entry.exact_key))
+
+    def pop_victim(
+        self, entries: Mapping[str, "CacheEntry"], exclude: Optional[str] = None
+    ) -> str:
+        """The key of the lowest-ranked entry of ``entries`` other than
+        ``exclude``, which is no longer tracked (the caller evicts it)."""
+        heap = self._heap
+        held = None
+        while True:
+            stored, key = heapq.heappop(heap)
+            if key == exclude:
+                held = (stored, key)
+                continue
+            current = self.rank(entries[key])
+            if current == stored:
+                break
+            heapq.heappush(heap, (current, key))
+        if held is not None:
+            heapq.heappush(heap, held)
+        return key

@@ -30,7 +30,8 @@ loop) answers a hit with it and leaves a miss, or a busy lock, to
 Eviction and persistence
 ------------------------
 ``capacity`` bounds the entry count; victims are chosen by the
-repetition-aware policy of :mod:`repro.cache.policy`.  With
+repetition-aware policy of :mod:`repro.cache.policy`, in O(log n)
+amortised time per eviction.  With
 ``directory=`` set, entries persist as one JSON file each (atomic
 write: unique temp file + fsync + rename, damaged files read as
 misses) so a serving process can restart warm.  Hits, misses and
@@ -226,13 +227,15 @@ class ScheduleCache:
         result, tier = self._lookup(key, problem, fn, kwargs, sid)
         return (result, tier) if return_tier else result
 
-    def probe(self, key: str, problem) -> Optional[Schedule]:
+    def probe(self, key: str) -> Optional[Schedule]:
         """The cached schedule for ``key``, counted as an exact hit, or
         ``None`` without waiting for the lock.
 
         A miss, or a lock held by another thread (an insert, an
-        eviction scan, an entry file's fsync), counts nothing: the
-        caller then asks :meth:`schedule`, which counts the lookup once.
+        eviction, an entry file's fsync), counts nothing: the caller
+        then asks :meth:`schedule`, which counts the lookup once.  It
+        needs only the key, so a caller that knows the key of a request
+        need not build its problem to be answered from the cache.
         """
         if not self._lock.acquire(blocking=False):
             return None
@@ -240,7 +243,7 @@ class ScheduleCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            with span("cache.lookup", n=problem.n_links):
+            with span("cache.lookup", n=entry.n_links):
                 self._count_hit(key, entry)
         finally:
             self._lock.release()
@@ -355,14 +358,14 @@ class ScheduleCache:
         )
         self._seq += 1
         self._entries[key] = entry
+        self._policy.admit(entry)
         if self.directory is not None:
             write_json_atomic(self.directory / f"{key}.json", _entry_payload(entry))
         while len(self._entries) > self.capacity:
             self._evict_one(exclude=key)
 
     def _evict_one(self, exclude: Optional[str]) -> None:
-        candidates = {k: e for k, e in self._entries.items() if k != exclude}
-        victim_key = self._policy.victim(candidates)
+        victim_key = self._policy.pop_victim(self._entries, exclude)
         victim = self._entries.pop(victim_key)
         if self.directory is not None:
             try:
@@ -385,6 +388,7 @@ class ScheduleCache:
             entry.inserted_seq = self._seq
             self._seq += 1
             self._entries[entry.exact_key] = entry
+            self._policy.admit(entry)
             # Past capacity the policy picks a victim among every loaded
             # entry (this one included) and its file goes, so the opened
             # directory holds at most ``capacity`` entries.

@@ -72,6 +72,8 @@ def _resolve_active(distances: np.ndarray, active: np.ndarray) -> np.ndarray:
     n = d.shape[0]
     a = np.asarray(active)
     if a.dtype == bool:
+        if a.shape != (n,):
+            raise ValueError(f"boolean mask must have shape ({n},), got {a.shape}")
         idx = np.flatnonzero(a)
     else:
         idx = np.unique(a.astype(np.int64).reshape(-1))

@@ -43,7 +43,7 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.store import ScheduleCache
@@ -286,6 +286,7 @@ class ScheduleBroker:
             "rejected_503": 0,
             "batches": 0,
             "errors": 0,
+            "known_body": 0,
             "sessions_opened": 0,
             "deltas_applied": 0,
         }
@@ -333,12 +334,23 @@ class ScheduleBroker:
         self._seq += 1
         return f"{kind}-{self._seq:08d}"
 
+    def request_key(self, problem: FadingRLS, scheduler: Optional[str] = None) -> str:
+        """The exact key :meth:`submit` coalesces and caches ``problem``
+        under, for ``scheduler`` (default: the broker's)."""
+        return exact_key(problem, self._scheduler_id(scheduler or self.default_scheduler))
+
+    @property
+    def cache_capacity(self) -> int:
+        """The cache's entry bound (0 without a cache)."""
+        return self._cache.capacity if self._cache is not None else 0
+
     async def submit(
         self,
-        problem: FadingRLS,
+        problem: Union[FadingRLS, Callable[[], FadingRLS]],
         *,
         scheduler: Optional[str] = None,
         tenant: str = "default",
+        key: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Serve one schedule request through admission control.
 
@@ -353,6 +365,13 @@ class ScheduleBroker:
         is served even with ``queue_limit`` computations in flight;
         only a probe that finds the cache lock held by a worker thread
         sends a hit to a worker thread.
+
+        ``key`` is the request's :meth:`request_key` when the caller
+        knows it.  With it, ``problem`` may be a function that builds
+        the problem: it is called only when the request must be
+        computed, so a hit or a coalesced request builds nothing.  Such
+        requests are counted in ``known_body`` (the server passes one
+        for a body it has parsed before).
         """
         if self._closed:
             raise Overloaded("broker is closed")
@@ -362,6 +381,9 @@ class ScheduleBroker:
         scheduler_id = self._scheduler_id(name)
         self._counters["requests"] += 1
         obs_metrics.inc("service.requests")
+        if not isinstance(problem, FadingRLS):
+            self._counters["known_body"] += 1
+            obs_metrics.inc("service.known_body")
         trace_id = self._next_trace_id("req")
         t0 = time.perf_counter()
         bucket = self._bucket(tenant)
@@ -373,14 +395,15 @@ class ScheduleBroker:
                 f"(burst {self.tenant_burst:g})",
                 retry_after=bucket.retry_after(),
             )
-        key = exact_key(problem, scheduler_id)
+        if key is None:
+            key = exact_key(problem, scheduler_id)
         future = self._inflight.get(key)
         coalesced = future is not None
         if coalesced:
             self._counters["coalesced"] += 1
             obs_metrics.inc("service.coalesced")
         else:
-            hit = self._cache.probe(key, problem) if self._cache is not None else None
+            hit = self._cache.probe(key) if self._cache is not None else None
             if hit is not None:
                 self._counters["scheduled"] += 1
                 obs_metrics.inc("service.scheduled")
@@ -397,6 +420,8 @@ class ScheduleBroker:
                 raise Overloaded(
                     f"{self.queue_limit} computations already pending or running"
                 )
+            if not isinstance(problem, FadingRLS):
+                problem = problem()
             loop = asyncio.get_running_loop()
             future = loop.create_future()
             self._inflight[key] = future

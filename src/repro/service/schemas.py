@@ -28,6 +28,7 @@ A session request is either ``{"topology": ..., "scheduler": ...}``
 from __future__ import annotations
 
 import reprlib
+from itertools import chain
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -53,20 +54,46 @@ CODE_TOO_MANY_LINKS = "too-many-links"
 MAX_LINKS = 4096
 
 
+#: The types a JSON decoder gives numbers; ``bool`` is an ``int``
+#: subclass, so matching types exactly also refuses ``true``/``false``.
+_NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPES = frozenset((list,))
+
+
+def _numbers(raw: Any) -> Optional[np.ndarray]:
+    """``raw`` as a float array if it is a list of JSON numbers, else ``None``.
+
+    ``np.asarray(raw, dtype=float)`` would also take the strings ``"2.5"``
+    and ``" 3 "``, booleans, and nested lists (flattened by a reshape).
+    """
+    if isinstance(raw, list) and _NUMBER_TYPES.issuperset(map(type, raw)):
+        try:
+            return np.array(raw, dtype=float)
+        except OverflowError:  # an integer no float holds
+            pass
+    return None
+
+
+def _pairs(raw: Any) -> Optional[np.ndarray]:
+    """``raw`` as an ``(N, 2)`` float array if it is a list of ``[x, y]``
+    pairs of JSON numbers, else ``None``."""
+    if not (isinstance(raw, list) and _LIST_TYPES.issuperset(map(type, raw))):
+        return None
+    flat = list(chain.from_iterable(raw))
+    # every row has 2 items when the shortest has 2 and they sum to 2N
+    if len(flat) != 2 * len(raw) or min(map(len, raw), default=2) != 2:
+        return None
+    arr = _numbers(flat)
+    return None if arr is None else arr.reshape(-1, 2)
+
+
 def _points(payload: Mapping[str, Any], field: str) -> np.ndarray:
     raw = payload.get(field)
     require(raw is not None, f"topology.{field} is required", code=CODE_BAD_TOPOLOGY)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+    arr = _pairs(raw)
+    if arr is None or not arr.size or not np.all(np.isfinite(arr)):
         raise ValidationError(
-            f"topology.{field} must be a list of [x, y] pairs",
-            code=CODE_BAD_TOPOLOGY,
-            param=field,
-        ) from None
-    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
-        raise ValidationError(
-            f"topology.{field} must be a finite (N, 2) array, got shape {arr.shape}",
+            f"topology.{field} must be a non-empty list of [x, y] pairs of finite numbers",
             code=CODE_BAD_TOPOLOGY,
             param=field,
         )
@@ -129,14 +156,13 @@ def parse_topology(payload: Any) -> FadingRLS:
     )
     rates = payload.get("rates")
     if rates is not None:
-        try:
-            rates = np.asarray(rates, dtype=float).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
+        rates = _numbers(rates)
+        if rates is None:
             raise ValidationError(
                 "topology.rates must be a list of numbers",
                 code=CODE_BAD_TOPOLOGY,
                 param="rates",
-            ) from None
+            )
     try:
         links = LinkSet(senders=senders, receivers=receivers, rates=rates)
         return FadingRLS(
@@ -210,45 +236,67 @@ def parse_delta(payload: Any) -> LinkDelta:
             "delta.inserts must be a JSON object with senders/receivers",
             code=CODE_BAD_DELTA,
         )
+        senders = _delta_pairs(raw_inserts, "senders", "inserts.")
+        receivers = _delta_pairs(raw_inserts, "receivers", "inserts.")
+        require(senders.size > 0, "delta.inserts must add at least one link", code=CODE_BAD_DELTA)
+        rates = raw_inserts.get("rates")
+        if rates is not None:
+            rates = _numbers(rates)
+            if rates is None:
+                raise ValidationError(
+                    "delta.inserts.rates must be a list of numbers",
+                    code=CODE_BAD_DELTA,
+                    param="inserts.rates",
+                )
         try:
-            rates = raw_inserts.get("rates")
-            inserts = LinkSet(
-                senders=np.asarray(raw_inserts.get("senders", []), dtype=float),
-                receivers=np.asarray(raw_inserts.get("receivers", []), dtype=float),
-                rates=np.asarray(rates, dtype=float) if rates is not None else None,
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            inserts = LinkSet(senders=senders, receivers=receivers, rates=rates)
+        except ValueError as exc:
             raise ValidationError(
                 f"bad delta.inserts: {exc}", code=CODE_BAD_DELTA
             ) from None
     moves, removes = _indices(payload, "moves"), _indices(payload, "removes")
+    new_senders = _delta_pairs(payload, "new_senders")
+    new_receivers = _delta_pairs(payload, "new_receivers")
     try:
         return LinkDelta(
             moves=moves,
-            new_senders=np.asarray(payload.get("new_senders", []), dtype=float).reshape(-1, 2),
-            new_receivers=np.asarray(payload.get("new_receivers", []), dtype=float).reshape(-1, 2),
+            new_senders=new_senders,
+            new_receivers=new_receivers,
             removes=removes,
             inserts=inserts,
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad delta: {exc}", code=CODE_BAD_DELTA) from None
+
+
+def _delta_pairs(payload: Mapping[str, Any], field: str, prefix: str = "") -> np.ndarray:
+    """The ``[x, y]`` pairs ``payload[field]`` of a delta (default none)."""
+    arr = _pairs(payload.get(field, []))
+    if arr is None:
+        raise ValidationError(
+            f"delta.{prefix}{field} must be a list of [x, y] pairs of numbers",
+            code=CODE_BAD_DELTA,
+            param=prefix + field,
+        )
+    return arr
 
 
 def schedule_payload(
     schedule: Schedule,
-    problem: FadingRLS,
+    n_links: int,
     *,
     trace_id: str,
     tier: str,
     coalesced: bool,
     wall_seconds: float,
 ) -> Dict[str, Any]:
-    """The JSON body of a successful ``POST /v1/schedule`` response."""
+    """The JSON body of a successful ``POST /v1/schedule`` response to a
+    request for ``n_links`` links."""
     return {
         "trace_id": trace_id,
         "algorithm": schedule.algorithm,
         "active": [int(i) for i in schedule.active],
-        "n_links": int(problem.n_links),
+        "n_links": int(n_links),
         "n_active": int(schedule.size),
         "tier": tier,
         "coalesced": bool(coalesced),

@@ -26,6 +26,16 @@ connection-pooling SDK): keep-alive with ``Content-Length`` framing,
 optional FastAPI/uvicorn adapter can layer on top via the ``service``
 extra, but tier-1 never needs it.
 
+A ``POST /v1/schedule`` body byte-identical to one parsed before is not
+parsed again.  The server keeps the SHA-256 digest of each body it has
+parsed successfully, mapped to what the parse gave (the request's exact
+key, scheduler, tenant and link count), least recently used first and
+at most as many as the cache holds entries (none without a cache).  A
+known body goes to :meth:`ScheduleBroker.submit` with its key, so the
+tenant's bucket, ``queue_limit``, coalescing, the cache probe and every
+counter run as for any request; the body is parsed again only when the
+request must be computed.
+
 Bodies are decoded and responses encoded with orjson, which parses a
 topology's floats several times faster than :mod:`json` and to the same
 bits.  The stdlib decoder reads the bodies orjson refuses and
@@ -39,10 +49,12 @@ JSON.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import re
 import time
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 import orjson
@@ -94,6 +106,15 @@ _STATUS_TEXT = {
 }
 
 
+class _KnownBody(NamedTuple):
+    """What parsing a ``POST /v1/schedule`` body gave."""
+
+    key: str
+    scheduler: str
+    tenant: str
+    n_links: int
+
+
 class ScheduleServer:
     """Bind, accept, parse, route — the transport around a broker."""
 
@@ -116,6 +137,10 @@ class ScheduleServer:
         self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._idle: Set[asyncio.StreamWriter] = set()
         self._closing = False
+        # SHA-256 of a parsed /v1/schedule body -> what the parse gave,
+        # least recently used first (see the module docstring)
+        self._known: "OrderedDict[bytes, _KnownBody]" = OrderedDict()
+        self._known_capacity = broker.cache_capacity
 
     # -- lifecycle ----------------------------------------------------
 
@@ -328,14 +353,32 @@ class ScheduleServer:
             ) from None
 
     async def _schedule(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
-        problem, scheduler, tenant = schemas.parse_schedule_request(self._json(body))
+        digest = hashlib.sha256(body).digest() if self._known_capacity else None
+        known = self._known.get(digest)
+        if known is None:
+            problem, scheduler, tenant = schemas.parse_schedule_request(self._json(body))
+            known = _KnownBody(
+                self.broker.request_key(problem, scheduler), scheduler, tenant, problem.n_links
+            )
+            if digest is not None:
+                self._known[digest] = known
+                if len(self._known) > self._known_capacity:
+                    self._known.popitem(last=False)
+        else:
+            self._known.move_to_end(digest)
+
+            def problem():
+                return schemas.parse_schedule_request(self._json(body))[0]
+
         try:
-            result = await self.broker.submit(problem, scheduler=scheduler, tenant=tenant)
+            result = await self.broker.submit(
+                problem, scheduler=known.scheduler, tenant=known.tenant, key=known.key
+            )
         except ValidationError as exc:  # e.g. rle's alpha > 2
             raise schemas.topology_error(exc) from None
         return 200, schemas.schedule_payload(
             result["schedule"],
-            problem,
+            known.n_links,
             trace_id=result["trace_id"],
             tier=result["tier"],
             coalesced=result["coalesced"],

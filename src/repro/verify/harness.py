@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.utils.validation import check_count, check_positive
+from repro.utils.validation import ValidationError, check_count, check_positive
 from repro.verify.differential import CheckFn, DIFFERENTIAL_CHECKS
 from repro.verify.fuzz import FAMILIES, Scenario, make_scenario
 from repro.verify.metamorphic import METAMORPHIC_RELATIONS
@@ -57,15 +57,20 @@ def all_checks() -> Dict[str, CheckFn]:
 
 
 def resolve_checks(names: Optional[Iterable[str]] = None) -> Dict[str, CheckFn]:
-    """Subset the merged registry by name (``None`` = everything)."""
+    """Subset the merged registry by name (``None`` = everything).
+
+    An unknown name raises :class:`ValidationError` (param ``check``),
+    which ``repro verify --check`` reports as one line.
+    """
     registry = all_checks()
     if names is None:
         return dict(sorted(registry.items()))
     selected: Dict[str, CheckFn] = {}
     for name in names:
         if name not in registry:
-            raise KeyError(
-                f"unknown check {name!r}; available: {sorted(registry)}"
+            raise ValidationError(
+                f"unknown check {name!r}; available: {sorted(registry)}",
+                param="check",
             )
         selected[name] = registry[name]
     return dict(sorted(selected.items()))

@@ -7,10 +7,13 @@ to end.
 """
 
 import json
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import store
 from repro.cache.fingerprint import exact_key, scheduler_identity
@@ -18,6 +21,7 @@ from repro.cache.policy import RepetitionAwarePolicy
 from repro.cache.store import EVENTS_MAXLEN, ScheduleCache, cache_dir_stats
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
+from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology
 from repro.utils.validation import ValidationError
@@ -276,6 +280,64 @@ class TestEviction:
             return cache.events
 
         assert trace() == trace()
+
+
+def _first_link(problem):
+    """A scheduler that costs nothing, for many-request cache tests."""
+    return Schedule(active=np.array([0]), algorithm="first-link")
+
+
+#: Eight one-link problems with distinct exact keys.
+_TINY = [
+    FadingRLS(links=LinkSet(senders=np.array([[0.0, i]]), receivers=np.array([[1.0, i]])))
+    for i in range(8)
+]
+
+
+def _rank(entry):
+    """The policy's eviction order, restated: fewest hits, LRU, oldest."""
+    return (entry.hits + entry.seeded, entry.last_used, entry.inserted_seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 4),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("request"), st.integers(0, len(_TINY) - 1)),
+            st.tuples(st.just("reload"), st.integers(1, 4)),
+        ),
+        max_size=40,
+    ),
+)
+def test_heap_eviction_picks_the_brute_force_minimum(capacity, ops):
+    """The heap evicts exactly the entry a scan for the minimum rank
+    would, over random inserts, hits, evictions and reloads."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = ScheduleCache(capacity=capacity, directory=root)
+        for op, arg in ops:
+            before = {key: _rank(entry) for key, entry in cache._entries.items()}
+            if op == "request":
+                key = exact_key(_TINY[arg], scheduler_identity(_first_link, {}))
+                cache.schedule(_TINY[arg], _first_link)
+                expected = set(before) | {key}
+                if key not in before and len(before) == cache.capacity:
+                    victim = min(before, key=before.get)
+                    expected.discard(victim)
+                    assert cache.events[-1] == ("evict", victim[:12])
+            else:
+                cache.flush()
+                persisted = {k: e.hits + e.seeded for k, e in cache._entries.items()}
+                loaded = {}
+                for seq, key in enumerate(sorted(persisted)):
+                    loaded[key] = (persisted[key], 0, seq)
+                    if len(loaded) > arg:
+                        del loaded[min(loaded, key=loaded.get)]
+                cache = ScheduleCache(capacity=arg, directory=root)
+                assert {key: _rank(entry) for key, entry in cache._entries.items()} == loaded
+                expected = set(loaded)
+            assert set(cache._entries) == expected
+            assert len(cache._policy._heap) == len(cache._entries)
 
 
 # -- persistence ----------------------------------------------------

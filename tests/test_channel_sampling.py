@@ -38,6 +38,18 @@ class TestSampleFadingTrials:
         with pytest.raises(IndexError):
             sample_fading_trials(distances(2), np.array([9]), 3.0, 1)
 
+    # A mask of the wrong length used to select links by its own
+    # length: [True, False] against 3 links drew a (1, 1, 1) sample.
+    @pytest.mark.parametrize("mask", [[True, False], [True, False, True, True], [[True] * 3]])
+    def test_boolean_mask_of_the_wrong_shape(self, mask):
+        with pytest.raises(ValueError, match=r"boolean mask must have shape \(3,\)"):
+            sample_fading_trials(np.full((3, 3), 2.0), np.array(mask), 3.0, 1)
+
+    def test_boolean_mask_selects_its_links(self):
+        by_mask = sample_fading_trials(distances(3), np.array([True, False, True]), 3.0, 4, seed=2)
+        by_index = sample_fading_trials(distances(3), np.array([0, 2]), 3.0, 4, seed=2)
+        np.testing.assert_array_equal(by_mask, by_index)
+
     def test_reproducible(self):
         a = sample_fading_trials(distances(2), np.array([0, 1]), 3.0, 3, seed=5)
         b = sample_fading_trials(distances(2), np.array([0, 1]), 3.0, 3, seed=5)

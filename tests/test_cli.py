@@ -357,8 +357,10 @@ class TestVerify:
         assert payload["mismatches"] == []
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(KeyError, match="unknown check"):
+        # one line through main's ValidationError handler, no traceback
+        with pytest.raises(SystemExit, match="unknown check 'nope'") as exc:
             main(["verify", "--budget", "2", "--check", "nope"])
+        assert "\n" not in str(exc.value.code)
 
 
 class TestFigures:

@@ -10,20 +10,25 @@ from __future__ import annotations
 
 import asyncio
 import codecs
+import hashlib
 import json
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cache.store import ScheduleCache
+from repro.core import base as core_base
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
+from repro.service import broker as broker_module
 from repro.service import schemas
 from repro.service import server as server_module
 from repro.service.broker import WIRE_ERROR_CODES, ScheduleBroker
@@ -221,6 +226,43 @@ class TestScheduleEndpoint:
             schemas.parse_topology(topology)
         assert (exc.value.code, exc.value.param) == ("bad-topology", field)
 
+    # np.asarray(..., dtype=float) read each of these as numbers (the
+    # sender at [0, 1], rate 2.5, a flattened [[3]]): JSON numbers only.
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            pytest.param("senders", lambda t: t["senders"].__setitem__(0, ["0", True]),
+                         id="senders-str-bool"),
+            pytest.param("senders", lambda t: t["senders"].__setitem__(0, [" 3 ", 0.0]),
+                         id="senders-padded-str"),
+            pytest.param("receivers", lambda t: t["receivers"].__setitem__(0, ["1e1", 0.0]),
+                         id="receivers-exponent-str"),
+            pytest.param("receivers", lambda t: t["receivers"].__setitem__(0, [False, 0.0]),
+                         id="receivers-bool"),
+            pytest.param("senders", lambda t: t["senders"].__setitem__(0, [[1.0], [2.0]]),
+                         id="senders-nested"),
+            pytest.param("rates", lambda t: t["rates"].__setitem__(0, "2.5"), id="rates-str"),
+            pytest.param("rates", lambda t: t["rates"].__setitem__(0, True), id="rates-bool"),
+            pytest.param("rates", lambda t: t.__setitem__("rates", [[r] for r in t["rates"]]),
+                         id="rates-nested"),
+            pytest.param("rates", lambda t: t.__setitem__("rates", 1.0), id="rates-scalar"),
+        ],
+    )
+    def test_coordinates_and_rates_must_be_json_numbers(self, field, edit):
+        topology = build_topology_payload(_problem(6))
+        edit(topology)
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/schedule", {"topology": topology}
+            )
+            rw[1].close()
+            return status, resp["error"]
+
+        status, error = _serve(body)
+        assert (status, error["code"], error["param"]) == (400, "bad-topology", field)
+        assert f"topology.{field} must be" in error["message"]
+
     @pytest.mark.parametrize("field", ["senders", "rates"])
     def test_integer_too_large_for_a_float_is_a_400(self, field):
         topology = build_topology_payload(_problem(6))
@@ -332,6 +374,187 @@ class TestScheduleEndpoint:
         assert results[2][1] == "tenant-rate-exceeded"
 
 
+def _body(problem, **fields) -> bytes:
+    """The bytes of a ``POST /v1/schedule`` body for ``problem``."""
+    return json.dumps({"topology": build_topology_payload(problem), **fields}).encode()
+
+
+def _post(host, port, raw, **kwargs):
+    return _request(host, port, "POST", "/v1/schedule", raw, **kwargs)
+
+
+def _counting(monkeypatch, calls, owner, name):
+    """Record ``name`` in ``calls`` on every call of ``owner.name``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, staticmethod(counted) if owner is ScheduleServer else counted)
+
+
+def _identities(stats):
+    """The accounting identities of the broker's counters hold."""
+    served = stats["scheduled"] + stats["errors"]
+    refused = stats["rejected_429"] + stats["rejected_503"]
+    assert stats["requests"] == served + stats["coalesced"] + refused, stats
+    if stats["cache"] is not None:
+        assert stats["cache"]["exact_hits"] + stats["cache"]["misses"] == served, stats
+    assert 0 <= stats["known_body"] <= stats["requests"], stats
+    assert stats["inflight"] == 0, stats
+
+
+class TestKnownBodies:
+    """A body byte-identical to one parsed before is answered through its
+    known key: no decode, schema or key hash, the same answer."""
+
+    def test_repeat_gets_the_parse_paths_answer_without_a_parse(self, monkeypatch):
+        raw = _body(_problem())
+        calls = []
+        _counting(monkeypatch, calls, ScheduleServer, "_json")
+        _counting(monkeypatch, calls, schemas, "parse_schedule_request")
+        _counting(monkeypatch, calls, broker_module, "exact_key")
+
+        async def body(host, port, broker, server):
+            answers = []
+            # a miss, then a hit on the parse path (trailing whitespace
+            # makes other bytes of the same request), then the repeat
+            for sent in (raw, raw + b" ", raw):
+                _, answer, rw = await _post(host, port, sent)
+                rw[1].close()
+                answers.append(answer)
+            return answers, broker.stats
+
+        (first, parsed, repeat), stats = _serve(body)
+        assert (first["tier"], parsed["tier"], repeat["tier"]) == ("miss", "cache", "cache")
+        volatile = ("trace_id", "wall_seconds")
+        assert {k: v for k, v in repeat.items() if k not in volatile} == {
+            k: v for k, v in parsed.items() if k not in volatile
+        }
+        assert repeat["active"] == first["active"]
+        assert calls == ["_json", "parse_schedule_request", "exact_key"] * 2
+        assert stats["known_body"] == 1
+        _identities(stats)
+
+    def test_repeat_whose_entry_was_evicted_is_recomputed(self, monkeypatch):
+        problem = _problem(8, 3)
+        raw = _body(problem)
+        direct = [int(i) for i in get_scheduler("rle")(problem).active]
+        calls = []
+        _counting(monkeypatch, calls, schemas, "parse_schedule_request")
+
+        async def body(host, port, broker, server):
+            _, first, rw = await _post(host, port, raw)
+            # Another request evicts the body's entry; the server still
+            # knows the body.
+            await broker.submit(_problem(9, 4))
+            _, again, rw = await _post(host, port, raw, reader_writer=rw)
+            rw[1].close()
+            return first, again, broker.stats
+
+        first, again, stats = _serve(body, cache=ScheduleCache(capacity=1))
+        assert first["tier"] == again["tier"] == "miss"
+        assert again["active"] == first["active"] == direct
+        assert again["n_links"] == 8
+        # parsed once on arrival, once more to be computed
+        assert calls == ["parse_schedule_request"] * 2
+        assert (stats["known_body"], stats["cache"]["evictions"]) == (1, 2)
+        _identities(stats)
+
+    @pytest.mark.parametrize("capacity, extra", [(1, 1), (3, 2)])
+    def test_the_map_holds_as_many_bodies_as_the_cache(self, capacity, extra):
+        bodies = [_body(_problem(4, seed)) for seed in range(capacity + extra)]
+
+        async def body(host, port, broker, server):
+            for raw in bodies:
+                status, _, rw = await _post(host, port, raw)
+                rw[1].close()
+                assert status == 200
+            return list(server._known)
+
+        known = _serve(body, cache=ScheduleCache(capacity=capacity))
+        # least recently used out first
+        assert known == [hashlib.sha256(raw).digest() for raw in bodies[extra:]]
+
+    def test_no_cache_keeps_no_bodies(self):
+        raw = _body(_problem(5, 1))
+
+        async def body(host, port, broker, server):
+            tiers = []
+            for _ in range(2):
+                _, answer, rw = await _post(host, port, raw)
+                rw[1].close()
+                tiers.append(answer["tier"])
+            return tiers, len(server._known), broker.stats
+
+        tiers, known, stats = _serve(body, use_cache=False)
+        assert tiers == ["miss", "miss"]
+        assert (known, stats["known_body"]) == (0, 0)
+        _identities(stats)
+
+    def test_identities_hold_on_every_path(self, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+
+        def blocking(problem, **kwargs):
+            started.set()
+            release.wait(60.0)
+            return get_scheduler("rle")(problem, **kwargs)
+
+        monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
+        a = _body(_problem(6, 1), tenant="a")
+        b = _body(_problem(7, 2), tenant="b", scheduler="test-blocking")
+        c = _body(_problem(8, 3), tenant="c")
+        domain = build_topology_payload(_problem(5, 4))
+        domain["alpha"] = 2.0  # outside rle's domain: an error on every compute
+        e = json.dumps({"topology": domain, "tenant": "e"}).encode()
+
+        async def body(host, port, broker, server):
+            async def post(raw):
+                status, answer, rw = await _post(host, port, raw)
+                rw[1].close()
+                return status, answer.get("tier") or answer["error"]["code"]
+
+            out = [await post(a), await post(a + b" "), await post(a)]
+            leader = asyncio.ensure_future(post(b))
+            while not started.is_set():
+                await asyncio.sleep(0.005)
+            follower = asyncio.ensure_future(post(b))  # a known body, coalesced
+            while broker.stats["coalesced"] == 0:
+                await asyncio.sleep(0.005)
+            out.append(await post(c))  # queue_limit 1: b is in flight
+            release.set()
+            out += [await leader, await follower]
+            # c is known but was never computed; b's entry is evicted by
+            # c's insert (fewer hits than a's), so b is computed again.
+            out += [await post(c), await post(b)]
+            out += [await post(b), await post(b + b" ")]  # tenant b spent
+            out += [await post(e), await post(e)]
+            _, statz, rw = await _request(host, port, "GET", "/v1/statz")
+            rw[1].close()
+            return out, statz["broker"]
+
+        out, stats = _serve(
+            body,
+            cache=ScheduleCache(capacity=2),
+            queue_limit=1,
+            tenant_rate=0.001,
+            tenant_burst=3.0,
+        )
+        assert out == [
+            (200, "miss"), (200, "cache"), (200, "cache"),
+            (503, "queue-full"), (200, "miss"), (200, "miss"),
+            (200, "miss"), (200, "miss"),
+            (429, "tenant-rate-exceeded"), (429, "tenant-rate-exceeded"),
+            (400, "bad-topology"), (400, "bad-topology"),
+        ]
+        _identities(stats)
+        # a, the follower, c, b, b and e came from known bodies
+        assert stats["known_body"] == 6
+        assert (stats["scheduled"], stats["coalesced"], stats["errors"]) == (6, 1, 2)
+        assert (stats["rejected_429"], stats["rejected_503"]) == (2, 1)
+
+
 class TestSessionsEndpoint:
     def test_open_then_delta(self):
         problem = _problem(10, 7)
@@ -433,6 +656,32 @@ class TestSessionsEndpoint:
         with pytest.raises(ValidationError) as exc:
             schemas.parse_delta(delta)
         assert (exc.value.code, exc.value.param) == ("bad-delta", field)
+
+    @pytest.mark.parametrize(
+        "delta, param",
+        [
+            ({"moves": [0], "new_senders": [["0", 0.0]], "new_receivers": [[1.0, 1.0]]},
+             "new_senders"),
+            ({"moves": [0], "new_senders": [[0.0, 0.0]], "new_receivers": [[True, 1.0]]},
+             "new_receivers"),
+            # a flat list was reshaped into pairs
+            ({"moves": [0], "new_senders": [0.0, 0.0], "new_receivers": [[1.0, 1.0]]},
+             "new_senders"),
+            ({"inserts": {"senders": [["1", 2.0]], "receivers": [[5.0, 5.0]]}},
+             "inserts.senders"),
+            ({"inserts": {"senders": [[1.0, 2.0]], "receivers": [[5.0, 5.0, 5.0]]}},
+             "inserts.receivers"),
+            ({"inserts": {"senders": [[1.0, 2.0]], "receivers": [[5.0, 5.0]], "rates": ["2"]}},
+             "inserts.rates"),
+            ({"inserts": {"senders": [[1.0, 2.0]], "receivers": [[5.0, 5.0]], "rates": [[2]]}},
+             "inserts.rates"),
+            ({"inserts": {"senders": [], "receivers": []}}, None),  # inserts nothing
+        ],
+    )
+    def test_delta_coordinates_and_rates_must_be_json_numbers(self, delta, param):
+        with pytest.raises(ValidationError) as exc:
+            schemas.parse_delta(delta)
+        assert (exc.value.code, exc.value.param) == ("bad-delta", param)
 
     def test_delta_integer_too_large_is_bad_delta(self):
         async def body(host, port, broker, server):

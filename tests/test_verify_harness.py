@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.utils.validation import ValidationError
 from repro.verify import (
     Mismatch,
     all_checks,
@@ -31,8 +32,9 @@ class TestCheckResolution:
         assert set(selected) == {"eps-monotonicity", "cached-vs-certificate"}
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(KeyError, match="unknown check"):
+        with pytest.raises(ValidationError, match="unknown check 'nope'") as exc:
             resolve_checks(["nope"])
+        assert exc.value.param == "check"
 
 
 class TestVerifyScenario:
