@@ -1,15 +1,21 @@
-"""Smoke benchmark: one small figure end-to-end, exported.
+"""Smoke benchmarks: one small figure end-to-end, and a cold start, exported.
 
-``make bench-smoke`` (or ``pytest benchmarks -m smoke``) runs this
-alone: a sub-minute Fig. 5(a) sweep through the full pipeline —
-topology, schedulers, streaming Monte-Carlo replay, aggregation —
-recording its wall time to ``BENCH_RESULTS.json`` so every PR leaves a
-perf data point even when the full suite doesn't run.
+``make bench-smoke`` (or ``pytest benchmarks -m smoke``) runs these
+with the other smoke benches: a sub-minute Fig. 5(a) sweep through the
+full pipeline — topology, schedulers, streaming Monte-Carlo replay,
+aggregation — and ``import repro.cli`` in fresh interpreters, recording
+their wall times to ``BENCH_RESULTS.json`` so every PR leaves a perf
+data point even when the full suite doesn't run.
 """
 
 from __future__ import annotations
 
+import os
+import statistics
+import subprocess
+import sys
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -41,3 +47,60 @@ def test_smoke_fig5a_end_to_end():
         },
     )
     print(f"\nsmoke fig5a: {wall:.2f}s")
+
+
+#: Fresh interpreters timed for ``cold_start`` (after one that writes
+#: the bytecode).
+COLD_START_RUNS = 5
+
+
+def _import_cli(*flags: str) -> subprocess.CompletedProcess:
+    """``python *flags -c "import repro.cli"`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(bench_export.REPO_ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", "import repro.cli"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+
+
+def importtime_self_ms(stderr: str) -> dict:
+    """Self milliseconds per top-level package from ``-X importtime``."""
+    totals: dict = defaultdict(float)
+    for line in stderr.splitlines():
+        if not line.startswith("import time:") or "self [us]" in line:
+            continue
+        self_us, _cumulative, name = line.partition(":")[2].split("|")
+        totals[name.strip().split(".")[0]] += int(self_us) / 1000.0
+    return {pkg: round(ms, 3) for pkg, ms in sorted(totals.items(), key=lambda kv: -kv[1])}
+
+
+@pytest.mark.smoke
+def test_smoke_cold_start():
+    _import_cli()  # writes any missing bytecode
+    walls = []
+    for _ in range(COLD_START_RUNS):
+        t0 = time.perf_counter()
+        _import_cli()
+        walls.append(time.perf_counter() - t0)
+    wall = statistics.median(walls)
+    split = importtime_self_ms(_import_cli("-X", "importtime").stderr)
+
+    # Only the ILP solvers import SciPy, when they are called.
+    assert "scipy" not in split and "repro" in split
+
+    bench_export.record(
+        "cold_start",
+        wall,
+        {
+            "statement": "import repro.cli",
+            "runs": COLD_START_RUNS,
+            "importtime_self_ms": split,
+        },
+    )
+    print(f"\ncold start: {wall:.3f}s (median of {COLD_START_RUNS})")

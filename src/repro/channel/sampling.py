@@ -274,7 +274,9 @@ def instantaneous_sinr(z: np.ndarray, *, noise: float = 0.0) -> np.ndarray:
         raise ValueError(f"z must have shape (T, K, K), got {zz.shape}")
     signal = np.diagonal(zz, axis1=1, axis2=2)
     denom = zz.sum(axis=1) - signal + noise
-    # Divide only where the denominator is positive; elsewhere SINR is inf.
+    # Divide only where the denominator is positive; elsewhere SINR is
+    # inf, and so is a quotient past the float range (subnormal noise).
     sinr = np.full(denom.shape, np.inf)
-    np.divide(signal, denom, out=sinr, where=denom > 0)
+    with np.errstate(over="ignore"):
+        np.divide(signal, denom, out=sinr, where=denom > 0)
     return sinr

@@ -80,13 +80,17 @@ def ldp_square_capacity(alpha: float, gamma_th: float, gamma_eps: float) -> int:
         denom = float(np.log1p(1.0 / (2.0**alpha * beta**alpha * gamma_th)))
     except OverflowError:  # 2^alpha past the float range
         denom = 0.0
+    except ZeroDivisionError:  # the product underflows to 0
+        denom = math.inf
     if not denom > 0.0:
         raise ValidationError(
             f"the LDP square capacity (Eq. 49) overflows at alpha={alpha}, "
             f"gamma_th={gamma_th}",
             code=CODE_NOT_FINITE,
         )
-    return int(np.ceil(gamma_eps / denom))
+    # An underflowed product makes ln(1 + 1/x) exceed any gamma_eps, and
+    # the quotient can round to 0: one receiver still fits.
+    return max(1, int(np.ceil(gamma_eps / denom)))
 
 
 def ldp_approximation_ratio(g_l: int) -> float:
@@ -106,7 +110,14 @@ def rle_c1(alpha: float, gamma_th: float, gamma_eps: float, c2: float) -> float:
     check_positive(gamma_th, "gamma_th")
     check_positive(gamma_eps, "gamma_eps")
     check_probability(c2, "c2")
-    inner = 12.0 * riemann_zeta(alpha - 1.0) * gamma_th / (gamma_eps * (1.0 - c2))
+    try:
+        inner = 12.0 * riemann_zeta(alpha - 1.0) * gamma_th / (gamma_eps * (1.0 - c2))
+    except ZeroDivisionError:  # gamma_eps * (1 - c2) underflows: no finite radius
+        raise ValidationError(
+            f"the RLE radius factor c1 (Eq. 59) overflows at gamma_eps={gamma_eps}, c2={c2}",
+            code=CODE_NOT_FINITE,
+            param="c1",
+        ) from None
     return float(np.sqrt(2.0) * inner ** (1.0 / alpha) + 1.0)
 
 
@@ -119,7 +130,9 @@ def rle_approximation_ratio(alpha: float, eps: float, gamma_th: float, c2: float
     check_probability(c2, "c2")
     try:
         return float(3.0**alpha * 5.0 * eps / (c2 * (1.0 - eps) * gamma_th) + 1.0)
-    except OverflowError:  # 3^alpha past the float range: no finite bound
+    except (OverflowError, ZeroDivisionError):
+        # 3^alpha past the float range, or a denominator that underflows
+        # to 0: no finite bound.
         return math.inf
 
 

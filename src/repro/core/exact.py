@@ -17,7 +17,6 @@ optimum (ablation A3):
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from repro.core.base import register_scheduler
 from repro.core.ilp import build_ilp
@@ -139,6 +138,8 @@ def milp_schedule(problem: FadingRLS, *, time_limit: float | None = None) -> Sch
     success (``x = 0`` is always feasible, so failures mean limits, not
     genuine infeasibility).
     """
+    from scipy.optimize import LinearConstraint, milp  # only the ILP solvers load SciPy
+
     n = problem.n_links
     if n == 0:
         return Schedule.empty("milp")

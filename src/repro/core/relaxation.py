@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from repro.core.ilp import build_ilp
 from repro.core.problem import FadingRLS
@@ -47,6 +46,8 @@ def lp_upper_bound(problem: FadingRLS) -> RelaxationBound:
     and the fractional ``x``.  Infeasibility cannot occur (``x = 0``
     satisfies every constraint).
     """
+    from scipy.optimize import LinearConstraint, milp  # only the ILP solvers load SciPy
+
     n = problem.n_links
     if n == 0:
         return RelaxationBound(upper_bound=0.0, fractional=np.zeros(0), trivial_bound=0.0)

@@ -288,8 +288,10 @@ class TestConstants:
     [
         ["schedule", "--n-links", "6", "--noise", "1e308"],
         ["traffic", "--n-links", "3", "--slots", "5", "--no-stability", "--noise", "1e308"],
+        # A lone link's SINR, signal / 5e-324, overflows to inf.
+        ["traffic", "--n-links", "3", "--slots", "5", "--no-stability", "--noise", "5e-324"],
     ],
-    ids=["schedule", "traffic"],
+    ids=["schedule", "traffic", "traffic-subnormal"],
 )
 def test_overflowing_noise_runs_with_a_clean_stderr(argv):
     proc = _run_cli(argv)

@@ -26,8 +26,10 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 
-#: One boundary value per numeric flag, plus a non-number.
-BOUNDARY = ("-1", "0", "1", "nan", "inf", "-inf", "1e308", "x")
+#: One boundary value per numeric flag, plus a non-number.  ``5e-324``
+#: is the smallest subnormal: products and quotients built from it
+#: underflow to 0 or overflow to inf.
+BOUNDARY = ("-1", "0", "1", "nan", "inf", "-inf", "1e308", "5e-324", "x")
 #: ``--jobs 0`` means one worker per CPU; it is left out so that no
 #: example starts more than two worker processes.
 JOBS = ("-1", "1", "2", "nan", "inf", "-inf", "1e308", "x")

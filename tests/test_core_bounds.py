@@ -90,6 +90,12 @@ class TestLdpSquareCapacity:
         with pytest.raises(ValidationError, match=r"Eq\. 49\) overflows"):
             ldp_square_capacity(alpha, gamma_th, G_EPS)
 
+    @pytest.mark.parametrize("gamma_th", [1e-157, 1e-300, 5e-324])
+    def test_underflow_fits_one_receiver(self, gamma_th):
+        # 2^alpha beta^alpha gamma_th is subnormal or 0, so ln(1 + 1/x)
+        # exceeds any gamma_eps: u = 1, not a ZeroDivisionError or 0.
+        assert ldp_square_capacity(2.5, gamma_th, G_EPS) == 1
+
     def test_capacity_pigeonhole_holds_empirically(self):
         """Pack receivers into one LDP square until the interference
         budget breaks: the break point must not exceed u."""
@@ -124,8 +130,10 @@ class TestApproximationRatios:
     def test_rle_ratio_above_one(self):
         assert rle_approximation_ratio(3.0, 0.01, 1.0, 0.5) > 1.0
 
-    def test_rle_ratio_past_the_float_range_is_unbounded(self):
-        assert rle_approximation_ratio(700.0, 0.01, 1.0, 0.5) == float("inf")
+    # 3^alpha overflows; c2 (1 - eps) gamma_th rounds to 0.
+    @pytest.mark.parametrize("alpha, gamma_th", [(700.0, 1.0), (3.0, 5e-324)])
+    def test_rle_ratio_past_the_float_range_is_unbounded(self, alpha, gamma_th):
+        assert rle_approximation_ratio(alpha, 0.01, gamma_th, 0.5) == float("inf")
 
 
 class TestRleC1:
@@ -153,6 +161,9 @@ class TestRleC1:
             rle_c1(2.0, 1.0, G_EPS, 0.5)
         with pytest.raises(ValueError):
             rle_c1(3.0, 1.0, G_EPS, 1.0)
+        # gamma_eps (1 - c2) rounds to 0: no finite radius.
+        with pytest.raises(ValidationError, match=r"c1 \(Eq\. 59\) overflows"):
+            rle_c1(3.0, 1.0, 5e-324, 0.5)
 
 
 class TestInterfererCountBound:

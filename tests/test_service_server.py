@@ -139,6 +139,9 @@ class TestScheduleEndpoint:
             # Finite coordinates, but the link's length overflows a double.
             ({"topology": {"senders": [[1e308, 0]], "receivers": [[-1e308, 0]]}},
              "bad-topology"),
+            # A subnormal eps: rle's c1 (Eq. 59) has no finite value.
+            ({"topology": {**build_topology_payload(_problem(3)), "eps": 5e-324}},
+             "bad-topology"),
             (
                 {
                     "topology": build_topology_payload(_problem(3)),

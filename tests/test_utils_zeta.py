@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta as scipy_zeta
 
 from repro.utils.zeta import riemann_zeta, zeta_partial_sum, zeta_tail_bound
+
+#: Every alpha - 1 the figure sweeps and goldens use (alpha 2.5 .. 4.5),
+#: plus the edges of the grid below.
+PAPER_ARGUMENTS = (1.0 + 1e-7, 1.5, 2.0, 2.5, 3.0, 3.5, 64.0)
 
 
 class TestRiemannZeta:
@@ -26,6 +31,41 @@ class TestRiemannZeta:
 
     def test_approaches_one(self):
         assert riemann_zeta(30.0) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestMatchesScipy:
+    """``riemann_zeta`` transcribes the Cephes routine behind
+    ``scipy.special.zeta(s, 1)``; ``beta`` (Eq. 37) and ``c1`` (Eq. 59)
+    feed every LDP and RLE golden, so the two must agree in every bit."""
+
+    @staticmethod
+    def _mismatches(grid):
+        return [
+            (float(s), riemann_zeta(s), float(scipy_zeta(s, 1)))
+            for s in grid
+            if riemann_zeta(s) != float(scipy_zeta(s, 1))
+        ]
+
+    def test_bit_identical_on_a_dense_grid(self):
+        # Steps of 1/512 over (1, 64], and a log-spaced run down to
+        # 1 + 1e-12 where the Euler-Maclaurin tail dominates.  Past
+        # s ~ 16 the direct sum returns without the tail; past s ~ 53,
+        # at its first term 2^-s.
+        grid = np.concatenate(
+            [1.0 + np.arange(1, 63 * 512 + 1) / 512.0, 1.0 + np.logspace(-12, 0, 2001)]
+        )
+        assert grid.min() > 1.0 and grid.max() == 64.0
+        assert self._mismatches(grid) == []
+
+    @pytest.mark.parametrize("s", PAPER_ARGUMENTS)
+    def test_bit_identical_where_the_paper_evaluates_it(self, s):
+        neighbours = [s, np.nextafter(s, np.inf), np.nextafter(s, 1.0)]
+        assert self._mismatches(neighbours) == []
+
+    def test_bit_identical_where_zeta_rounds_to_one(self):
+        # 2^-s is below half an ulp of 1, or underflows to 0: the direct
+        # sum returns 1.0 at its first term.
+        assert self._mismatches([100.0, 1074.0, 1e308, np.inf]) == []
 
 
 class TestPartialSum:
