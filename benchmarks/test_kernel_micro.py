@@ -13,7 +13,10 @@ at paper-grade sizes and records the results for the regression gate:
   (bit-identical output);
 - **submit path** — the serialization probe the executor used to run
   eagerly on every pool submit (now diagnosed lazily, only after a
-  pool-surfaced failure): quantifies the removed per-map overhead.
+  pool-surfaced failure): quantifies the removed per-map overhead;
+- **RLE fresh** — one ``rle_schedule`` call on a never-seen 200-link
+  paper topology, the scheduler work of a ``repro serve`` cache miss
+  (its block loop reads the next picks' columns and rows in blocks).
 
 Speedup entries are stamped with the machine's core count; the bench
 gate skips cross-machine speedup comparisons (``tools/bench_gate.py``).
@@ -27,13 +30,16 @@ import time
 import numpy as np
 
 from benchmarks import bench_export
+from repro import obs
 from repro.backend import kernels
 from repro.core.problem import FadingRLS
+from repro.core.rle import rle_schedule
 from repro.geometry.distance import cross_distances
 from repro.network.topology import paper_topology
 from repro.sim.parallel import build_units
 from repro.core.base import get_scheduler
 from repro.experiments.config import TopologyWorkload
+from repro.obs import metrics as obs_metrics
 
 N_LINKS = 800
 K_ACTIVE = 24
@@ -188,3 +194,49 @@ def test_submit_path_probe_overhead_removed():
         f"removed for {len(units)} units"
     )
     assert probe_s > 0.0
+
+
+def _rle_call_seconds(links) -> float:
+    """Wall time of one RLE call on a fresh instance of ``links``."""
+    problem = FadingRLS(links=links)
+    t0 = time.perf_counter()
+    rle_schedule(problem)
+    return time.perf_counter() - t0
+
+
+def test_rle_fresh():
+    topologies = [paper_topology(200, seed=seed) for seed in range(300)]
+    picks, cells = [], []
+    obs.enable()
+    try:
+        for links in topologies:
+            obs.reset()
+            picks.append(rle_schedule(FadingRLS(links=links)).size)
+            cells.append(obs_metrics.snapshot()["counters"]["fmatrix.block_cells"])
+    finally:
+        obs.disable()
+        obs.reset()
+    # Median over every call of the fastest of three passes per topology.
+    passes = [[_rle_call_seconds(links) for links in topologies] for _ in range(3)]
+    per_call = float(np.median(np.min(passes, axis=0)))
+    large = paper_topology(4096, seed=0)
+    large_s = min(_rle_call_seconds(large) for _ in range(5))
+    bench_export.record(
+        "kernel_rle_fresh",
+        per_call,
+        {
+            "n_links": 200,
+            "topologies": len(topologies),
+            "mean_picks": float(np.mean(picks)),
+            "mean_block_cells": float(np.mean(cells)),
+            "n4096_seconds": large_s,
+        },
+    )
+    print(
+        f"\nRLE fresh: {per_call * 1e6:.0f}us per 200-link call "
+        f"({np.mean(picks):.1f} picks, {np.mean(cells):.0f} F cells), "
+        f"{large_s * 1e3:.2f}ms at N=4096"
+    )
+    # Rows go only to the heads that can be picked, against the links
+    # still remaining: fewer cells than one full 200-link row per pick.
+    assert np.mean(cells) < np.mean(picks) * 200

@@ -337,21 +337,19 @@ class ScheduleCache:
     def _insert(self, key: str, problem, sid: str, result: Schedule) -> None:
         if key in self._entries:
             return  # a concurrent miss on the same key inserted first
+        # The request's own LinkSet: its arrays are read-only and are the
+        # bytes exact_key hashed, so the entry needs no copy of them.
         links = problem.links
         entry = CacheEntry(
             exact_key=key,
-            links=LinkSet(
-                senders=np.array(links.senders, dtype=float),
-                receivers=np.array(links.receivers, dtype=float),
-                rates=np.array(links.rates, dtype=float),
-            ),
+            links=links,
             params=tuple(
                 float(x)
                 for x in (problem.alpha, problem.gamma_th, problem.eps, problem.noise, problem.power)
             ),
             scheduler_id=sid,
             schedule=result,
-            rate=float(np.asarray(links.rates, dtype=float)[result.active].sum()),
+            rate=float(links.rates[result.active].sum()),
             seeded=self._policy.seed_hits(key),
             last_used=self._clock,
             inserted_seq=self._seq,

@@ -112,13 +112,19 @@ def rle_c1(alpha: float, gamma_th: float, gamma_eps: float, c2: float) -> float:
     check_probability(c2, "c2")
     try:
         inner = 12.0 * riemann_zeta(alpha - 1.0) * gamma_th / (gamma_eps * (1.0 - c2))
-    except ZeroDivisionError:  # gamma_eps * (1 - c2) underflows: no finite radius
+    except ZeroDivisionError:  # gamma_eps * (1 - c2) underflows to 0
+        inner = math.inf
+    c1 = float(np.sqrt(2.0) * inner ** (1.0 / alpha) + 1.0)
+    # The quotient also passes the float range at gamma_th near 1e305, or
+    # over a subnormal gamma_eps * (1 - c2): no finite radius either way.
+    if not math.isfinite(c1):
         raise ValidationError(
-            f"the RLE radius factor c1 (Eq. 59) overflows at gamma_eps={gamma_eps}, c2={c2}",
+            f"the RLE radius factor c1 (Eq. 59) overflows at gamma_th={gamma_th}, "
+            f"gamma_eps={gamma_eps}, c2={c2}",
             code=CODE_NOT_FINITE,
             param="c1",
-        ) from None
-    return float(np.sqrt(2.0) * inner ** (1.0 / alpha) + 1.0)
+        )
+    return c1
 
 
 def rle_approximation_ratio(alpha: float, eps: float, gamma_th: float, c2: float) -> float:

@@ -22,16 +22,27 @@ feasible.  Thm 4.4 bounds the approximation ratio by the constant
 
 Implementation notes
 --------------------
-The loop is O(picked * N) with fully vectorised inner steps: each pick
-reads one column of the distance matrix (every sender's distance to the
-picked receiver) and adds one row of the interference-factor matrix to
-a running per-receiver accumulator, then masks out eliminated links.
-Both come from :meth:`FadingRLS.distance_block` /
-:meth:`FadingRLS.factor_block`, which slice the cached matrices when
-they exist and otherwise compute only that column and row — so RLE on a
-fresh instance builds no ``N x N`` array, and at serving sizes every
-step works on ``(N,)`` vectors.  Link order is a single argsort by
-length done once.
+The loop keeps only the remaining links, shortest first, and reads them
+in blocks.  A block's *heads* are the next ``max(1, BLOCK_CELLS // R)``
+of the ``R`` remaining links, the only links its picks can come from.
+One :meth:`FadingRLS.distance_block` call reads every head's column
+(each remaining sender's distance to the head's receiver: line 4's
+test), and one :meth:`FadingRLS.factor_block` call reads the F rows
+(line 5's addends) of the heads that the heads' own radius test leaves
+standing.  The block then runs its picks in order: it skips a head an
+earlier pick eliminated, and it ends at a head that outlived the pick
+that would have doomed it (an interference kill took that pick first),
+whose row it did not read.  The survivors and their accumulated
+interference are compacted before the next block.
+
+Every output keeps the bits of one column and one row per pick: each
+cell comes from the same per-cell arithmetic as the cached matrices,
+each receiver's sum adds the picks' rows in pick order, and the trace
+records each pick's eliminations in index order.  A block reads at most
+``max(R, BLOCK_CELLS)`` cells of each kind and makes at least one pick,
+so K picks read at most ``K * max(N, BLOCK_CELLS)`` F cells, and RLE on
+a fresh instance builds no ``N x N`` array.  Link order is a single
+argsort by length done once.
 """
 
 from __future__ import annotations
@@ -42,6 +53,11 @@ from repro.core.base import SchedulerError, register_scheduler
 from repro.core.bounds import rle_c1
 from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
+
+#: A block takes ``max(1, BLOCK_CELLS // R)`` of the ``R`` remaining links
+#: as its heads, so it reads at most ``max(R, BLOCK_CELLS)`` distances and
+#: as many F cells (see the module's implementation notes).
+BLOCK_CELLS = 4096
 
 
 @register_scheduler("rle")
@@ -87,7 +103,8 @@ def rle_schedule(
     n = len(links)
     if n == 0:
         return Schedule.empty("rle")
-    if strict_uniform and not links.has_uniform_rates:
+    uniform_rates = links.has_uniform_rates
+    if strict_uniform and not uniform_rates:
         raise SchedulerError(
             "RLE's guarantee requires uniform rates; "
             "pass strict_uniform=False to run it regardless"
@@ -116,42 +133,56 @@ def rle_schedule(
     c1 = rle_c1(problem.alpha, problem.gamma_th, b_min, c2)
     lengths = links.lengths
     radii = c1 * lengths
-    limits = c2 * budgets
 
+    # The serviceable links still in play, shortest first (a stable
+    # sort, so ties keep index order), with each one's accumulated
+    # interference factor f_{P, r_j} and its c2 budget.
     order = np.argsort(lengths, kind="stable")
-    remaining = serviceable.copy()
-    accumulated = np.zeros(n, dtype=float)  # f_{P, r_j} for every receiver j
+    cand = order[serviceable[order]]
+    n_serviceable = cand.size
+    accumulated = np.zeros(n_serviceable)
+    limits = c2 * budgets[cand]
     picked: list[int] = []
     removed_by_radius = 0
-    removed_by_interference = 0
     elimination: dict[int, tuple[str, int]] = {}
 
-    # Every killed link is still remaining, so ``remaining ^= kill``
-    # clears exactly the killed ones.
-    for i in order:
-        if not remaining[i]:
-            continue
-        picked.append(int(i))
-        remaining[i] = False
-
-        # Line 4: drop links whose sender is within c1 * d_ii of r_i
-        # (column i of the distance matrix: d(s_j, r_i) for every j).
-        radius_kill = remaining & (problem.distance_block(None, i) < radii[i])
-        removed_by_radius += int(np.count_nonzero(radius_kill))
-        remaining ^= radius_kill
-        if trace:
-            for j in np.flatnonzero(radius_kill):
-                elimination[int(j)] = ("radius", int(i))
-
-        # Line 5: drop links whose receiver exceeds the c2 budget under
-        # the picked set (the new pick contributes row F[i, :]).
-        accumulated += problem.factor_block(i, None)
-        interference_kill = remaining & (accumulated > limits)
-        removed_by_interference += int(np.count_nonzero(interference_kill))
-        remaining ^= interference_kill
-        if trace:
-            for j in np.flatnonzero(interference_kill):
-                elimination[int(j)] = ("interference", int(i))
+    while cand.size:
+        heads = cand[: max(1, BLOCK_CELLS // cand.size)]
+        # close[h, j]: line 4 kills remaining link j if head h is picked.
+        close = (problem.distance_block(cand, heads) < radii[heads]).T
+        # The heads that radius kills among the heads alone leave
+        # standing; only they get an F row.
+        doomed = np.zeros(heads.size, dtype=bool)
+        foretold = []
+        for k in range(heads.size):
+            if not doomed[k]:
+                foretold.append(k)
+                doomed |= close[k, : heads.size]
+        rows = dict(zip(foretold, problem.factor_block(heads[foretold], cand)))
+        # Head k is cand[k].
+        alive = np.ones(cand.size, dtype=bool)
+        for k, head in enumerate(heads.tolist()):
+            if not alive[k]:
+                continue  # an earlier pick of this block eliminated it
+            row = rows.get(k)
+            if row is None:
+                break  # its doom never came: the next block starts with it
+            picked.append(head)
+            alive[k] = False
+            kill = alive & close[k]
+            removed_by_radius += int(np.count_nonzero(kill))
+            alive ^= kill
+            if trace:
+                for j in np.sort(cand[kill]).tolist():
+                    elimination[j] = ("radius", head)
+            accumulated += row
+            kill = accumulated > limits
+            kill &= alive
+            alive ^= kill
+            if trace:
+                for j in np.sort(cand[kill]).tolist():
+                    elimination[j] = ("interference", head)
+        cand, accumulated, limits = cand[alive], accumulated[alive], limits[alive]
 
     return Schedule(
         active=np.array(sorted(picked), dtype=np.int64),
@@ -160,9 +191,10 @@ def rle_schedule(
             "c1": c1,
             "c2": c2,
             "removed_by_radius": removed_by_radius,
-            "removed_by_interference": removed_by_interference,
-            "unserviceable": int(n - int(serviceable.sum())),
-            "uniform_rates": bool(links.has_uniform_rates),
+            # Every serviceable link ends picked or eliminated.
+            "removed_by_interference": n_serviceable - len(picked) - removed_by_radius,
+            "unserviceable": n - n_serviceable,
+            "uniform_rates": uniform_rates,
             **({"elimination": elimination, "pick_order": picked} if trace else {}),
         },
     )

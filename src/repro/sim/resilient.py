@@ -293,15 +293,13 @@ def _abandon(pool: ProcessPoolExecutor) -> None:
     # drops it as well) after the kills settles every exit code before
     # this returns.
     manager = getattr(pool, "_executor_manager_thread", None)
-    # Forget pending work before the kill lands: the manager thread's
-    # broken-pool path sets an exception on every pending future, racing
-    # the ones the supervision loop already resolved (InvalidStateError
-    # in the manager thread).  Supervision keeps its own futures map, so
-    # the executor's bookkeeping can be dropped wholesale.
-    pending = getattr(pool, "_pending_work_items", None)
-    if pending is not None:
-        pending.clear()
-    pool.shutdown(wait=False, cancel_futures=True)
+    # The executor's bookkeeping is the manager thread's alone: once the
+    # kills land, its broken-pool path fails every pending future, none
+    # of which supervision reads again.  Clearing the pending items from
+    # here raced a work id the manager had taken but not yet looked up
+    # (KeyError), and cancelling futures let that path set an exception
+    # on a future already done (InvalidStateError), both in the manager.
+    pool.shutdown(wait=False)
     for proc in processes.values():
         try:
             proc.kill()

@@ -161,9 +161,13 @@ class TestRleC1:
             rle_c1(2.0, 1.0, G_EPS, 0.5)
         with pytest.raises(ValueError):
             rle_c1(3.0, 1.0, G_EPS, 1.0)
-        # gamma_eps (1 - c2) rounds to 0: no finite radius.
-        with pytest.raises(ValidationError, match=r"c1 \(Eq\. 59\) overflows"):
-            rle_c1(3.0, 1.0, 5e-324, 0.5)
+        # gamma_eps (1 - c2) rounds to 0, or the quotient passes the float
+        # range (a huge gamma_th, or a subnormal gamma_eps (1 - c2) that
+        # is not 0): no finite radius.
+        for gamma_th, gamma_eps in ((1.0, 5e-324), (1e305, G_EPS), (1e308, G_EPS), (1.0, 1e-320)):
+            with pytest.raises(ValidationError, match=r"c1 \(Eq\. 59\) overflows") as err:
+                rle_c1(3.0, gamma_th, gamma_eps, 0.5)
+            assert (err.value.code, err.value.param) == ("not-finite", "c1")
 
 
 class TestInterfererCountBound:

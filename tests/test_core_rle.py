@@ -5,14 +5,131 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.base import SchedulerError
+from repro.core.bounds import rle_c1
 from repro.core.problem import FadingRLS
-from repro.core.rle import rle_schedule
+from repro.core.rle import BLOCK_CELLS, rle_schedule
+from repro.core.schedule import Schedule
 from repro.network.links import LinkSet
 from repro.network.topology import paper_topology, random_rates_topology
 from repro.obs import metrics as obs_metrics
+
+
+def per_pick_rle(problem: FadingRLS, c2: float = 0.5, trace: bool = False) -> Schedule:
+    """RLE as it ran before the block loop: one distance column and one F
+    row per pick, on N-length arrays.  The oracle the block loop must
+    match bit for bit (uniform rates and powers assumed)."""
+    links = problem.links
+    n = len(links)
+    if n == 0:
+        return Schedule.empty("rle")
+
+    budgets = problem.effective_budgets()
+    serviceable = budgets > 0.0
+    if not serviceable.any():
+        return Schedule(
+            active=np.zeros(0, dtype=np.int64),
+            algorithm="rle",
+            diagnostics={"unserviceable": int(n)},
+        )
+    b_min = float(budgets[serviceable].min())
+    c1 = rle_c1(problem.alpha, problem.gamma_th, b_min, c2)
+    lengths = links.lengths
+    radii = c1 * lengths
+    limits = c2 * budgets
+
+    order = np.argsort(lengths, kind="stable")
+    remaining = serviceable.copy()
+    accumulated = np.zeros(n, dtype=float)  # f_{P, r_j} for every receiver j
+    picked: list[int] = []
+    removed_by_radius = 0
+    removed_by_interference = 0
+    elimination: dict[int, tuple[str, int]] = {}
+
+    # Every killed link is still remaining, so ``remaining ^= kill``
+    # clears exactly the killed ones.
+    for i in order:
+        if not remaining[i]:
+            continue
+        picked.append(int(i))
+        remaining[i] = False
+
+        # Line 4: drop links whose sender is within c1 * d_ii of r_i
+        # (column i of the distance matrix: d(s_j, r_i) for every j).
+        radius_kill = remaining & (problem.distance_block(None, i) < radii[i])
+        removed_by_radius += int(np.count_nonzero(radius_kill))
+        remaining ^= radius_kill
+        if trace:
+            for j in np.flatnonzero(radius_kill):
+                elimination[int(j)] = ("radius", int(i))
+
+        # Line 5: drop links whose receiver exceeds the c2 budget under
+        # the picked set (the new pick contributes row F[i, :]).
+        accumulated += problem.factor_block(i, None)
+        interference_kill = remaining & (accumulated > limits)
+        removed_by_interference += int(np.count_nonzero(interference_kill))
+        remaining ^= interference_kill
+        if trace:
+            for j in np.flatnonzero(interference_kill):
+                elimination[int(j)] = ("interference", int(i))
+
+    return Schedule(
+        active=np.array(sorted(picked), dtype=np.int64),
+        algorithm="rle",
+        diagnostics={
+            "c1": c1,
+            "c2": c2,
+            "removed_by_radius": removed_by_radius,
+            "removed_by_interference": removed_by_interference,
+            "unserviceable": int(n - int(serviceable.sum())),
+            "uniform_rates": bool(links.has_uniform_rates),
+            **({"elimination": elimination, "pick_order": picked} if trace else {}),
+        },
+    )
+
+
+def assert_same_run(block: Schedule, oracle: Schedule) -> None:
+    """Same schedule and diagnostics, the trace's insertion order included."""
+    assert np.array_equal(block.active, oracle.active)
+    got, want = dict(block.diagnostics), dict(oracle.diagnostics)
+    assert list(got.pop("elimination", {}).items()) == list(want.pop("elimination", {}).items())
+    assert got == want
+
+
+def clustered_links(n_clusters: int, size: int = 16, spacing: float = 100.0) -> LinkSet:
+    """Clusters of ``size`` links with consecutive lengths, far apart.
+
+    Every link of cluster c is shorter than every link of cluster c + 1,
+    and a cluster's first pick eliminates the rest by radius.  So while
+    more than 256 links remain, a block's heads (at most 16) share one
+    cluster and the block makes one pick: the worst case for blocks.
+    """
+    k = np.arange(n_clusters * size)
+    cluster, m = np.divmod(k, size)
+    side = int(np.ceil(np.sqrt(n_clusters)))
+    centres = np.column_stack([cluster % side, cluster // side]) * spacing
+    theta = 2 * np.pi * m / size
+    out = np.column_stack([np.cos(theta), np.sin(theta)])
+    senders = centres + 2.0 * out
+    receivers = senders + (1.0 + k * 1e-4)[:, None] * out
+    return LinkSet(senders=senders, receivers=receivers)
+
+
+def pythagorean_links(n: int, side: float, seed: int) -> LinkSet:
+    """Integer 3-4-5 and 9-12-15 links, so lengths tie exactly at 5 and 15.
+
+    Senders sit on even coordinates and every leg has one odd step, so
+    no sender lands on a receiver (a zero distance).
+    """
+    rng = np.random.default_rng(seed)
+    senders = 2.0 * rng.integers(0, int(side) // 2, size=(n, 2))
+    legs = np.array([(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)])
+    steps = legs[rng.integers(0, len(legs), size=n)] * rng.choice([1, 3], size=(n, 1))
+    return LinkSet(senders=senders, receivers=senders + steps)
 
 
 class TestRleBasics:
@@ -258,20 +375,27 @@ class TestNoDenseArrays:
         assert elapsed < 0.5, f"took {elapsed:.3f} s"
 
     def test_counts_block_cells_and_no_full_build(self):
-        problem = FadingRLS(links=paper_topology(60, seed=2))
-        obs.enable()
-        obs.reset()
-        try:
-            schedule = rle_schedule(problem)
-            problem.is_feasible(schedule.active)
-            counters = obs_metrics.snapshot()["counters"]
-        finally:
-            obs.disable()
+        # (n, seed, picks, F cells of the RLE run).  At N = 60 one block
+        # holds every link (4096 // 60 heads); the heads' own radius
+        # test leaves 7 standing, which are the 7 picks: 7 rows of 60.
+        # At N = 200 the first block's 20 heads leave 8 standing (8 rows
+        # of 200) and the 20 links left form a second block with 2 rows.
+        for n, seed, picks, rle_cells in ((60, 2, 7, 7 * 60), (200, 2, 10, 8 * 200 + 2 * 20)):
+            problem = FadingRLS(links=paper_topology(n, seed=seed))
+            obs.enable()
             obs.reset()
-        k = schedule.size
-        # One F row per pick, then the K x K verdict block.
-        assert counters["fmatrix.block_cells"] == k * 60 + k * k
-        assert "fmatrix.builds" not in counters
+            try:
+                schedule = rle_schedule(problem)
+                problem.is_feasible(schedule.active)
+                counters = obs_metrics.snapshot()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            k = schedule.size
+            assert k == picks
+            # Then the K x K verdict block.
+            assert counters["fmatrix.block_cells"] == rle_cells + k * k
+            assert "fmatrix.builds" not in counters
 
     def test_same_schedule_as_the_dense_matrices(self):
         for seed in range(5):
@@ -283,3 +407,99 @@ class TestNoDenseArrays:
             assert np.array_equal(a.active, b.active)
             assert a.diagnostics == b.diagnostics
 
+
+
+_SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def rle_cases(draw):
+    """An instance, c2, and whether to cache both N x N matrices first."""
+    n = draw(st.integers(0, 300))
+    side = draw(st.sampled_from([100.0, 500.0, 5000.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        links = pythagorean_links(n, side, seed)
+    else:
+        links = paper_topology(n, region_side=side, seed=seed)
+    params = dict(
+        alpha=draw(st.floats(2.0, 5.0, exclude_min=True)),
+        gamma_th=draw(st.floats(0.1, 4.0)),
+        eps=draw(st.floats(1e-6, 0.999)),
+        # 1e-4 leaves long links at region side 5000 unserviceable.
+        noise=draw(st.sampled_from([0.0, 1e-6, 1e-4])),
+    )
+    if draw(st.booleans()):
+        params["powers"] = np.full(n, draw(st.floats(0.5, 2.0)))
+    # A small c2 makes interference kills among a block's heads common.
+    c2 = draw(st.one_of(st.floats(1e-3, 0.05), st.floats(1e-3, 0.999)))
+    cached = draw(st.booleans())
+    return links, params, c2, cached
+
+
+class TestBlockLoopMatchesPerPick:
+    """The block loop makes the per-pick loop's picks, eliminations and
+    trace, bit for bit."""
+
+    @_SETTINGS
+    @given(rle_cases())
+    def test_same_schedule_and_trace(self, case):
+        links, params, c2, cached = case
+        block, oracle = FadingRLS(links=links, **params), FadingRLS(links=links, **params)
+        if cached:
+            for problem in (block, oracle):
+                problem.distances()
+                problem.interference_matrix()
+        assert_same_run(
+            rle_schedule(block, c2=c2, trace=True), per_pick_rle(oracle, c2=c2, trace=True)
+        )
+
+    def test_paper_instances(self):
+        for seed in range(20):
+            links = paper_topology(200, seed=seed)
+            assert_same_run(
+                rle_schedule(FadingRLS(links=links), trace=True),
+                per_pick_rle(FadingRLS(links=links), trace=True),
+            )
+
+    @pytest.mark.parametrize("seed", [3, 7, 9])
+    def test_a_spared_head_starts_the_next_block(self, seed, monkeypatch):
+        """With c2 = 0.02 a head the heads' radius test dooms can outlive
+        the head that doomed it (an interference kill); the block ends
+        there and the next one starts with it."""
+        calls = []
+        factor_block = FadingRLS.factor_block
+
+        def counted(problem, rows, cols):
+            calls.append(rows)
+            return factor_block(problem, rows, cols)
+
+        monkeypatch.setattr(FadingRLS, "factor_block", counted)
+        links = paper_topology(60, seed=seed)
+        block = rle_schedule(FadingRLS(links=links, eps=0.2), c2=0.02, trace=True)
+        # 4096 // 60 heads cover all 60 links: a second call means the
+        # first block ended early.
+        assert len(calls) >= 2
+        assert_same_run(block, per_pick_rle(FadingRLS(links=links, eps=0.2), c2=0.02, trace=True))
+
+    @pytest.mark.parametrize("n_clusters", [13, 32, 256])
+    def test_clustered_worst_case_stays_within_its_cell_bound(self, n_clusters):
+        """Most of each block's heads die at the block's first pick; F
+        cells stay within K * max(N, BLOCK_CELLS)."""
+        links = clustered_links(n_clusters)
+        problem = FadingRLS(links=links)
+        obs.enable()
+        obs.reset()
+        try:
+            schedule = rle_schedule(problem, trace=True)
+            cells = obs_metrics.snapshot()["counters"]["fmatrix.block_cells"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert schedule.size == n_clusters
+        assert cells <= schedule.size * max(len(links), BLOCK_CELLS)
+        assert_same_run(schedule, per_pick_rle(FadingRLS(links=links), trace=True))

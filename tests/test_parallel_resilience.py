@@ -306,6 +306,48 @@ def test_abandon_kills_live_workers():
         assert not proc.is_alive(), "abandoned worker survived the kill"
 
 
+@pytest.mark.chaos
+def test_abandon_leaves_the_manager_thread_its_work_ids(monkeypatch):
+    """_abandon must not pull work out from under the executor's manager
+    thread.
+
+    The manager takes a work id from ``_work_ids`` and then looks it up
+    in ``_pending_work_items``; here it is held between the two steps
+    (0.3 s) while the pool is abandoned.  Clearing the pending items
+    from the caller's thread at that moment killed the manager with
+    ``KeyError: 1`` (reported through ``threading.excepthook``).
+    """
+    import threading
+    import time as _time
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim.resilient import _abandon
+
+    pool = ProcessPoolExecutor(max_workers=1)
+    assert pool.submit(abs, -1).result(timeout=60) == 1
+    manager = pool._executor_manager_thread
+    take = pool._work_ids.get
+    holding = threading.Event()
+
+    def slow_take(*args, **kwargs):
+        work_id = take(*args, **kwargs)
+        if threading.current_thread() is manager:
+            holding.set()
+            _time.sleep(0.3)
+        return work_id
+
+    pool._work_ids.get = slow_take
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: raised.append(args.exc_value))
+    for value in range(5):
+        pool.submit(abs, value)
+    assert holding.wait(timeout=30), "the manager never took a work id"
+    _abandon(pool)
+    manager.join(timeout=10.0)
+    assert not manager.is_alive()
+    assert raised == []
+
+
 class TestObservabilityUnderChaos:
     def test_stable_snapshots_identical_across_jobs_and_faults(self, obs_enabled):
         keys = _unit_keys()

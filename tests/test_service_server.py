@@ -139,8 +139,13 @@ class TestScheduleEndpoint:
             # Finite coordinates, but the link's length overflows a double.
             ({"topology": {"senders": [[1e308, 0]], "receivers": [[-1e308, 0]]}},
              "bad-topology"),
-            # A subnormal eps: rle's c1 (Eq. 59) has no finite value.
+            # A subnormal eps, or a gamma_th near the float range: rle's c1
+            # (Eq. 59) has no finite value.
             ({"topology": {**build_topology_payload(_problem(3)), "eps": 5e-324}},
+             "bad-topology"),
+            ({"topology": {**build_topology_payload(_problem(3)), "eps": 1e-320}},
+             "bad-topology"),
+            ({"topology": {**build_topology_payload(_problem(3)), "gamma_th": 1e308}},
              "bad-topology"),
             (
                 {
