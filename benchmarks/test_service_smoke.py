@@ -1,20 +1,29 @@
-"""Service benchmark: 1000 concurrent clients against a live server.
+"""Service benchmarks against a live server.
 
-Boots ``repro serve`` as a real subprocess (its own interpreter, its
-own event loop — the deployment shape), then drives the deterministic
-loadgen at 1000 persistent connections firing synchronized bursts.
-Asserts the ISSUE-10 acceptance criteria — peak in-flight >= 1000 and
-zero unaccounted request losses — and records the sustained throughput
-to ``BENCH_RESULTS.json`` as ``smoke_service`` for
-``tools/bench_gate.py`` to regress against.
+Each boots ``repro serve`` as a real subprocess (its own interpreter,
+its own event loop — the deployment shape):
 
-Runs with the smoke marker so ``make bench-smoke`` / the CI deep run
-leave the data point.
+- ``smoke_service`` drives the deterministic loadgen at 1000 persistent
+  connections firing synchronized bursts, asserts the acceptance
+  criteria — peak in-flight >= 1000 and zero unaccounted request
+  losses — and records the sustained throughput;
+- ``serve_fresh_misses`` drives a closed loop over two keep-alive
+  connections with fresh ``rle`` topologies of 200 links (computed on
+  the event loop) and then of 300 links (computed on a worker thread),
+  and records, per size, the wall time, the server's CPU time and its
+  voluntary context switches per request.
+
+Both go to ``BENCH_RESULTS.json`` for ``tools/bench_gate.py`` to
+regress against; ``make bench-service`` runs them.  The smoke one
+carries the smoke marker so ``make bench-smoke`` / the CI deep run
+leave its data point.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +33,16 @@ from pathlib import Path
 import pytest
 
 from benchmarks import bench_export
-from repro.service.loadgen import raise_nofile_limit, run_loadgen
+from repro.core.problem import FadingRLS
+from repro.network.topology import paper_topology
+from repro.service.broker import LOOP_MAX_LINKS
+from repro.service.loadgen import (
+    _HttpClient,
+    _serialise_request,
+    build_topology_payload,
+    raise_nofile_limit,
+    run_loadgen,
+)
 
 CLIENTS = 1000
 TICKS = 2
@@ -34,6 +52,11 @@ POOL = 4
 ARRIVAL = "spikes"
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Fresh bodies per size in ``serve_fresh_misses``, and the sizes: one
+#: the event loop computes, one past LOOP_MAX_LINKS for a worker thread.
+MISS_BODIES = 400
+MISS_SIZES = (200, 300)
 
 
 def _spawn_server() -> tuple[subprocess.Popen, str, int]:
@@ -125,3 +148,94 @@ def test_service_sustains_1000_concurrent_clients():
         f"{report.transport_errors} transport-level failures"
     )
     assert report.ok >= CLIENTS  # every client's tick-0 request served
+
+
+def _process_counters(pid: int) -> tuple[float, int]:
+    """``(CPU seconds, voluntary context switches)`` of process ``pid``
+    so far, the switches summed over its threads."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    cpu = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")  # utime + stime
+    switches = 0
+    for status in Path(f"/proc/{pid}/task").glob("*/status"):
+        try:
+            text = status.read_text()
+        except OSError:  # the thread exited
+            continue
+        for line in text.splitlines():
+            if line.startswith("voluntary_ctxt_switches:"):
+                switches += int(line.split()[1])
+    return cpu, switches
+
+
+async def _closed_loop(host: str, port: int, requests: list) -> list:
+    """Send ``requests`` over two keep-alive connections, each sending
+    its next one when its last answer is in; returns the statuses."""
+    pending = iter(requests)
+    clients = [_HttpClient(host, port, timeout=60.0) for _ in range(2)]
+
+    async def drive(client):
+        await client.connect()
+        try:
+            return [await client.request(raw) for raw in pending]
+        finally:
+            await client.aclose()
+
+    return [status for out in await asyncio.gather(*map(drive, clients)) for status in out]
+
+
+async def _batches(host: str, port: int) -> int:
+    """The server's ``/v1/statz`` ``batches`` count."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(f"GET /v1/statz HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n".encode())
+    raw = await reader.read()
+    writer.close()
+    return json.loads(raw.split(b"\r\n\r\n", 1)[1])["broker"]["batches"]
+
+
+def test_serve_fresh_misses_per_compute_path():
+    assert MISS_SIZES[0] <= LOOP_MAX_LINKS < MISS_SIZES[1]
+    seeds = iter(range(1, 1 + MISS_BODIES * len(MISS_SIZES)))
+    bodies = {
+        n: [
+            _serialise_request(
+                "bench",
+                {"topology": build_topology_payload(FadingRLS(links=paper_topology(n, seed=s)))},
+            )
+            for s in itertools.islice(seeds, MISS_BODIES)
+        ]
+        for n in MISS_SIZES
+    }
+    proc, host, port = _spawn_server()
+    config = {"bodies_per_size": MISS_BODIES, "connections": 2, "scheduler": "rle"}
+    total = 0.0
+    try:
+        for n in MISS_SIZES:
+            batches = asyncio.run(_batches(host, port))
+            cpu, switches = _process_counters(proc.pid)
+            t0 = time.perf_counter()
+            statuses = asyncio.run(_closed_loop(host, port, bodies[n]))
+            wall = time.perf_counter() - t0
+            cpu_after, switches_after = _process_counters(proc.pid)
+            moved = asyncio.run(_batches(host, port)) - batches
+            assert statuses == [200] * MISS_BODIES
+            # Every miss at or under LOOP_MAX_LINKS stays on the loop.
+            assert moved == (0 if n <= LOOP_MAX_LINKS else MISS_BODIES)
+            total += wall
+            config[f"n{n}_wall_ms_per_request"] = round(wall / MISS_BODIES * 1e3, 4)
+            config[f"n{n}_server_cpu_ms_per_request"] = round(
+                (cpu_after - cpu) / MISS_BODIES * 1e3, 4
+            )
+            config[f"n{n}_voluntary_switches_per_request"] = round(
+                (switches_after - switches) / MISS_BODIES, 3
+            )
+            config[f"n{n}_worker_computations"] = moved
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+    bench_export.record("serve_fresh_misses", total, config)
+    print("\nfresh misses: " + ", ".join(f"{k}={v}" for k, v in config.items()))
+

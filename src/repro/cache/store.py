@@ -23,9 +23,12 @@ outside it, so a hit never waits for another request's compute.  Two
 threads that miss on the same key at once both run the scheduler and
 both count a miss; the first insert wins, as in
 :func:`functools.lru_cache`.  :meth:`ScheduleCache.probe` never waits
-for the lock at all: a caller that must not block (the service's event
-loop) answers a hit with it and leaves a miss, or a busy lock, to
-:meth:`ScheduleCache.schedule` on another thread.
+for the lock at all and says whether it took it: a caller that must not
+block (the service's event loop) answers a hit with it, and leaves a
+busy lock to :meth:`ScheduleCache.schedule` on another thread.  Without
+``directory=`` an insert holds the lock only for bookkeeping, so the
+event loop may compute a small miss through :meth:`ScheduleCache.schedule`
+itself after a probe that took the lock.
 
 Eviction and persistence
 ------------------------
@@ -227,28 +230,30 @@ class ScheduleCache:
         result, tier = self._lookup(key, problem, fn, kwargs, sid)
         return (result, tier) if return_tier else result
 
-    def probe(self, key: str) -> Optional[Schedule]:
-        """The cached schedule for ``key``, counted as an exact hit, or
-        ``None`` without waiting for the lock.
+    def probe(self, key: str) -> Tuple[Optional[Schedule], bool]:
+        """``(schedule, locked)``: the cached schedule for ``key``,
+        counted as an exact hit, or ``None``, and whether the probe took
+        the lock.  It never waits for the lock.
 
-        A miss, or a lock held by another thread (an insert, an
-        eviction, an entry file's fsync), counts nothing: the caller
-        then asks :meth:`schedule`, which counts the lookup once.  It
-        needs only the key, so a caller that knows the key of a request
-        need not build its problem to be answered from the cache.
+        A miss (``None, True``), or a lock held by another thread (an
+        insert, an eviction, an entry file's fsync: ``None, False``),
+        counts nothing: the caller then asks :meth:`schedule`, which
+        counts the lookup once.  It needs only the key, so a caller that
+        knows the key of a request need not build its problem to be
+        answered from the cache.
         """
         if not self._lock.acquire(blocking=False):
-            return None
+            return None, False
         try:
             entry = self._entries.get(key)
             if entry is None:
-                return None
+                return None, True
             with span("cache.lookup", n=entry.n_links):
                 self._count_hit(key, entry)
         finally:
             self._lock.release()
         obs_metrics.inc("cache.exact_hits")
-        return entry.schedule
+        return entry.schedule, True
 
     @property
     def stats(self) -> Dict[str, Any]:

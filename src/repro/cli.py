@@ -1055,13 +1055,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="default scheduler for requests that omit one",
     )
     sv.add_argument(
-        "--workers", type=int, default=2, help="threads that run cache misses"
+        "--workers",
+        type=int,
+        default=2,
+        help="threads that run cache misses (small rle misses run on the event loop)",
     )
     sv.add_argument(
         "--queue-limit",
         type=int,
         default=1024,
-        help="max distinct computations pending or running before 503 queue-full",
+        help="max distinct computations pending or running on the worker threads "
+        "before 503 queue-full",
     )
     sv.add_argument(
         "--tenant-rate",

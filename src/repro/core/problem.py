@@ -285,6 +285,11 @@ class FadingRLS:
         if cols is not None:
             rx, ry = rx[cols], ry[cols]
         if _is_axis(rows) and _is_axis(cols):
+            if sx.size > rx.size:
+                # A tall block is computed as its (cols, rows) transpose,
+                # so numpy's inner loops run along the long axis; every
+                # cell goes through the same arithmetic.
+                return coordinate_distances(sx, sy, rx[:, None], ry[:, None]).T
             sx, sy = sx[:, None], sy[:, None]
         return coordinate_distances(sx, sy, rx, ry)
 

@@ -4,8 +4,9 @@ The package splits plexi-style into a transport
 (:mod:`repro.service.server` — routing, JSON schemas, validation) and a
 scheduling brain (:mod:`repro.service.broker` — coalescing by
 :func:`~repro.cache.fingerprint.exact_key`, per-tenant token buckets,
-429/503 backpressure, cache hits on the event loop and each miss one
-call on a thread pool, through :class:`~repro.cache.ScheduleCache` into
+429/503 backpressure, cache hits and small ``rle`` misses on the
+event loop and every other miss one call on a thread pool, through
+:class:`~repro.cache.ScheduleCache` into
 :mod:`repro.backend`), plus a deterministic HTTP load generator
 (:mod:`repro.service.loadgen`) reusing the :mod:`repro.workload`
 arrival families.

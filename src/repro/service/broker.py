@@ -25,11 +25,14 @@ to one already in flight attaches to its future instead of running
 another — a thousand clients asking for the same topology cost one
 scheduler run.  A request that is not in flight probes the
 :class:`~repro.cache.ScheduleCache` with that same key on the event
-loop, and an exact hit is answered there: no thread hop.  Everything
-else — a miss, or a cache lock held by a worker thread — is one call on
-the broker's thread pool, computed through the cache (whose every
-answer is bit-identical to a direct scheduler call) into
-:mod:`repro.backend`'s kernels.
+loop, and an exact hit is answered there: no thread hop.  A small
+``rle`` miss (at most :data:`LOOP_MAX_LINKS` links, no cache directory,
+a probe that took the cache lock) is computed there too, because its
+cost is bounded and handing it to a thread costs more than computing
+it.  Everything else — any other miss, or a cache lock held by a worker
+thread — is one call on the broker's thread pool.  Both paths compute
+through the cache (whose every answer is bit-identical to a direct
+scheduler call) into :mod:`repro.backend`'s kernels.
 
 Sessions wrap :class:`~repro.core.incremental.IncrementalScheduler`:
 open with a topology, then stream :class:`~repro.network.delta.LinkDelta`
@@ -69,6 +72,15 @@ __all__ = [
     "UnknownSession",
     "WIRE_ERROR_CODES",
 ]
+
+#: The largest ``rle`` miss :meth:`ScheduleBroker.submit` computes on the
+#: event loop instead of a worker thread.  RLE reads at most
+#: K·max(N, 4096) F cells for K <= N picks and builds no N×N array, so
+#: its cost is bounded by the link count; at 256 links its slowest
+#: family (every link scheduled) took 2.3 ms, 2.6 ms at most, on a
+#: 2-vCPU VM, under CPython's 5 ms thread switch interval
+#: (docs/SERVICE.md, "Small misses on the event loop").
+LOOP_MAX_LINKS = 256
 
 
 class ServiceError(Exception):
@@ -197,9 +209,24 @@ class TokenBucket:
         return (1.0 - self._tokens) / self.rate
 
 
+def _answer(
+    schedule: Schedule, tier: str, coalesced: bool, trace_id: str, t0: float
+) -> Dict[str, Any]:
+    """What :meth:`ScheduleBroker.submit` returns for a request it
+    received at ``time.perf_counter()`` ``t0``."""
+    return {
+        "schedule": schedule,
+        "trace_id": trace_id,
+        "tier": tier,
+        "coalesced": coalesced,
+        "wall_seconds": time.perf_counter() - t0,
+    }
+
+
 @dataclass
 class _Session:
     engine: IncrementalScheduler
+    scheduler: str
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     seq: int = 0
 
@@ -212,9 +239,10 @@ class ScheduleBroker:
     scheduler:
         Default scheduler name for requests that do not specify one.
     queue_limit:
-        Maximum *distinct* computations pending or running; coalesced
-        duplicates and cache hits do not count.  Beyond it,
-        :meth:`submit` raises :class:`Overloaded`.
+        Maximum *distinct* computations pending or running on the
+        worker threads; coalesced duplicates and cache hits do not
+        count.  A miss that finds it reached raises
+        :class:`Overloaded`, even one the event loop would compute.
     n_workers:
         Executor threads, each spawned when a computation first needs
         it.  Results are bit-identical at any worker count; more
@@ -228,7 +256,8 @@ class ScheduleBroker:
         with ``use_cache=False`` every request is computed from
         scratch.  Either way every answer is bit-identical to direct
         scheduling.  The event loop answers exact hits without waiting
-        for the cache's lock (:meth:`ScheduleCache.probe`); the worker
+        for the cache's lock (:meth:`ScheduleCache.probe`) and computes
+        small ``rle`` misses itself (:meth:`submit`); the worker
         threads share the cache for the rest, and it locks only around
         its probe and insert, so a hit never waits for a scheduler run.
     max_sessions:
@@ -366,6 +395,19 @@ class ScheduleBroker:
         only a probe that finds the cache lock held by a worker thread
         sends a hit to a worker thread.
 
+        A miss that passes the ``queue_limit`` check is computed here
+        on the event loop too when all of these hold: the scheduler's
+        registered name is ``rle`` (the only scheduler whose cost the
+        link count bounds), the problem has at most
+        :data:`LOOP_MAX_LINKS` links, the cache (if any) has no
+        directory, so an insert holds its lock only for bookkeeping,
+        and the probe took the lock, so no worker thread holds it.
+        Such a computation is never in flight: nothing coalesces onto
+        it, and it is not counted in ``inflight`` or ``batches``.  One
+        yield to the loop follows it, so a connection that pipelines
+        misses cannot keep the loop for all of them in a row.  Every
+        other miss is one call on the thread pool.
+
         ``key`` is the request's :meth:`request_key` when the caller
         knows it.  With it, ``problem`` may be a function that builds
         the problem: it is called only when the request must be
@@ -403,17 +445,11 @@ class ScheduleBroker:
             self._counters["coalesced"] += 1
             obs_metrics.inc("service.coalesced")
         else:
-            hit = self._cache.probe(key) if self._cache is not None else None
+            hit, locked = (None, True) if self._cache is None else self._cache.probe(key)
             if hit is not None:
                 self._counters["scheduled"] += 1
                 obs_metrics.inc("service.scheduled")
-                return {
-                    "schedule": hit,
-                    "trace_id": trace_id,
-                    "tier": "cache",
-                    "coalesced": False,
-                    "wall_seconds": time.perf_counter() - t0,
-                }
+                return _answer(hit, "cache", False, trace_id, t0)
             if len(self._inflight) >= self.queue_limit:
                 self._counters["rejected_503"] += 1
                 obs_metrics.inc("service.rejected_503")
@@ -422,6 +458,9 @@ class ScheduleBroker:
                 )
             if not isinstance(problem, FadingRLS):
                 problem = problem()
+            if locked and self._computes_on_loop(name, problem):
+                schedule, tier = await self._compute_on_loop(key, name, problem)
+                return _answer(schedule, tier, False, trace_id, t0)
             loop = asyncio.get_running_loop()
             future = loop.create_future()
             self._inflight[key] = future
@@ -432,13 +471,38 @@ class ScheduleBroker:
             )
             computation.add_done_callback(functools.partial(self._settle, key, future))
         schedule, tier = await asyncio.shield(future)
-        return {
-            "schedule": schedule,
-            "trace_id": trace_id,
-            "tier": tier,
-            "coalesced": coalesced,
-            "wall_seconds": time.perf_counter() - t0,
-        }
+        return _answer(schedule, tier, coalesced, trace_id, t0)
+
+    # -- computations on the event loop ------------------------------
+
+    def _computes_on_loop(self, name: str, problem: FadingRLS) -> bool:
+        """Whether a miss whose probe took the cache lock is computed on
+        the event loop (see :meth:`submit`)."""
+        # The registered name, not the function: a registry entry may be
+        # a wrapper around rle_schedule.
+        return (
+            name == "rle"
+            and problem.n_links <= LOOP_MAX_LINKS
+            and (self._cache is None or self._cache.directory is None)
+        )
+
+    async def _compute_on_loop(
+        self, key: str, name: str, problem: FadingRLS
+    ) -> Tuple[Schedule, str]:
+        """One computation on the event loop, counted as :meth:`_settle`
+        counts a worker's, then one yield to the other tasks."""
+        try:
+            result = self._schedule_one(key, name, problem)
+        except Exception:
+            self._counters["errors"] += 1
+            obs_metrics.inc("service.errors")
+            raise
+        else:
+            self._counters["scheduled"] += 1
+            obs_metrics.inc("service.scheduled")
+            return result
+        finally:
+            await asyncio.sleep(0)
 
     # -- computations on the worker threads ---------------------------
 
@@ -460,9 +524,10 @@ class ScheduleBroker:
                 future.set_exception(exc)
 
     def _schedule_one(self, key: str, name: str, problem: FadingRLS) -> Tuple[Schedule, str]:
-        """The schedule and its tier (worker thread): ``"cache"`` for a
-        cache hit, ``"miss"`` when the scheduler ran (a cache miss, or
-        no cache).  ``key`` is the exact key :meth:`submit` computed."""
+        """The schedule and its tier (a worker thread, or the event loop
+        for a small rle miss): ``"cache"`` for a cache hit, ``"miss"``
+        when the scheduler ran (a cache miss, or no cache).  ``key`` is
+        the exact key :meth:`submit` computed."""
         with span("service.request", scheduler=name, n=problem.n_links):
             if self._cache is None:
                 return get_scheduler(name)(problem), "miss"
@@ -487,16 +552,17 @@ class ScheduleBroker:
             raise SessionLimit(
                 f"session table full ({self.max_sessions} open sessions)"
             )
+        name = scheduler or self.default_scheduler
         engine = IncrementalScheduler(
             problem.links,
-            scheduler=scheduler or self.default_scheduler,
+            scheduler=name,
             alpha=problem.alpha,
             gamma_th=problem.gamma_th,
             eps=problem.eps,
             noise=problem.noise,
             power=problem.power,
         )
-        session = _Session(engine)
+        session = _Session(engine, name)
         self._sessions[session_id] = session
         self._counters["sessions_opened"] += 1
         obs_metrics.inc("service.sessions_opened")
@@ -514,11 +580,18 @@ class ScheduleBroker:
         }
 
     async def apply_delta(self, session_id: str, delta: LinkDelta) -> Dict[str, Any]:
-        """Stream one delta into an open session; returns the repair."""
+        """Stream one delta into an open session; returns the repair.
+
+        A delta that would take the session past its scheduler's link
+        cap (:func:`schemas.check_links`) raises ``too-many-links``
+        before anything runs, and leaves the session as it was.
+        """
         session = self._sessions.get(session_id)
         if session is None:
             raise UnknownSession(f"no open session {session_id!r}")
         async with session.lock:
+            n_links = session.engine.n_links - delta.n_removed + delta.n_inserted
+            schemas.check_links(n_links, session.scheduler)
             schedule = await self._run_session_op(
                 lambda: self._step_session(session, delta)
             )
@@ -549,8 +622,9 @@ class ScheduleBroker:
     @property
     def stats(self) -> Dict[str, Any]:
         """Counters, computations in flight, sessions, and cache stats
-        (statz body).  ``batches`` counts computations handed to a
-        worker thread."""
+        (statz body).  ``batches`` and ``inflight`` count computations
+        handed to a worker thread; one on the event loop is in
+        neither."""
         out: Dict[str, Any] = dict(self._counters)
         out["inflight"] = len(self._inflight)
         out["open_sessions"] = len(self._sessions)

@@ -34,6 +34,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.base import list_schedulers
+from repro.core.exact import BRUTE_FORCE_LIMIT
 from repro.core.problem import FadingRLS
 from repro.core.schedule import Schedule
 from repro.network.delta import LinkDelta
@@ -52,6 +53,18 @@ CODE_TOO_MANY_LINKS = "too-many-links"
 #: the door rather than scheduled (rle is O(N^2) — one pathological
 #: request must not starve the worker pool).
 MAX_LINKS = 4096
+
+#: Lower caps for the schedulers whose cost grows exponentially with the
+#: link count.  A worker thread cannot be cancelled, so one large request
+#: to one of them would hold a thread, and shutdown, for minutes.
+#: ``brute_force``'s is its own guard; the others are the largest sizes
+#: whose slowest run over paper topologies with seeds 0-9 stayed under
+#: about a second (docs/SERVICE.md, "Error codes").
+SCHEDULER_MAX_LINKS: Mapping[str, int] = {
+    "brute_force": BRUTE_FORCE_LIMIT,
+    "branch_and_bound": 24,
+    "milp": 56,
+}
 
 
 #: The types a JSON decoder gives numbers; ``bool`` is an ``int``
@@ -199,6 +212,17 @@ def parse_scheduler(payload: Mapping[str, Any]) -> str:
     return name
 
 
+def check_links(n_links: int, scheduler: str) -> None:
+    """Refuse ``n_links`` links for ``scheduler`` past :data:`MAX_LINKS`
+    or its :data:`SCHEDULER_MAX_LINKS` cap (400 ``too-many-links``)."""
+    cap = min(MAX_LINKS, SCHEDULER_MAX_LINKS.get(scheduler, MAX_LINKS))
+    require(
+        n_links <= cap,
+        f"{n_links} links for {scheduler}; the service caps its requests at {cap}",
+        code=CODE_TOO_MANY_LINKS,
+    )
+
+
 def parse_tenant(payload: Mapping[str, Any]) -> str:
     """The tenant label (defaults to ``"default"``)."""
     tenant = payload.get("tenant", "default")
@@ -218,7 +242,9 @@ def parse_schedule_request(payload: Any) -> Tuple[FadingRLS, str, str]:
         code=CODE_BAD_JSON,
     )
     problem = parse_topology(payload.get("topology"))
-    return problem, parse_scheduler(payload), parse_tenant(payload)
+    scheduler = parse_scheduler(payload)
+    check_links(problem.n_links, scheduler)
+    return problem, scheduler, parse_tenant(payload)
 
 
 def parse_delta(payload: Any) -> LinkDelta:

@@ -400,6 +400,7 @@ class ScheduleServer:
         if "topology" in payload:
             problem = schemas.parse_topology(payload["topology"])
             scheduler = schemas.parse_scheduler(payload)
+            schemas.check_links(problem.n_links, scheduler)
             try:
                 result = await self.broker.open_session(
                     session_id, problem, scheduler=scheduler
@@ -411,6 +412,8 @@ class ScheduleServer:
             try:
                 result = await self.broker.apply_delta(session_id, delta)
             except (IndexError, ValueError) as exc:  # the delta does not fit the session
+                if getattr(exc, "code", None) == schemas.CODE_TOO_MANY_LINKS:
+                    raise
                 raise ValidationError(
                     str(exc), code=schemas.CODE_BAD_DELTA, param=getattr(exc, "param", None)
                 ) from None

@@ -1,17 +1,23 @@
 """``service-vs-direct`` differential check (serving-layer oracles).
 
 One registered differential check over
-:class:`repro.service.broker.ScheduleBroker`, driving the whole broker
-path ``repro serve`` runs — admission, coalescing, the worker threads,
-the schedule cache — on each fuzzed scenario and comparing against a
-direct scheduler call:
+:class:`repro.service.broker.ScheduleBroker`, driving both broker paths
+``repro serve`` runs — admission, coalescing, the worker threads, the
+event loop's own computations, the schedule cache — on each fuzzed
+scenario and comparing against a direct scheduler call.  A small
+``rle`` miss is computed on the event loop, where nothing is ever in
+flight, so the coalescing and backpressure probes submit ``ldp``, whose
+misses always take a worker thread:
 
 - **serving bit-identity** — every answer the broker returns (the
-  computed one, its coalesced duplicates, and a later cache-tier
-  replay) must be bit-identical to ``rle_schedule`` on the same
-  problem (``service-schedule-divergence``);
-- **coalescing accounting** — ``k`` concurrent identical submissions
-  must coalesce onto exactly one scheduler run
+  computed one, its coalesced duplicates, a later cache-tier replay,
+  and the loop path's answers) must be bit-identical to a direct call
+  of the same scheduler, ``ldp_schedule`` or ``rle_schedule``, on the
+  same problem (``service-schedule-divergence``);
+- **coalescing accounting** — ``k`` concurrent identical ``ldp``
+  submissions must coalesce onto exactly one scheduler run, and ``k``
+  concurrent identical ``rle`` submissions must cost one scheduler run
+  on the event loop and ``k - 1`` exact cache hits, none coalesced
   (``service-coalesce-divergence``);
 - **deterministic backpressure** — a seeded burst of distinct
   topologies submitted in one event-loop turn against a broker with
@@ -32,6 +38,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from repro.core.ldp import ldp_schedule
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.core.schedule import Schedule
@@ -49,8 +56,13 @@ CODE_SERVICE_ACCOUNTING = "service-accounting-loss"
 #: Cap on the instance slice the check schedules (speed, not scale).
 _MAX_LINKS = 14
 
-#: Concurrent identical submissions in the coalescing probe.
+#: Concurrent identical submissions in the coalescing and loop probes.
 _N_DUPLICATES = 6
+#: The scheduler of the probes whose subject is the worker path: its
+#: misses never run on the event loop.
+_WORKER_SCHEDULER = "ldp"
+#: The serving oracles: a plain uncached run of each scheduler served.
+_DIRECT = {"ldp": ldp_schedule, "rle": rle_schedule}
 #: Burst size / queue limit of the backpressure probe.
 _BURST = 8
 _QUEUE_LIMIT = 3
@@ -63,9 +75,9 @@ def _service_problem(problem: FadingRLS) -> FadingRLS:
     return problem.restrict(np.arange(_MAX_LINKS))
 
 
-def _direct_schedule(problem: FadingRLS) -> Schedule:
-    """The serving oracle: a plain uncached scheduler run."""
-    return rle_schedule(problem)
+def _direct_schedule(problem: FadingRLS, scheduler: str) -> Schedule:
+    """The serving oracle: a plain uncached run of ``scheduler``."""
+    return _DIRECT[scheduler](problem)
 
 
 def _burst_problems(problem: FadingRLS) -> List[FadingRLS]:
@@ -90,14 +102,29 @@ async def _drive_serving(problem: FadingRLS) -> Dict[str, Any]:
     broker = ScheduleBroker(n_workers=2)
     try:
         results = await asyncio.gather(
-            *(broker.submit(problem) for _ in range(_N_DUPLICATES))
+            *(broker.submit(problem, scheduler=_WORKER_SCHEDULER) for _ in range(_N_DUPLICATES))
         )
-        replay = await broker.submit(problem)  # exact-key cache tier
+        # exact-key cache tier
+        replay = await broker.submit(problem, scheduler=_WORKER_SCHEDULER)
         return {
             "schedules": [r["schedule"] for r in results] + [replay["schedule"]],
             "replay_tier": replay["tier"],
             "stats": broker.stats,
         }
+    finally:
+        await broker.close()
+
+
+async def _drive_loop(problem: FadingRLS) -> Dict[str, Any]:
+    """Loop probe: ``_N_DUPLICATES`` identical concurrent ``rle`` submits.
+
+    The first computes on the event loop and yields once with its
+    answer already cached, so the others are exact hits.
+    """
+    broker = ScheduleBroker(n_workers=2)
+    try:
+        results = await asyncio.gather(*(broker.submit(problem) for _ in range(_N_DUPLICATES)))
+        return {"schedules": [r["schedule"] for r in results], "stats": broker.stats}
     finally:
         await broker.close()
 
@@ -111,7 +138,9 @@ async def _drive_backpressure(problems: List[FadingRLS]) -> Dict[str, Any]:
     distinct submissions are accepted, the rest must raise 503 in order.
     """
     broker = ScheduleBroker(queue_limit=_QUEUE_LIMIT, n_workers=1)
-    tasks = [asyncio.ensure_future(broker.submit(p)) for p in problems]
+    tasks = [
+        asyncio.ensure_future(broker.submit(p, scheduler=_WORKER_SCHEDULER)) for p in problems
+    ]
     await asyncio.sleep(0)  # let every submit run to its first await
     rejected = [
         i
@@ -138,21 +167,26 @@ def check_service_vs_direct(scenario: Scenario) -> List[Mismatch]:
     problem = _service_problem(scenario.problem)
     if problem.n_links < 2:
         return out
-    direct = _direct_schedule(problem)
 
     served = asyncio.run(_drive_serving(problem))
-    for i, schedule in enumerate(served["schedules"]):
-        if not np.array_equal(schedule.active, direct.active):
-            out.append(
-                _mismatch(
-                    name,
-                    scenario,
-                    CODE_SERVICE_SCHEDULE,
-                    f"served schedule #{i} diverges from the direct run",
-                    served=[int(x) for x in schedule.active],
-                    direct=[int(x) for x in direct.active],
+    looped = asyncio.run(_drive_loop(problem))
+    for scheduler, schedules in (
+        (_WORKER_SCHEDULER, served["schedules"]),
+        ("rle", looped["schedules"]),
+    ):
+        direct = _direct_schedule(problem, scheduler)
+        for i, schedule in enumerate(schedules):
+            if not np.array_equal(schedule.active, direct.active):
+                out.append(
+                    _mismatch(
+                        name,
+                        scenario,
+                        CODE_SERVICE_SCHEDULE,
+                        f"served {scheduler} schedule #{i} diverges from the direct run",
+                        served=[int(x) for x in schedule.active],
+                        direct=[int(x) for x in direct.active],
+                    )
                 )
-            )
     stats = served["stats"]
     if stats["scheduled"] != 2 or stats["coalesced"] != _N_DUPLICATES - 1:
         out.append(
@@ -175,6 +209,24 @@ def check_service_vs_direct(scenario: Scenario) -> List[Mismatch]:
                 CODE_SERVICE_COALESCE,
                 f"a replayed request should serve from the cache tier, "
                 f"got {served['replay_tier']!r}",
+            )
+        )
+    lstats = looped["stats"]
+    hits, misses = lstats["cache"]["exact_hits"], lstats["cache"]["misses"]
+    if (misses, hits, lstats["coalesced"], lstats["batches"]) != (1, _N_DUPLICATES - 1, 0, 0):
+        out.append(
+            _mismatch(
+                name,
+                scenario,
+                CODE_SERVICE_COALESCE,
+                f"{_N_DUPLICATES} identical concurrent rle requests should cost one "
+                f"scheduler run on the event loop and {_N_DUPLICATES - 1} exact hits, got "
+                f"{misses} misses / {hits} hits / {lstats['coalesced']} coalesced / "
+                f"{lstats['batches']} worker computations",
+                misses=misses,
+                exact_hits=hits,
+                coalesced=lstats["coalesced"],
+                batches=lstats["batches"],
             )
         )
 

@@ -63,3 +63,23 @@ def paper_problem() -> FadingRLS:
 def small_problem() -> FadingRLS:
     """A small, geographically tight instance exact solvers can handle."""
     return FadingRLS(links=paper_topology(10, region_side=120, seed=3), alpha=3.0)
+
+
+@pytest.fixture
+def worker_path(monkeypatch):
+    """The service broker computes every miss on a worker thread: no
+    ``rle`` miss is small enough for the event loop.  Coalescing,
+    ``queue_limit`` backpressure and ``close(drain=False)`` act on that
+    path only."""
+    from repro.service import broker
+
+    monkeypatch.setattr(broker, "LOOP_MAX_LINKS", 0)
+
+
+@pytest.fixture(params=["loop", "worker"])
+def compute_path(request):
+    """Each path a small ``rle`` miss can take through the service
+    broker: the event loop (as shipped) or a worker thread."""
+    if request.param == "worker":
+        request.getfixturevalue("worker_path")
+    return request.param

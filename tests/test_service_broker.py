@@ -2,11 +2,11 @@
 
 The three contracts docs/SERVICE.md promises:
 
-- **bit-identity** — whether a request is computed on a worker thread,
-  coalesced onto another's computation or answered from the cache, the
-  returned schedule is bit-identical to a direct scheduler call on the
-  same problem (Hypothesis-probed over random instances and duplicate
-  mixes);
+- **bit-identity** — whether a request is computed on the event loop
+  or a worker thread, coalesced onto another's computation or answered
+  from the cache, the returned schedule is bit-identical to a direct
+  scheduler call on the same problem (Hypothesis-probed over random
+  instances and duplicate mixes, on both compute paths);
 - **deterministic backpressure** — a seeded overload burst against a
   bound on computations in flight accepts/rejects the exact same
   positions on every run,
@@ -14,6 +14,11 @@ The three contracts docs/SERVICE.md promises:
   schedule that is a pure function of the timestamps;
 - **accounting** — requests = scheduled + coalesced + rejected +
   errors, with no silent losses.
+
+Coalescing and ``queue_limit`` act on computations handed to a worker
+thread, so the tests of them use the ``worker_path`` fixture: the small
+``rle`` misses they submit would otherwise be computed on the event
+loop, where nothing is ever in flight.
 """
 
 from __future__ import annotations
@@ -58,14 +63,14 @@ class TestServingBitIdentity:
     @settings(
         max_examples=20,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     @given(
         n=st.integers(3, 12),
         seed=st.integers(0, 500),
         duplicates=st.integers(1, 5),
     )
-    def test_batched_coalesced_equals_direct(self, n, seed, duplicates):
+    def test_batched_coalesced_equals_direct(self, compute_path, n, seed, duplicates):
         problem = _problem(n, seed)
         direct = get_scheduler("rle")(problem)
 
@@ -81,9 +86,11 @@ class TestServingBitIdentity:
         for result in _run(drive()):
             assert np.array_equal(result["schedule"].active, direct.active)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(seed=st.integers(0, 200))
-    def test_distinct_problems_all_bit_identical(self, seed):
+    def test_distinct_problems_all_bit_identical(self, compute_path, seed):
         problems = [_problem(4 + i, seed * 7 + i) for i in range(5)]
         directs = [get_scheduler("rle")(p) for p in problems]
 
@@ -97,7 +104,7 @@ class TestServingBitIdentity:
         for result, direct in zip(_run(drive()), directs):
             assert np.array_equal(result["schedule"].active, direct.active)
 
-    def test_coalescing_counts_one_run_per_key(self):
+    def test_coalescing_counts_one_run_per_key(self, worker_path):
         problem = _problem(10, 3)
 
         async def drive():
@@ -158,7 +165,7 @@ class TestServingBitIdentity:
         stats = cache.stats
         assert (stats["exact_hits"], stats["misses"], stats["evictions"]) == (1, 3, 2)
 
-    def test_coalesced_requests_get_the_leaders_tier(self):
+    def test_coalesced_requests_get_the_leaders_tier(self, worker_path):
         problem = _problem(8, 5)
 
         async def drive():
@@ -234,13 +241,17 @@ def _burst_pattern(problems, queue_limit):
 
 
 class TestBackpressure:
-    @settings(max_examples=15, deadline=None)
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(
         seed=st.integers(0, 300),
         queue_limit=st.integers(1, 5),
         burst=st.integers(6, 10),
     )
-    def test_overload_burst_rejects_deterministically(self, seed, queue_limit, burst):
+    def test_overload_burst_rejects_deterministically(
+        self, worker_path, seed, queue_limit, burst
+    ):
         problems = [_problem(3 + i % 4, seed * 31 + i) for i in range(burst)]
         first = _burst_pattern(problems, queue_limit)
         second = _burst_pattern(problems, queue_limit)
@@ -249,7 +260,7 @@ class TestBackpressure:
         assert accepted == list(range(queue_limit))
         assert rejected == list(range(queue_limit, burst))
 
-    def test_queue_full_raises_overloaded_with_code(self):
+    def test_queue_full_raises_overloaded_with_code(self, worker_path):
         problems = [_problem(3 + i, 50 + i) for i in range(4)]
 
         async def drive():

@@ -11,9 +11,10 @@ it.  These tests pin what that must preserve:
   the counters balance;
 - two threads that miss on one key both run the scheduler, both count
   a miss, and the cache keeps one entry;
-- behind the broker, each miss is one call on its thread pool: two
-  distinct misses run on two threads at once, and ``close()`` either
-  waits for the calls in flight or fails their waiters.
+- behind the broker, a small ``rle`` miss is computed on the event
+  loop's own thread and every other miss is one call on its thread
+  pool: two distinct misses run on two threads at once, and ``close()``
+  either waits for the calls in flight or fails their waiters.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core import base as core_base
 from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.network.topology import paper_topology
+from repro.service import broker as broker_module
 from repro.service.broker import Overloaded, ScheduleBroker
 
 #: Seconds any single wait may take before the test fails.
@@ -152,7 +154,7 @@ class TestBrokerConcurrency:
         assert np.array_equal(miss["schedule"].active, rle_schedule(large).active)
         assert exact_key(large, scheduler_identity(blocking, None)) in cache
 
-    def test_worker_threads_share_the_cache(self, fast_switching):
+    def test_worker_threads_share_the_cache(self, fast_switching, worker_path):
         problems, stream = _stream(n_distinct=20, n_requests=200, seed=2)
         directs = {id(p): rle_schedule(p) for p in problems}
         cache = ScheduleCache(capacity=12)
@@ -418,7 +420,7 @@ class TestMissesOnWorkerThreads:
         assert np.array_equal(result["schedule"].active, rle_schedule(problem).active)
         assert stats["scheduled"] == 1 and stats["inflight"] == 0
 
-    def test_close_without_drain_fails_a_pending_waiter(self, monkeypatch):
+    def test_close_without_drain_fails_a_pending_waiter(self, monkeypatch, worker_path):
         started, release = _blocking_scheduler(monkeypatch)
         running, queued = _problem(12, 1), _problem(20, 3)
 
@@ -442,3 +444,135 @@ class TestMissesOnWorkerThreads:
         outcomes, stats = asyncio.run(drive())
         assert all(isinstance(exc, Overloaded) for exc in outcomes), outcomes
         assert stats["inflight"] == 0
+
+
+def _recording(monkeypatch, name: str) -> list:
+    """Wrap registered scheduler ``name`` so each call records its
+    thread, as the benchmark's tracer wraps registry entries; returns
+    the list of threads."""
+    core_base.list_schedulers()  # imports every built-in scheduler
+    fn = core_base._REGISTRY[name]
+    threads = []
+
+    def recorded(problem, **kwargs):
+        threads.append(threading.current_thread())
+        return fn(problem, **kwargs)
+
+    monkeypatch.setitem(core_base._REGISTRY, name, recorded)
+    return threads
+
+
+class TestMissesOnTheEventLoop:
+    """A small ``rle`` miss is computed by ``submit`` on the event loop;
+    each other route leads to a worker thread."""
+
+    @pytest.mark.parametrize("n", [12, broker_module.LOOP_MAX_LINKS])
+    def test_small_rle_miss_runs_on_the_calling_thread(self, monkeypatch, n):
+        threads = _recording(monkeypatch, "rle")
+        problem = _problem(n, 1)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1)
+            try:
+                result = await broker.submit(problem)
+                return result, broker.stats
+            finally:
+                await broker.close()
+
+        result, stats = asyncio.run(drive())
+        assert threads == [threading.current_thread()]
+        assert result["tier"] == "miss" and not result["coalesced"]
+        assert np.array_equal(result["schedule"].active, rle_schedule(problem).active)
+        assert (stats["batches"], stats["inflight"]) == (0, 0)
+        assert (stats["scheduled"], stats["cache"]["misses"]) == (1, 1)
+        assert _balanced(stats)
+
+    @pytest.mark.parametrize(
+        "route", ["past LOOP_MAX_LINKS", "another scheduler", "cache directory", "held cache lock"]
+    )
+    def test_every_other_miss_takes_a_worker(self, monkeypatch, tmp_path, route):
+        name = "ldp" if route == "another scheduler" else "rle"
+        threads = _recording(monkeypatch, name)
+        n = broker_module.LOOP_MAX_LINKS + 1 if route == "past LOOP_MAX_LINKS" else 12
+        problem = _problem(n, 1)
+        cache = ScheduleCache(
+            capacity=8, directory=tmp_path if route == "cache directory" else None
+        )
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with cache._lock:
+                held.set()
+                # A loop that waited for the lock would stall this long.
+                release.wait(10.0)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1, cache=cache)
+            holder = threading.Thread(target=hold_lock)
+            try:
+                if route == "held cache lock":
+                    holder.start()
+                    await _until(held)
+                pending = asyncio.ensure_future(broker.submit(problem, scheduler=name))
+                await asyncio.sleep(0)  # the submit probes the cache
+                release.set()
+                return await asyncio.wait_for(pending, TIMEOUT), broker.stats
+            finally:
+                release.set()
+                if holder.is_alive():
+                    holder.join(TIMEOUT)
+                await broker.close()
+
+        result, stats = asyncio.run(drive())
+        assert len(threads) == 1 and threads[0].name.startswith("repro-service")
+        assert result["tier"] == "miss"
+        direct = core_base.get_scheduler(name)(problem)
+        assert np.array_equal(result["schedule"].active, direct.active)
+        assert (stats["batches"], stats["inflight"]) == (1, 0)
+        assert _balanced(stats)
+
+    def test_a_full_queue_refuses_a_small_miss(self, monkeypatch):
+        started, release = _blocking_scheduler(monkeypatch)
+        small, large = _problem(12, 1), _problem(40, 2)
+
+        async def drive():
+            broker = ScheduleBroker(n_workers=1, queue_limit=1)
+            try:
+                blocked = asyncio.ensure_future(broker.submit(large, scheduler="test-blocking"))
+                await _until(started)
+                with pytest.raises(Overloaded) as refused:
+                    await broker.submit(small)
+                release.set()
+                await asyncio.wait_for(blocked, TIMEOUT)
+                return refused.value, broker.stats
+            finally:
+                release.set()
+                await broker.close()
+
+        refused, stats = asyncio.run(drive())
+        assert refused.code == "queue-full"
+        assert (stats["rejected_503"], stats["batches"]) == (1, 1)
+        assert _balanced(stats)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_a_later_duplicate_is_a_hit_not_coalesced(self, use_cache):
+        problem = _problem(12, 1)
+
+        async def drive():
+            broker = ScheduleBroker(use_cache=use_cache)
+            try:
+                results = await asyncio.gather(*(broker.submit(problem) for _ in range(3)))
+                return results, broker.stats
+            finally:
+                await broker.close()
+
+        results, stats = asyncio.run(drive())
+        # Nothing is in flight while the loop computes, so the duplicates
+        # find the cache entry, or compute again without a cache.
+        tiers = ["miss", "cache", "cache"] if use_cache else ["miss"] * 3
+        assert [r["tier"] for r in results] == tiers
+        assert [r["coalesced"] for r in results] == [False] * 3
+        assert (stats["coalesced"], stats["batches"], stats["scheduled"]) == (0, 0, 3)
+        for result in results:
+            assert np.array_equal(result["schedule"].active, rle_schedule(problem).active)
+

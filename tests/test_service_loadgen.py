@@ -79,7 +79,7 @@ class TestDirectMode:
         assert report.peak_inflight >= 25
         assert len(report.latencies) == report.ok
 
-    def test_backpressure_is_counted_not_lost(self):
+    def test_backpressure_is_counted_not_lost(self, worker_path):
         report = self._run(
             clients=30,
             ticks=1,

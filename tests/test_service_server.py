@@ -563,6 +563,135 @@ class TestKnownBodies:
         assert (stats["rejected_429"], stats["rejected_503"]) == (2, 1)
 
 
+class TestMissesOnTheEventLoop:
+    """A small rle miss is computed on the event loop; what it costs the
+    other connections is one computation, not a pipeline of them."""
+
+    def test_scheduler_error_on_the_loop_is_a_counted_400(self):
+        topology = build_topology_payload(_problem(5, 4))
+        topology["alpha"] = 2.0  # outside rle's domain
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _post(host, port, {"topology": topology})
+            rw[1].close()
+            return status, resp["error"], broker.stats
+
+        status, error, stats = _serve(body)
+        assert (status, error["code"], error["param"]) == (400, "bad-topology", "alpha")
+        assert (stats["errors"], stats["batches"]) == (1, 0)
+        _identities(stats)
+
+    def test_pipelined_misses_do_not_answer_another_connection_last(self):
+        hit = _body(_problem(12, 1))
+        misses = [_body(_problem(24, 100 + i)) for i in range(20)]
+        lines = []
+
+        def framed(raw):
+            head = f"POST /v1/schedule HTTP/1.1\r\nHost: t\r\nContent-Length: {len(raw)}\r\n\r\n"
+            return head.encode() + raw
+
+        async def read_response(reader):
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+            return json.loads(await reader.readexactly(length))
+
+        async def runner():
+            broker = ScheduleBroker()
+            server = ScheduleServer(broker, port=0, access_log=lines.append)
+            host, port = await server.start()
+            try:
+                _, _, (r_hit, w_hit) = await _post(host, port, hit)  # now cached
+                r_pipe, w_pipe = await asyncio.open_connection(host, port)
+                w_pipe.write(b"".join(framed(raw) for raw in misses))
+                w_hit.write(framed(hit))
+                await asyncio.gather(w_pipe.drain(), w_hit.drain())
+                answer = await read_response(r_hit)
+                pipelined = [await read_response(r_pipe) for _ in misses]
+                for writer in (w_pipe, w_hit):
+                    writer.close()
+                return answer, pipelined, broker.stats
+            finally:
+                await server.close()
+                await broker.close(drain=False)
+
+        answer, pipelined, stats = asyncio.run(runner())
+        assert answer["tier"] == "cache"
+        assert [r["tier"] for r in pipelined] == ["miss"] * len(misses)
+        assert stats["batches"] == 0
+        # One log line per response, in the order they were written.
+        order = [line.rsplit(" ", 1)[1] for line in lines[1:]]
+        assert len(order) == len(misses) + 1
+        assert order.index(answer["trace_id"]) < len(misses)
+
+
+class TestLinkCaps:
+    """Every request is bounded at the door: a topology past its
+    scheduler's cap, or a delta past the session's, is a 400
+    ``too-many-links`` before anything is queued."""
+
+    @staticmethod
+    def _links(n):
+        return build_topology_payload(_problem(n, 1))
+
+    @pytest.mark.parametrize("scheduler, cap", sorted(schemas.SCHEDULER_MAX_LINKS.items()))
+    def test_schedule_request_past_its_schedulers_cap(self, scheduler, cap):
+        at_cap = {"topology": self._links(cap), "scheduler": scheduler}
+        problem, _, _ = schemas.parse_schedule_request(at_cap)
+        assert problem.n_links == cap
+
+        async def body(host, port, broker, server):
+            past = {"topology": self._links(cap + 1), "scheduler": scheduler}
+            status, resp, rw = await _post(host, port, past)
+            rw[1].close()
+            return status, resp["error"]["code"], broker.stats
+
+        status, code, stats = _serve(body)
+        assert (status, code) == (400, "too-many-links")
+        assert stats["requests"] == 0
+
+    def test_session_open_past_its_schedulers_cap(self):
+        async def body(host, port, broker, server):
+            past = {"topology": self._links(23), "scheduler": "brute_force"}
+            status, resp, rw = await _request(host, port, "POST", "/v1/sessions/s/delta", past)
+            rw[1].close()
+            return status, resp["error"]["code"], broker.stats
+
+        status, code, stats = _serve(body)
+        assert (status, code) == (400, "too-many-links")
+        assert (stats["sessions_opened"], stats["open_sessions"]) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "scheduler, n, inserts",
+        [
+            ("rle", 10, schemas.MAX_LINKS - 9),
+            ("branch_and_bound", 10, schemas.SCHEDULER_MAX_LINKS["branch_and_bound"] - 9),
+        ],
+        ids=["past-MAX_LINKS", "past-the-schedulers-cap"],
+    )
+    def test_delta_that_would_grow_the_session_past_its_cap(self, scheduler, n, inserts):
+        grow = build_topology_payload(_problem(inserts, 2))
+        grow = {"senders": grow["senders"], "receivers": grow["receivers"]}
+
+        async def body(host, port, broker, server):
+            path = "/v1/sessions/s/delta"
+            opened, _, rw = await _request(
+                host, port, "POST", path, {"topology": self._links(n), "scheduler": scheduler}
+            )
+            status, resp, rw = await _request(
+                host, port, "POST", path, {"delta": {"inserts": grow}}, reader_writer=rw
+            )
+            # The session is as it was: one link fewer is a repair.
+            after, repaired, rw = await _request(
+                host, port, "POST", path, {"delta": {"removes": [0]}}, reader_writer=rw
+            )
+            rw[1].close()
+            return opened, status, resp["error"]["code"], after, repaired
+
+        opened, status, code, after, repaired = _serve(body)
+        assert (opened, status, code) == (200, 400, "too-many-links")
+        assert (after, repaired["seq"]) == (200, 1)
+
+
 class TestSessionsEndpoint:
     def test_open_then_delta(self):
         problem = _problem(10, 7)

@@ -73,12 +73,13 @@ class TestFaultDetection:
 
     def test_schedule_divergence_fires(self, monkeypatch):
         empty = Schedule(active=np.array([], dtype=np.int64), algorithm="rle")
-        monkeypatch.setattr(verify_service, "_direct_schedule", lambda p: empty)
+        monkeypatch.setattr(verify_service, "_direct_schedule", lambda p, scheduler: empty)
         mismatches = check_service_vs_direct(_scenario())
         assert CODE_SERVICE_SCHEDULE in _codes(mismatches)
-        # every served copy (computed + coalesced + replay) diverges
+        # every served copy diverges: the worker probe's computed,
+        # coalesced and replayed answers, and the loop probe's
         divergent = [m for m in mismatches if m.code == CODE_SERVICE_SCHEDULE]
-        assert len(divergent) == verify_service._N_DUPLICATES + 1
+        assert len(divergent) == 2 * verify_service._N_DUPLICATES + 1
 
     def test_coalesce_divergence_fires(self, monkeypatch):
         real = verify_service._drive_serving
@@ -92,6 +93,14 @@ class TestFaultDetection:
         monkeypatch.setattr(verify_service, "_drive_serving", no_coalescing)
         mismatches = check_service_vs_direct(_scenario())
         assert _codes(mismatches) == {CODE_SERVICE_COALESCE}
+
+    def test_loop_probe_fires_when_its_misses_take_a_worker(self, worker_path):
+        # The rle duplicates now coalesce onto one worker computation
+        # instead of hitting the entry the loop's computation cached.
+        mismatches = check_service_vs_direct(_scenario())
+        assert _codes(mismatches) == {CODE_SERVICE_COALESCE}
+        (mismatch,) = mismatches
+        assert "event loop" in mismatch.message
 
     def test_backpressure_nondeterminism_fires(self, monkeypatch):
         def all_same(problem):
