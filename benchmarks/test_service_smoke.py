@@ -11,7 +11,10 @@ its own event loop — the deployment shape):
   connections with fresh ``rle`` topologies of 200 links (computed on
   the event loop) and then of 300 links (computed on a worker thread),
   and records, per size, the wall time, the server's CPU time and its
-  voluntary context switches per request.
+  voluntary context switches per request;
+- ``serve_repeat_hits`` drives the same closed loop over 16 cached
+  300-link bodies, 400 passes, and records the same three numbers per
+  request: the cost of a hit answered from a known body.
 
 Both go to ``BENCH_RESULTS.json`` for ``tools/bench_gate.py`` to
 regress against; ``make bench-service`` runs them.  The smoke one
@@ -57,6 +60,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: the event loop computes, one past LOOP_MAX_LINKS for a worker thread.
 MISS_BODIES = 400
 MISS_SIZES = (200, 300)
+
+#: ``serve_repeat_hits``: cached bodies, their link count, and passes
+#: over them in the timed loop (perfbench's serve-repeat shape).
+HIT_POOL = 16
+HIT_LINKS = 300
+HIT_PASSES = 400
 
 
 def _spawn_server() -> tuple[subprocess.Popen, str, int]:
@@ -184,13 +193,18 @@ async def _closed_loop(host: str, port: int, requests: list) -> list:
     return [status for out in await asyncio.gather(*map(drive, clients)) for status in out]
 
 
-async def _batches(host: str, port: int) -> int:
-    """The server's ``/v1/statz`` ``batches`` count."""
+async def _broker_stats(host: str, port: int) -> dict:
+    """The server's ``/v1/statz`` broker counters."""
     reader, writer = await asyncio.open_connection(host, port)
     writer.write(f"GET /v1/statz HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n".encode())
     raw = await reader.read()
     writer.close()
-    return json.loads(raw.split(b"\r\n\r\n", 1)[1])["broker"]["batches"]
+    return json.loads(raw.split(b"\r\n\r\n", 1)[1])["broker"]
+
+
+async def _batches(host: str, port: int) -> int:
+    """The server's ``/v1/statz`` ``batches`` count."""
+    return (await _broker_stats(host, port))["batches"]
 
 
 def test_serve_fresh_misses_per_compute_path():
@@ -239,3 +253,43 @@ def test_serve_fresh_misses_per_compute_path():
     bench_export.record("serve_fresh_misses", total, config)
     print("\nfresh misses: " + ", ".join(f"{k}={v}" for k, v in config.items()))
 
+
+
+def test_serve_repeat_hits():
+    problems = [FadingRLS(links=paper_topology(HIT_LINKS, seed=s)) for s in range(1, 1 + HIT_POOL)]
+    bodies = [
+        _serialise_request("bench", {"topology": build_topology_payload(p)}) for p in problems
+    ]
+    timed = bodies * HIT_PASSES
+    proc, host, port = _spawn_server()
+    try:
+        # one pass fills the cache, the next answers from known bodies
+        assert asyncio.run(_closed_loop(host, port, bodies * 2)) == [200] * (2 * HIT_POOL)
+        before = asyncio.run(_broker_stats(host, port))
+        cpu, switches = _process_counters(proc.pid)
+        t0 = time.perf_counter()
+        statuses = asyncio.run(_closed_loop(host, port, timed))
+        wall = time.perf_counter() - t0
+        cpu_after, switches_after = _process_counters(proc.pid)
+        after = asyncio.run(_broker_stats(host, port))
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+    assert statuses == [200] * len(timed)
+    # every timed request was a hit on a known body
+    assert after["cache"]["exact_hits"] - before["cache"]["exact_hits"] == len(timed)
+    assert after["known_body"] - before["known_body"] == len(timed)
+    config = {
+        "pool": HIT_POOL,
+        "n_links": HIT_LINKS,
+        "passes": HIT_PASSES,
+        "connections": 2,
+        "wall_ms_per_request": round(wall / len(timed) * 1e3, 4),
+        "server_cpu_ms_per_request": round((cpu_after - cpu) / len(timed) * 1e3, 4),
+        "voluntary_switches_per_request": round((switches_after - switches) / len(timed), 4),
+    }
+    bench_export.record("serve_repeat_hits", wall, config)
+    print("\nrepeat hits: " + ", ".join(f"{k}={v}" for k, v in config.items()))

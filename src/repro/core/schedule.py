@@ -36,9 +36,14 @@ class Schedule:
     diagnostics: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        a = np.unique(np.asarray(self.active, dtype=np.int64).reshape(-1))
-        if a.size and a.min() < 0:
+        # Sorted, then adjacent duplicates dropped: np.unique's result,
+        # without the numpy.ma import np.unique makes on its first call.
+        a = np.sort(np.asarray(self.active, dtype=np.int64).reshape(-1))
+        if a.size and a[0] < 0:
             raise ValueError("active indices must be non-negative")
+        keep = np.ones(a.size, dtype=bool)
+        np.not_equal(a[1:], a[:-1], out=keep[1:])
+        a = a[keep]
         a.setflags(write=False)
         object.__setattr__(self, "active", a)
 

@@ -46,7 +46,7 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Union
 
 from repro.cache.fingerprint import exact_key, scheduler_identity
 from repro.cache.store import ScheduleCache
@@ -386,14 +386,41 @@ class ScheduleBroker:
         Returns ``{"schedule", "trace_id", "tier", "coalesced",
         "wall_seconds"}``; raises :class:`RateLimited` /
         :class:`Overloaded` when admission refuses, and re-raises
-        scheduler failures.  ``tier`` is what the cache did for the
-        computation the request was answered by: ``"cache"`` for a hit,
-        ``"miss"`` when the scheduler ran (a miss, or no cache); a
-        coalesced request gets its leader's tier.  A hit is answered
-        here on the event loop, so it needs no free worker thread and
-        is served even with ``queue_limit`` computations in flight;
-        only a probe that finds the cache lock held by a worker thread
-        sends a hit to a worker thread.
+        scheduler failures.  This is :meth:`admit` and, when that
+        returns a wait, the wait; see :meth:`admit` for what each
+        request costs and where it is computed.
+        """
+        answer = self.admit(problem, scheduler=scheduler, tenant=tenant, key=key)
+        if isinstance(answer, dict):
+            return answer
+        return await answer
+
+    def admit(
+        self,
+        problem: Union[FadingRLS, Callable[[], FadingRLS]],
+        *,
+        scheduler: Optional[str] = None,
+        tenant: str = "default",
+        key: Optional[str] = None,
+    ) -> Union[Dict[str, Any], Awaitable[Dict[str, Any]]]:
+        """The synchronous step of :meth:`submit`: admission, and the
+        answer when the request needs no wait.
+
+        Returns :meth:`submit`'s answer when the request is settled on
+        the spot, and otherwise an awaitable that gives it: a request
+        coalesced onto a computation in flight, or one handed to a
+        worker thread.  Raises what :meth:`submit` raises, and for an
+        awaitable its await does.  The server calls this directly, so a
+        request answered here costs the event loop no task.
+
+        ``tier`` is what the cache did for the computation the request
+        was answered by: ``"cache"`` for a hit, ``"miss"`` when the
+        scheduler ran (a miss, or no cache); a coalesced request gets
+        its leader's tier.  A hit is answered here on the event loop,
+        so it needs no free worker thread and is served even with
+        ``queue_limit`` computations in flight; only a probe that finds
+        the cache lock held by a worker thread sends a hit to a worker
+        thread.
 
         A miss that passes the ``queue_limit`` check is computed here
         on the event loop too when all of these hold: the scheduler's
@@ -403,10 +430,8 @@ class ScheduleBroker:
         directory, so an insert holds its lock only for bookkeeping,
         and the probe took the lock, so no worker thread holds it.
         Such a computation is never in flight: nothing coalesces onto
-        it, and it is not counted in ``inflight`` or ``batches``.  One
-        yield to the loop follows it, so a connection that pipelines
-        misses cannot keep the loop for all of them in a row.  Every
-        other miss is one call on the thread pool.
+        it, and it is not counted in ``inflight`` or ``batches``.
+        Every other miss is one call on the thread pool.
 
         ``key`` is the request's :meth:`request_key` when the caller
         knows it.  With it, ``problem`` may be a function that builds
@@ -459,7 +484,7 @@ class ScheduleBroker:
             if not isinstance(problem, FadingRLS):
                 problem = problem()
             if locked and self._computes_on_loop(name, problem):
-                schedule, tier = await self._compute_on_loop(key, name, problem)
+                schedule, tier = self._compute_on_loop(key, name, problem)
                 return _answer(schedule, tier, False, trace_id, t0)
             loop = asyncio.get_running_loop()
             future = loop.create_future()
@@ -470,6 +495,12 @@ class ScheduleBroker:
                 self._executor, self._schedule_one, key, name, problem
             )
             computation.add_done_callback(functools.partial(self._settle, key, future))
+        return self._wait(future, coalesced, trace_id, t0)
+
+    async def _wait(
+        self, future: asyncio.Future, coalesced: bool, trace_id: str, t0: float
+    ) -> Dict[str, Any]:
+        """The answer of a request that waits on ``future``."""
         schedule, tier = await asyncio.shield(future)
         return _answer(schedule, tier, coalesced, trace_id, t0)
 
@@ -477,7 +508,7 @@ class ScheduleBroker:
 
     def _computes_on_loop(self, name: str, problem: FadingRLS) -> bool:
         """Whether a miss whose probe took the cache lock is computed on
-        the event loop (see :meth:`submit`)."""
+        the event loop (see :meth:`admit`)."""
         # The registered name, not the function: a registry entry may be
         # a wrapper around rle_schedule.
         return (
@@ -486,23 +517,20 @@ class ScheduleBroker:
             and (self._cache is None or self._cache.directory is None)
         )
 
-    async def _compute_on_loop(
+    def _compute_on_loop(
         self, key: str, name: str, problem: FadingRLS
     ) -> Tuple[Schedule, str]:
         """One computation on the event loop, counted as :meth:`_settle`
-        counts a worker's, then one yield to the other tasks."""
+        counts a worker's."""
         try:
             result = self._schedule_one(key, name, problem)
         except Exception:
             self._counters["errors"] += 1
             obs_metrics.inc("service.errors")
             raise
-        else:
-            self._counters["scheduled"] += 1
-            obs_metrics.inc("service.scheduled")
-            return result
-        finally:
-            await asyncio.sleep(0)
+        self._counters["scheduled"] += 1
+        obs_metrics.inc("service.scheduled")
+        return result
 
     # -- computations on the worker threads ---------------------------
 

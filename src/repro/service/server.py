@@ -26,15 +26,27 @@ connection-pooling SDK): keep-alive with ``Content-Length`` framing,
 optional FastAPI/uvicorn adapter can layer on top via the ``service``
 extra, but tier-1 never needs it.
 
+Each connection is an :class:`asyncio.Protocol` with one buffer.  A
+request that needs no wait is answered inside the callback that
+completed it, with one ``transport.write``: health and stats, every
+refusal, a cache hit and a small ``rle`` miss the broker computes on
+the event loop (:meth:`ScheduleBroker.admit`).  Only a request that
+must wait becomes a task — a worker-thread computation, a request
+coalesced onto one, or a session open or delta — and its connection
+reads nothing more until the answer is written, so responses keep
+request order.  After an answer, a request already buffered behind it
+is framed on a later turn of the loop, so a client that pipelines
+cannot hold the loop for all its requests in a row.
+
 A ``POST /v1/schedule`` body byte-identical to one parsed before is not
 parsed again.  The server keeps the SHA-256 digest of each body it has
 parsed successfully, mapped to what the parse gave (the request's exact
 key, scheduler, tenant and link count), least recently used first and
 at most as many as the cache holds entries (none without a cache).  A
-known body goes to :meth:`ScheduleBroker.submit` with its key, so the
-tenant's bucket, ``queue_limit``, coalescing, the cache probe and every
-counter run as for any request; the body is parsed again only when the
-request must be computed.
+known body goes to the broker with its key, so the tenant's bucket,
+``queue_limit``, coalescing, the cache probe and every counter run as
+for any request; the body is parsed again only when the request must
+be computed.
 
 Bodies are decoded and responses encoded with orjson, which parses a
 topology's floats several times faster than :mod:`json` and to the same
@@ -54,7 +66,17 @@ import json
 import re
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 import orjson
@@ -79,6 +101,13 @@ _SESSION_RE = re.compile(r"^/v1/sessions/([A-Za-z0-9_.-]{1,64})/delta$")
 #: Refuse request bodies beyond this many bytes with 413 (a 4096-link
 #: topology serialises to ~300 KiB; 8 MiB leaves generous headroom).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: A request head (request line and headers, through the blank line
+#: that ends them) longer than this closes the connection without a
+#: response.  It also bounds the requests a connection may have
+#: buffered behind the one being answered: past it the connection
+#: reads nothing more until they are framed.
+MAX_HEAD_BYTES = 64 * 1024
 
 #: orjson before 3.9.15 has no nesting limit: it builds the parsed value
 #: by recursing on the C stack, so a closed body 10**6 levels deep (2 MB,
@@ -105,6 +134,10 @@ _STATUS_TEXT = {
     503: "Service Unavailable",
 }
 
+#: A route's answer: ``(status, payload)``, or an awaitable of it for a
+#: request that must wait.
+_Answer = Union[Tuple[int, Dict[str, Any]], Awaitable[Tuple[int, Dict[str, Any]]]]
+
 
 class _KnownBody(NamedTuple):
     """What parsing a ``POST /v1/schedule`` body gave."""
@@ -113,6 +146,16 @@ class _KnownBody(NamedTuple):
     scheduler: str
     tenant: str
     n_links: int
+
+
+class _Head(NamedTuple):
+    """A framed request head: the body is ``buffer[start:end]``."""
+
+    method: str
+    path: str
+    keep_alive: bool
+    start: int
+    end: int
 
 
 class ScheduleServer:
@@ -131,12 +174,14 @@ class ScheduleServer:
         self.port = int(check_interval(port, "port", 0, 65535))
         self.access_log = access_log
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = time.monotonic()
-        # live connection handlers, and the writers of those waiting
-        # for their next request head (safe to close at shutdown)
-        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._idle: Set[asyncio.StreamWriter] = set()
+        # open connections, and the tasks of the requests that wait
+        self._connections: Set[_Connection] = set()
+        self._tasks: Set[asyncio.Task] = set()
         self._closing = False
+        # resolved by close() once both sets are empty
+        self._drained: Optional[asyncio.Future] = None
         # SHA-256 of a parsed /v1/schedule body -> what the parse gave,
         # least recently used first (see the module docstring)
         self._known: "OrderedDict[bytes, _KnownBody]" = OrderedDict()
@@ -150,10 +195,11 @@ class ScheduleServer:
         ``port=0`` binds an ephemeral port (the tests' default), and the
         returned port is the real one.
         """
+        self._loop = asyncio.get_running_loop()
         # backlog above the default 100 so a synchronized 1000-client
         # connect burst is accepted instead of stalling in SYN retries
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, backlog=4096
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port, backlog=4096
         )
         self._started = time.monotonic()
         sockname = self._server.sockets[0].getsockname()
@@ -165,140 +211,47 @@ class ScheduleServer:
 
         Idle keep-alive connections are closed at once; a connection in
         the middle of a request gets its response (with ``Connection:
-        close``) first.  Handlers still running after
-        :data:`CLOSE_GRACE_SECONDS` are aborted.  Every handler returns
-        on its own, so none is left for the event loop's shutdown to
-        cancel (on Python 3.11 a cancelled handler makes ``asyncio`` log
-        a traceback).
+        close``) first.  Connections still open after
+        :data:`CLOSE_GRACE_SECONDS` are aborted.  Every request task
+        ends on its own, so none is left for the event loop's shutdown
+        to cancel.
         """
         if self._server is None:
             return
         self._server.close()
         self._closing = True
-        for writer in list(self._idle):
-            writer.close()
-        if self._handlers:
-            _, pending = await asyncio.wait(list(self._handlers), timeout=CLOSE_GRACE_SECONDS)
-            for task in pending:
-                self._handlers[task].transport.abort()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
+        self._drained = self._loop.create_future()
+        for conn in list(self._connections):
+            conn.shutdown()
+        self._settled()
+        _, pending = await asyncio.wait([self._drained], timeout=CLOSE_GRACE_SECONDS)
+        if pending:
+            for conn in list(self._connections):
+                conn.abort()
+            await asyncio.wait([self._drained], timeout=1.0)
         await self._server.wait_closed()
         self._server = None
+
+    def _settled(self) -> None:
+        """Resolve :meth:`close`'s wait once nothing is open or waiting."""
+        drained = self._drained
+        if drained is not None and not drained.done():
+            if not self._connections and not self._tasks:
+                drained.set_result(None)
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        self._settled()
 
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self._started
 
-    # -- the connection loop ------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._handlers[asyncio.current_task()] = writer
-        try:
-            while not self._closing:
-                self._idle.add(writer)
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    asyncio.LimitOverrunError,
-                ):
-                    break
-                finally:
-                    self._idle.discard(writer)
-                parsed = _parse_head(head)
-                if parsed is None:
-                    await self._respond(
-                        writer, 400,
-                        schemas.error_payload("bad-request", "malformed HTTP request"),
-                        keep_alive=False,
-                    )
-                    break
-                method, path, headers = parsed
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    await self._respond(
-                        writer, 400,
-                        schemas.error_payload("bad-request", "bad Content-Length"),
-                        keep_alive=False,
-                    )
-                    break
-                if length > MAX_BODY_BYTES:
-                    await self._respond(
-                        writer, 413,
-                        schemas.error_payload(
-                            "body-too-large",
-                            f"request body exceeds {MAX_BODY_BYTES} bytes",
-                        ),
-                        keep_alive=False,
-                    )
-                    break
-                body = b""
-                if length:
-                    try:
-                        body = await reader.readexactly(length)
-                    except (asyncio.IncompleteReadError, ConnectionResetError):
-                        break
-                t0 = time.perf_counter()
-                status, payload = await self._dispatch(method, path, body)
-                keep_alive = (
-                    not self._closing and headers.get("connection", "").lower() != "close"
-                )
-                await self._respond(writer, status, payload, keep_alive=keep_alive)
-                if self.access_log is not None:
-                    wall_ms = (time.perf_counter() - t0) * 1000.0
-                    trace = payload.get("trace_id") or payload.get("error", {}).get(
-                        "trace_id", "-"
-                    )
-                    self.access_log(
-                        f"{method} {path} {status} {wall_ms:.2f}ms {trace}"
-                    )
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            finally:
-                del self._handlers[asyncio.current_task()]
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        *,
-        keep_alive: bool,
-    ) -> None:
-        body = orjson.dumps(payload)
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        ).encode()
-        writer.write(head + body)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
     # -- routing ------------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _dispatch(self, method: str, path: str, body: bytes) -> _Answer:
+        """``(status, payload)`` for one request, or an awaitable of it
+        when the request must wait (see the module docstring)."""
         try:
             if path == "/v1/healthz":
                 if method != "GET":
@@ -318,21 +271,24 @@ class ScheduleServer:
             if path == "/v1/schedule":
                 if method != "POST":
                     return 405, schemas.error_payload("method-not-allowed", method)
-                return await self._schedule(body)
+                return self._schedule(body)
             m = _SESSION_RE.match(path)
             if m is not None:
                 if method != "POST":
                     return 405, schemas.error_payload("method-not-allowed", method)
-                return await self._session_delta(m.group(1), body)
+                return self._session_delta(m.group(1), body)
             return 404, schemas.error_payload("unknown-route", f"{method} {path}")
-        except ValidationError as exc:
-            return 400, schemas.error_payload(exc.code, str(exc), param=exc.param)
-        except ServiceError as exc:
-            return exc.status, schemas.error_payload(
-                exc.code, str(exc), retry_after=exc.retry_after
-            )
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            return 500, schemas.error_payload("internal-error", str(exc))
+        except Exception as exc:
+            return _error(exc)
+
+    @staticmethod
+    async def _waited(pending: Awaitable[Tuple[int, Dict[str, Any]]]) -> Tuple[int, Dict[str, Any]]:
+        """The answer of a request that waits, errors mapped as
+        :meth:`_dispatch` maps them."""
+        try:
+            return await pending
+        except Exception as exc:
+            return _error(exc)
 
     @staticmethod
     def _json(body: bytes) -> Any:
@@ -352,7 +308,7 @@ class ScheduleServer:
                 f"request body is not valid JSON: {exc}", code=schemas.CODE_BAD_JSON
             ) from None
 
-    async def _schedule(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    def _schedule(self, body: bytes) -> _Answer:
         digest = hashlib.sha256(body).digest() if self._known_capacity else None
         known = self._known.get(digest)
         if known is None:
@@ -371,23 +327,26 @@ class ScheduleServer:
                 return schemas.parse_schedule_request(self._json(body))[0]
 
         try:
-            result = await self.broker.submit(
+            answer = self.broker.admit(
                 problem, scheduler=known.scheduler, tenant=known.tenant, key=known.key
             )
         except ValidationError as exc:  # e.g. rle's alpha > 2
             raise schemas.topology_error(exc) from None
-        return 200, schemas.schedule_payload(
-            result["schedule"],
-            known.n_links,
-            trace_id=result["trace_id"],
-            tier=result["tier"],
-            coalesced=result["coalesced"],
-            wall_seconds=result["wall_seconds"],
-        )
+        if isinstance(answer, dict):
+            return _schedule_payload(answer, known.n_links)
+        return self._schedule_waited(answer, known.n_links)
 
-    async def _session_delta(
-        self, session_id: str, body: bytes
+    @staticmethod
+    async def _schedule_waited(
+        pending: Awaitable[Dict[str, Any]], n_links: int
     ) -> Tuple[int, Dict[str, Any]]:
+        try:
+            answer = await pending
+        except ValidationError as exc:  # e.g. rle's alpha > 2 on a worker
+            raise schemas.topology_error(exc) from None
+        return _schedule_payload(answer, n_links)
+
+    def _session_delta(self, session_id: str, body: bytes) -> _Answer:
         payload = self._json(body)
         if not isinstance(payload, dict) or ("topology" in payload) == (
             "delta" in payload
@@ -401,32 +360,285 @@ class ScheduleServer:
             problem = schemas.parse_topology(payload["topology"])
             scheduler = schemas.parse_scheduler(payload)
             schemas.check_links(problem.n_links, scheduler)
-            try:
-                result = await self.broker.open_session(
-                    session_id, problem, scheduler=scheduler
-                )
-            except ValidationError as exc:
-                raise schemas.topology_error(exc) from None
+            return self._open_session(session_id, problem, scheduler)
+        return self._apply_delta(session_id, schemas.parse_delta(payload["delta"]))
+
+    async def _open_session(
+        self, session_id: str, problem: Any, scheduler: str
+    ) -> Tuple[int, Dict[str, Any]]:
+        try:
+            result = await self.broker.open_session(session_id, problem, scheduler=scheduler)
+        except ValidationError as exc:
+            raise schemas.topology_error(exc) from None
+        return _session_payload(session_id, result)
+
+    async def _apply_delta(self, session_id: str, delta: Any) -> Tuple[int, Dict[str, Any]]:
+        try:
+            result = await self.broker.apply_delta(session_id, delta)
+        except (IndexError, ValueError) as exc:  # the delta does not fit the session
+            if getattr(exc, "code", None) == schemas.CODE_TOO_MANY_LINKS:
+                raise
+            raise ValidationError(
+                str(exc), code=schemas.CODE_BAD_DELTA, param=getattr(exc, "param", None)
+            ) from None
+        return _session_payload(session_id, result)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests out of one buffer and
+    answers each in the callback that completed it, unless it must wait
+    (see the module docstring)."""
+
+    def __init__(self, server: ScheduleServer) -> None:
+        self._server = server
+        self._transport: Any = None
+        self._buffer = bytearray()
+        # bytes at the front of the buffer already searched for a head's end
+        self._scanned = 0
+        # the framed head of a request whose body is still coming in
+        self._head: Optional[_Head] = None
+        # the task of the request that waits, if any
+        self._task: Optional[asyncio.Task] = None
+        # a _frame call is scheduled for a later turn of the loop
+        self._deferred = False
+        self._write_paused = False
+        self._reading = True
+        self._eof = False
+
+    # -- transport callbacks ------------------------------------------
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+        if self._server._closing:
+            transport.close()
+            return
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        server = self._server
+        server._connections.discard(self)
+        server._settled()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._deferred:
+            self._update_reading()
         else:
-            delta = schemas.parse_delta(payload["delta"])
-            try:
-                result = await self.broker.apply_delta(session_id, delta)
-            except (IndexError, ValueError) as exc:  # the delta does not fit the session
-                if getattr(exc, "code", None) == schemas.CODE_TOO_MANY_LINKS:
-                    raise
-                raise ValidationError(
-                    str(exc), code=schemas.CODE_BAD_DELTA, param=getattr(exc, "param", None)
-                ) from None
-        schedule = result["schedule"]
-        return 200, {
-            "trace_id": result["trace_id"],
-            "session": session_id,
-            "seq": result["seq"],
-            "algorithm": schedule.algorithm,
-            "active": [int(i) for i in schedule.active],
-            "n_active": int(schedule.size),
-            "mode": schedule.diagnostics.get("mode"),
-        }
+            self._frame()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not self._deferred:
+            self._frame()
+        return True  # keep the transport: a waiting request still answers
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._update_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._update_reading()
+        if not self._deferred:
+            self._next()
+
+    # -- shutdown ----------------------------------------------------
+
+    @property
+    def busy(self) -> bool:
+        """Mid-request: a request waits in its task, or a body is coming in."""
+        return self._task is not None or self._head is not None
+
+    def shutdown(self) -> None:
+        """Close now when idle; a busy connection closes after its answer."""
+        if not self.busy:
+            self._transport.close()
+
+    def abort(self) -> None:
+        self._transport.abort()
+
+    # -- framing -----------------------------------------------------
+
+    def _frame(self) -> None:
+        """Frame the next request in the buffer and answer it, unless it
+        is not all in yet."""
+        self._deferred = False
+        if self._task is not None or self._write_paused or self._transport.is_closing():
+            return
+        head = self._head
+        if head is None:
+            head = self._next_head()
+            if head is None:
+                return
+        buf = self._buffer
+        if len(buf) < head.end:
+            self._head = head
+            self._need_more()
+            return
+        self._head = None
+        body = bytes(buf[head.start : head.end])
+        del buf[: head.end]
+        self._request(head, body)
+
+    def _next_head(self) -> Optional[_Head]:
+        """The head at the front of the buffer, or ``None`` when it is
+        not all in yet or the connection was refused and closed."""
+        buf = self._buffer
+        end = buf.find(b"\r\n\r\n", self._scanned)
+        if end < 0:
+            if len(buf) >= MAX_HEAD_BYTES:
+                self._transport.close()
+            else:
+                self._scanned = max(0, len(buf) - 3)
+                self._need_more()
+            return None
+        self._scanned = 0
+        if end + 4 > MAX_HEAD_BYTES:
+            self._transport.close()
+            return None
+        parsed = _parse_head(buf[: end + 4])
+        if parsed is None:
+            return self._refuse(400, "bad-request", "malformed HTTP request")
+        method, path, headers = parsed
+        if "transfer-encoding" in headers:
+            return self._refuse(400, "bad-request", "Transfer-Encoding is not supported")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return self._refuse(400, "bad-request", "bad Content-Length")
+        if int(length) > MAX_BODY_BYTES:
+            return self._refuse(
+                413, "body-too-large", f"request body exceeds {MAX_BODY_BYTES} bytes"
+            )
+        keep_alive = headers.get("connection", "").lower() != "close"
+        return _Head(method, path, keep_alive, end + 4, end + 4 + int(length))
+
+    def _need_more(self) -> None:
+        """The buffer ends inside a request: read on, or close at EOF."""
+        if self._eof:
+            self._transport.close()
+        else:
+            self._update_reading()
+
+    def _refuse(self, status: int, code: str, message: str) -> None:
+        """Answer a request that cannot be framed, then close."""
+        self._transport.write(_encode(status, schemas.error_payload(code, message), False))
+        self._transport.close()
+
+    # -- answering ---------------------------------------------------
+
+    def _request(self, head: _Head, body: bytes) -> None:
+        server = self._server
+        t0 = time.perf_counter()
+        answer = server._dispatch(head.method, head.path, body)
+        if isinstance(answer, tuple):
+            self._respond(head, t0, *answer)
+            self._next()
+            return
+        task = server._loop.create_task(self._wait(head, t0, server._waited(answer)))
+        self._task = task
+        server._tasks.add(task)
+        task.add_done_callback(server._task_done)
+        self._update_reading()
+
+    async def _wait(
+        self, head: _Head, t0: float, pending: Awaitable[Tuple[int, Dict[str, Any]]]
+    ) -> None:
+        status, payload = await pending
+        self._task = None
+        self._respond(head, t0, status, payload)
+        self._update_reading()
+        self._next()
+
+    def _respond(self, head: _Head, t0: float, status: int, payload: Dict[str, Any]) -> None:
+        server = self._server
+        keep_alive = head.keep_alive and not server._closing
+        transport = self._transport
+        if not transport.is_closing():  # the client may have gone
+            transport.write(_encode(status, payload, keep_alive))
+            if not keep_alive:
+                transport.close()
+        if server.access_log is not None:
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            trace = payload.get("trace_id") or payload.get("error", {}).get("trace_id", "-")
+            server.access_log(f"{head.method} {head.path} {status} {wall_ms:.2f}ms {trace}")
+
+    def _next(self) -> None:
+        """After an answer: frame a buffered request on a later turn of
+        the loop, or close at EOF."""
+        if self._task is not None or self._write_paused or self._transport.is_closing():
+            return
+        if self._buffer:
+            self._deferred = True
+            self._server._loop.call_soon(self._frame)
+            self._update_reading()
+        elif self._eof:
+            self._transport.close()
+
+    def _update_reading(self) -> None:
+        """Read while nothing waits, the transport takes writes, and at
+        most MAX_HEAD_BYTES of requests wait to be framed."""
+        transport = self._transport
+        if transport.is_closing():
+            return
+        reading = (
+            self._task is None
+            and not self._write_paused
+            and not (self._deferred and len(self._buffer) > MAX_HEAD_BYTES)
+        )
+        if reading != self._reading:
+            self._reading = reading
+            if reading:
+                transport.resume_reading()
+            else:
+                transport.pause_reading()
+
+
+def _error(exc: Exception) -> Tuple[int, Dict[str, Any]]:
+    """The response to a request that raised ``exc``."""
+    if isinstance(exc, ValidationError):
+        return 400, schemas.error_payload(exc.code, str(exc), param=exc.param)
+    if isinstance(exc, ServiceError):
+        return exc.status, schemas.error_payload(
+            exc.code, str(exc), retry_after=exc.retry_after
+        )
+    return 500, schemas.error_payload("internal-error", str(exc))
+
+
+def _schedule_payload(answer: Dict[str, Any], n_links: int) -> Tuple[int, Dict[str, Any]]:
+    return 200, schemas.schedule_payload(
+        answer["schedule"],
+        n_links,
+        trace_id=answer["trace_id"],
+        tier=answer["tier"],
+        coalesced=answer["coalesced"],
+        wall_seconds=answer["wall_seconds"],
+    )
+
+
+def _session_payload(session_id: str, result: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+    schedule = result["schedule"]
+    return 200, {
+        "trace_id": result["trace_id"],
+        "session": session_id,
+        "seq": result["seq"],
+        "algorithm": schedule.algorithm,
+        "active": [int(i) for i in schedule.active],
+        "n_active": int(schedule.size),
+        "mode": schedule.diagnostics.get("mode"),
+    }
+
+
+def _encode(status: int, payload: Dict[str, Any], keep_alive: bool) -> bytes:
+    """One whole response: head and compact JSON body."""
+    body = orjson.dumps(payload)
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        f"\r\n"
+    ).encode()
+    return head + body
 
 
 def _openers(body: bytes) -> int:
@@ -436,7 +648,8 @@ def _openers(body: bytes) -> int:
 
 
 def _parse_head(head: bytes) -> Optional[Tuple[str, str, Dict[str, str]]]:
-    """``(method, path, lowercase headers)`` or ``None`` when malformed."""
+    """``(method, path, lowercase headers)`` or ``None`` when malformed,
+    two ``Content-Length`` headers that disagree included."""
     try:
         text = head.decode("latin-1")
     except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
@@ -453,6 +666,9 @@ def _parse_head(head: bytes) -> Optional[Tuple[str, str, Dict[str, str]]]:
         name, sep, value = line.partition(":")
         if not sep:
             return None
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            return None  # which body is meant is ambiguous
+        headers[name] = value
     path = target.split("?", 1)[0]
     return method, path, headers

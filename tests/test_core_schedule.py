@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
 
@@ -18,6 +20,19 @@ class TestConstruction:
     def test_empty(self):
         s = Schedule.empty("x")
         assert s.size == 0 and s.algorithm == "x"
+
+    @given(st.lists(st.integers(-3, 2**40), max_size=40))
+    def test_active_is_np_unique_of_the_indices(self, indices):
+        # Sorted with adjacent duplicates dropped in place of np.unique,
+        # whose first call imports numpy.ma: the same array, the same error.
+        if any(i < 0 for i in indices):
+            with pytest.raises(ValueError, match="non-negative"):
+                Schedule(active=np.array(indices, dtype=np.int64))
+            return
+        active = Schedule(active=np.array(indices, dtype=np.int64)).active
+        expected = np.unique(np.array(indices, dtype=np.int64))
+        assert active.dtype == np.int64 and not active.flags.writeable
+        np.testing.assert_array_equal(active, expected)
 
     def test_immutable_active(self):
         s = Schedule(active=np.array([1, 2]))

@@ -30,7 +30,7 @@ from repro.core.base import list_schedulers
 from repro.service import schemas
 from repro.service.broker import WIRE_ERROR_CODES
 from repro.service.loadgen import build_topology_payload
-from repro.service.server import ScheduleServer
+from repro.service import server as server_module
 from repro.utils.validation import ValidationError
 from tests.test_service_server import _problem, _request, _serve
 
@@ -203,13 +203,13 @@ async def _raw_status(host, port, data: bytes) -> int:
 
 def test_every_route_payload_encodes_alike(monkeypatch):
     sent = []
-    respond = ScheduleServer._respond
+    encode = server_module._encode
 
-    async def recording(self, writer, status, payload, *, keep_alive):
+    def recording(status, payload, keep_alive):
         sent.append(payload)
-        await respond(self, writer, status, payload, keep_alive=keep_alive)
+        return encode(status, payload, keep_alive)
 
-    monkeypatch.setattr(ScheduleServer, "_respond", recording)
+    monkeypatch.setattr(server_module, "_encode", recording)
     topology = build_topology_payload(_problem(6))
     points = [[0.0, 0.0]] * (schemas.MAX_LINKS + 1)
     too_many = {"senders": points, "receivers": points}

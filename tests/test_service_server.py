@@ -18,10 +18,13 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.store import ScheduleCache
 from repro.core import base as core_base
@@ -943,50 +946,58 @@ class TestIntrospectionEndpoints:
 async def _busy_connection(server, timeout=5.0):
     """Wait until the server holds a connection mid-request."""
     deadline = asyncio.get_running_loop().time() + timeout
-    while server._idle or not server._handlers:
+    while not any(conn.busy for conn in server._connections):
         assert asyncio.get_running_loop().time() < deadline, "no busy connection"
         await asyncio.sleep(0.01)
 
 
 class TestShutdown:
     def test_close_ends_idle_keep_alive_connections(self):
-        """close() returns with every connection handler finished."""
+        """close() returns with every connection closed."""
 
         async def runner():
             broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
             host, port = await server.start()
             _, _, (reader, writer) = await _request(host, port, "GET", "/v1/healthz")
-            handlers = set(server._handlers)
-            assert handlers
+            connections = set(server._connections)
+            assert connections
             # well inside the default grace: idle connections close at once
             await asyncio.wait_for(server.close(), timeout=2.0)
             await broker.close(drain=False)
             eof = await reader.read(1)
             writer.close()
-            return handlers, eof
+            return connections, server, eof
 
-        handlers, eof = asyncio.run(runner())
-        assert all(t.done() and not t.cancelled() for t in handlers)
+        connections, server, eof = asyncio.run(runner())
+        assert all(conn._transport.is_closing() for conn in connections)
+        assert not server._connections and not server._tasks
         assert eof == b""
 
-    def test_close_answers_an_in_flight_request_first(self):
-        """A request mid-dispatch gets its response, marked Connection: close."""
+    def test_close_answers_an_in_flight_request_first(self, monkeypatch):
+        """A request waiting on a worker thread gets its response, marked
+        Connection: close."""
+        started, release = threading.Event(), threading.Event()
+
+        def blocking(problem, **kwargs):
+            started.set()
+            release.wait(60.0)
+            return get_scheduler("rle")(problem, **kwargs)
+
+        monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
+        problem = _problem(6, 2)
+        raw = _body(problem, scheduler="test-blocking")
 
         async def runner():
             broker = ScheduleBroker()
             server = ScheduleServer(broker, port=0)
             host, port = await server.start()
-            release = asyncio.Event()
-            dispatch = server._dispatch
-
-            async def held_dispatch(method, path, body):
-                await release.wait()
-                return await dispatch(method, path, body)
-
-            server._dispatch = held_dispatch
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            writer.write(
+                b"POST /v1/schedule HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {len(raw)}\r\n\r\n".encode()
+                + raw
+            )
             await writer.drain()
             await _busy_connection(server)
             closing = asyncio.ensure_future(server.close())
@@ -995,17 +1006,19 @@ class TestShutdown:
             release.set()
             head = await reader.readuntil(b"\r\n\r\n")
             length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
-            await reader.readexactly(length)
+            answer = json.loads(await reader.readexactly(length))
             eof = await reader.read(1)
             await asyncio.wait_for(closing, timeout=10.0)
             await broker.close(drain=False)
             writer.close()
-            return still_open, head, eof
+            return still_open, head, answer, eof, broker.stats
 
-        still_open, head, eof = asyncio.run(runner())
-        assert still_open
+        still_open, head, answer, eof, stats = asyncio.run(runner())
+        assert started.is_set() and still_open
         assert head.startswith(b"HTTP/1.1 200")
         assert b"Connection: close" in head
+        assert answer["active"] == [int(i) for i in get_scheduler("rle")(problem).active]
+        assert (answer["tier"], stats["batches"]) == ("miss", 1)
         assert eof == b""
 
     def test_close_aborts_a_stalled_request_after_the_grace(self, monkeypatch):
@@ -1023,14 +1036,17 @@ class TestShutdown:
             )
             await writer.drain()
             await _busy_connection(server)
-            handlers = set(server._handlers)
+            connections = set(server._connections)
             await asyncio.wait_for(server.close(), timeout=10.0)
             await broker.close(drain=False)
+            eof = await reader.read(1)
             writer.close()
-            return handlers
+            return connections, server, eof
 
-        handlers = asyncio.run(runner())
-        assert all(t.done() and not t.cancelled() for t in handlers)
+        connections, server, eof = asyncio.run(runner())
+        assert all(conn._transport.is_closing() for conn in connections)
+        assert not server._connections
+        assert eof == b""
 
     def test_sigterm_with_open_keep_alive_connection_exits_cleanly(self):
         """`repro serve` ends on SIGTERM with exit 0 and no traceback."""
@@ -1176,7 +1192,326 @@ class TestHeadParser:
             b"GARBAGE\r\n\r\n",
             b"GET /x SPDY/9\r\n\r\n",
             b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n",
+            # two lengths: which body is meant is ambiguous
+            b"POST /x HTTP/1.1\r\nContent-Length: 1\r\ncontent-length: 2\r\n\r\n",
         ],
     )
     def test_malformed_heads(self, raw):
         assert _parse_head(raw) is None
+
+    def test_repeated_equal_content_length(self):
+        _, _, headers = _parse_head(
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length:  2\r\n\r\n"
+        )
+        assert headers["content-length"] == "2"
+
+
+def _split_responses(raw: bytes) -> list:
+    """``(status, lowercase headers, parsed body)`` of each response in ``raw``."""
+    out = []
+    while raw:
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep, head
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        out.append((int(lines[0].split(" ")[1]), headers, json.loads(raw[:length])))
+        raw = raw[length:]
+    return out
+
+
+async def _until_eof(host, port, data: bytes, *, half_close=False, timeout=5.0) -> list:
+    """Send ``data`` on a new connection (then EOF, with ``half_close``);
+    the responses read until the server closes the connection.  A server
+    that closes with bytes of ours unread resets the connection."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(data)
+    if half_close:
+        writer.write_eof()
+    raw = b""
+    try:
+        await writer.drain()
+        while chunk := await asyncio.wait_for(reader.read(1 << 16), timeout):
+            raw += chunk
+    except ConnectionResetError:
+        pass
+    writer.close()
+    return _split_responses(raw)
+
+
+def _post_head(length: str, *extra: str) -> bytes:
+    lines = ["POST /v1/schedule HTTP/1.1", "Host: t", f"Content-Length: {length}", *extra]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+class TestFraming:
+    """Request framing: Content-Length is the only body framing, read
+    strictly; anything else is one 400 ``bad-request`` and a close."""
+
+    # int() read the first two as 10, so the server framed a 10-byte
+    # body; "\xb2" (a superscript two in the latin-1 head) is a digit to
+    # str.isdigit() that int() refuses.
+    @pytest.mark.parametrize(
+        "length", ["1_0", "+10", "\xb2", "1\xb9", " 10 0", "0x0a", "10.0", "-1", ""],
+        ids=["underscore", "plus", "superscript", "digit-superscript", "inner-space", "hex",
+             "decimal", "negative", "empty"],
+    )
+    def test_content_length_is_ascii_digits_only(self, length):
+        raw = _body(_problem(4))[:10]
+
+        async def body(host, port, broker, server):
+            return await _until_eof(host, port, _post_head(length) + raw)
+
+        [(status, headers, answer)] = _serve(body)
+        assert (status, answer["error"]["code"]) == (400, "bad-request")
+        assert answer["error"]["message"] == "bad Content-Length"
+        assert headers["connection"] == "close"
+
+    def test_conflicting_content_lengths_are_refused(self):
+        raw = _body(_problem(4))
+
+        async def body(host, port, broker, server):
+            head = _post_head(str(len(raw)), "Content-Length: 2")
+            return await _until_eof(host, port, head + raw), broker.stats["requests"]
+
+        [(status, headers, answer)], requests = _serve(body)
+        assert (status, answer["error"]["code"]) == (400, "bad-request")
+        assert headers["connection"] == "close"
+        assert requests == 0
+
+    def test_repeated_equal_content_lengths_frame_one_body(self):
+        raw = _body(_problem(4))
+
+        async def body(host, port, broker, server):
+            head = _post_head(str(len(raw)), f"Content-Length: {len(raw)}", "Connection: close")
+            return await _until_eof(host, port, head + raw)
+
+        [(status, _, answer)] = _serve(body)
+        assert (status, answer["tier"]) == (200, "miss")
+
+    @pytest.mark.parametrize("coding", ["chunked", "gzip, chunked", "identity"])
+    def test_transfer_encoding_gets_one_400_and_a_close(self, coding):
+        chunks = b"5\r\nhello\r\n0\r\n\r\n"
+
+        async def body(host, port, broker, server):
+            head = (
+                "POST /v1/schedule HTTP/1.1\r\nHost: t\r\n"
+                f"Transfer-Encoding: {coding}\r\n\r\n"
+            ).encode()
+            return await _until_eof(host, port, head + chunks), broker.stats["requests"]
+
+        responses, requests = _serve(body)
+        assert [(s, a["error"]["code"]) for s, _, a in responses] == [(400, "bad-request")]
+        assert responses[0][1]["connection"] == "close"
+        assert requests == 0
+
+    def test_a_head_past_the_limit_closes_the_connection(self):
+        def head_of(size):
+            base = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: \r\n\r\n"
+            return base.replace(b"X-Pad: ", b"X-Pad: " + b"a" * (size - len(base)))
+
+        limit = server_module.MAX_HEAD_BYTES
+        assert len(head_of(limit)) == limit
+
+        async def body(host, port, broker, server):
+            at = await _until_eof(host, port, head_of(limit), half_close=True)
+            past = await _until_eof(host, port, head_of(limit + 1), half_close=True)
+            endless = await _until_eof(host, port, b"GET /" + b"a" * (2 * limit))
+            return at, past, endless
+
+        at, past, endless = _serve(body)
+        assert [status for status, _, _ in at] == [200]
+        assert past == endless == []
+
+    def test_a_truncated_body_then_eof_closes_cleanly(self):
+        async def body(host, port, broker, server):
+            cut = await _until_eof(host, port, _post_head("100") + b'{"topo', half_close=True)
+            health, _, rw = await _request(host, port, "GET", "/v1/healthz")
+            rw[1].close()
+            return cut, health, broker.stats["requests"]
+
+        assert _serve(body) == ([], 200, 0)
+
+    def test_non_utf8_bytes_in_a_head_are_framed_as_latin1(self):
+        head = b"GET /v1/\xff\xfe HTTP/1.1\r\nX-Junk: \x80\xc3(\r\n\r\n"
+
+        async def body(host, port, broker, server):
+            health = b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            return await _until_eof(host, port, head + health)
+
+        (status, headers, answer), (health, _, _) = _serve(body)
+        assert (status, answer["error"]["code"]) == (404, "unknown-route")
+        assert answer["error"]["message"] == "GET /v1/\xff\xfe"
+        assert headers["connection"] == "keep-alive"
+        assert health == 200
+
+    def test_requests_pipelined_behind_a_waiting_one_keep_their_order(self, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+
+        def blocking(problem, **kwargs):
+            started.set()
+            release.wait(60.0)
+            return get_scheduler("rle")(problem, **kwargs)
+
+        monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
+        slow = _body(_problem(6, 2), scheduler="test-blocking")
+        fast = _body(_problem(5, 1))
+        stream = (
+            _post_head(str(len(slow))) + slow
+            + b"GET /v1/healthz HTTP/1.1\r\n\r\n"
+            + _post_head(str(len(fast)), "Connection: close") + fast
+        )
+
+        async def body(host, port, broker, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(stream)
+            await writer.drain()
+            while not started.is_set():
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.05)
+            early = server._connections and next(iter(server._connections)).busy
+            release.set()
+            raw = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            return early, _split_responses(raw)
+
+        early, responses = _serve(body)
+        assert early
+        assert [(s, a.get("tier")) for s, _, a in responses] == [
+            (200, "miss"), (200, None), (200, "miss"),
+        ]
+        assert [h["connection"] for _, h, _ in responses] == ["keep-alive"] * 2 + ["close"]
+
+
+class _ServerThread:
+    """A broker and server on their own event loop in a background
+    thread, for tests that drive it from blocking sockets."""
+
+    def __init__(self, **broker_kwargs):
+        self._kwargs = broker_kwargs
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+
+    def _run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(30.0)
+
+    def __enter__(self):
+        self._thread.start()
+
+        async def boot():
+            self.broker = ScheduleBroker(**self._kwargs)
+            self.server = ScheduleServer(self.broker, port=0)
+            return await self.server.start()
+
+        self.host, self.port = self._run(boot())
+        return self
+
+    def __exit__(self, *exc):
+        async def down():
+            await self.server.close()
+            await self.broker.close(drain=False)
+
+        try:
+            self._run(down())
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(30.0)
+            self._loop.close()
+
+
+class _Client:
+    """One blocking keep-alive connection."""
+
+    def __init__(self, host, port):
+        self.sock = socket.create_connection((host, port), timeout=10.0)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buf = b""
+
+    def response(self):
+        """``(status, Connection header, body)`` of the next response."""
+        while b"\r\n\r\n" not in self.buf:
+            self._recv()
+        head, _, rest = self.buf.partition(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+        while len(rest) < length:
+            self._recv()
+            head, _, rest = self.buf.partition(b"\r\n\r\n")
+        self.buf = rest[length:]
+        connection = head.lower().split(b"connection: ")[1].split(b"\r\n")[0]
+        return int(head.split(b" ")[1]), connection.decode(), json.loads(rest[:length])
+
+    def _recv(self):
+        chunk = self.sock.recv(1 << 16)
+        assert chunk, "the server closed the connection"
+        self.buf += chunk
+
+
+def _masked(response):
+    """A response without its per-request fields."""
+    status, connection, body = response
+    volatile = ("trace_id", "wall_seconds", "uptime_seconds")
+    return status, connection, {k: v for k, v in body.items() if k not in volatile}
+
+
+def _framed(method, path, body=b""):
+    head = f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+#: Requests whose framing is valid, with their answers' kinds: a miss
+#: the event loop computes, one a worker thread computes (``ldp``), and
+#: the 4xx a route, a method and a body can draw.
+_PIPELINE_POOL = {
+    "healthz": _framed("GET", "/v1/healthz"),
+    "query": _framed("GET", "/v1/healthz?verbose=1"),
+    "rle": _framed("POST", "/v1/schedule", _body(_problem(3, 1))),
+    "ldp": _framed("POST", "/v1/schedule", _body(_problem(3, 2), scheduler="ldp")),
+    "bad-json": _framed("POST", "/v1/schedule", b"{nope"),
+    "no-route": _framed("GET", "/v1/nope"),
+    "no-method": _framed("GET", "/v1/schedule"),
+    "empty-post": _framed("POST", "/v1/schedule"),
+}
+
+#: Streams up to this many bytes may be split one byte per write.
+_BYTEWISE_MAX = 160
+
+
+def test_any_split_of_a_pipelined_stream_gets_the_same_answers():
+    """Framing does not depend on how the bytes arrive: any split of a
+    pipelined stream of requests gets the answers those requests get
+    one per write, in order."""
+    with _ServerThread(use_cache=False) as served:
+        client = _Client(served.host, served.port)
+        expected = {}
+        for name, raw in _PIPELINE_POOL.items():
+            client.sock.sendall(raw)
+            expected[name] = _masked(client.response())
+        assert expected["ldp"][2]["tier"] == expected["rle"][2]["tier"] == "miss"
+
+        @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+        @given(data=st.data())
+        def check(data):
+            names = data.draw(
+                st.lists(st.sampled_from(sorted(_PIPELINE_POOL)), min_size=1, max_size=6)
+            )
+            stream = b"".join(_PIPELINE_POOL[name] for name in names)
+            if len(stream) <= _BYTEWISE_MAX and data.draw(st.booleans()):
+                cuts = list(range(1, len(stream)))
+            else:
+                cuts = sorted(data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=24)))
+            for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+                client.sock.sendall(stream[lo:hi])
+                time.sleep(0.0005)  # so that the server reads each write on its own
+            assert [_masked(client.response()) for _ in names] == [
+                expected[name] for name in names
+            ]
+
+        check()
+        client.sock.sendall(_PIPELINE_POOL["healthz"])
+        assert client.response()[:2] == (200, "keep-alive")
+        client.sock.close()
