@@ -118,8 +118,8 @@ async def _drive_serving(problem: FadingRLS) -> Dict[str, Any]:
 async def _drive_loop(problem: FadingRLS) -> Dict[str, Any]:
     """Loop probe: ``_N_DUPLICATES`` identical concurrent ``rle`` submits.
 
-    The first computes on the event loop and yields once with its
-    answer already cached, so the others are exact hits.
+    The first computes on the event loop and caches its answer before
+    the next one runs, so the others are exact hits.
     """
     broker = ScheduleBroker(n_workers=2)
     try:
