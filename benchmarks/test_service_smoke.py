@@ -14,7 +14,11 @@ its own event loop — the deployment shape):
   voluntary context switches per request;
 - ``serve_repeat_hits`` drives the same closed loop over 16 cached
   300-link bodies, 400 passes, and records the same three numbers per
-  request: the cost of a hit answered from a known body.
+  request: the cost of a hit answered from a known body.  The client
+  shares the machine's cores with the server, so next to them it
+  records the CPU time of the same hits fed to a connection in
+  process, with a stub transport and no socket: the server's Python
+  side of a hit alone.
 
 Both go to ``BENCH_RESULTS.json`` for ``tools/bench_gate.py`` to
 regress against; ``make bench-service`` runs them.  The smoke one
@@ -38,7 +42,7 @@ import pytest
 from benchmarks import bench_export
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
-from repro.service.broker import LOOP_MAX_LINKS
+from repro.service.broker import LOOP_MAX_LINKS, ScheduleBroker
 from repro.service.loadgen import (
     _HttpClient,
     _serialise_request,
@@ -46,6 +50,7 @@ from repro.service.loadgen import (
     raise_nofile_limit,
     run_loadgen,
 )
+from repro.service.server import ScheduleServer, _Connection
 
 CLIENTS = 1000
 TICKS = 2
@@ -66,6 +71,10 @@ MISS_SIZES = (200, 300)
 HIT_POOL = 16
 HIT_LINKS = 300
 HIT_PASSES = 400
+
+#: In-process known-body hits per run in ``serve_repeat_hits``, and runs.
+STUB_HITS = 20_000
+STUB_RUNS = 3
 
 
 def _spawn_server() -> tuple[subprocess.Popen, str, int]:
@@ -255,6 +264,47 @@ def test_serve_fresh_misses_per_compute_path():
 
 
 
+class _StubTransport:
+    """The transport calls a connection makes on a hit, with no socket;
+    counts the 200 responses written."""
+
+    def __init__(self) -> None:
+        self.ok = 0
+
+    def write(self, data: bytes) -> None:
+        self.ok += data.startswith(b"HTTP/1.1 200 ")
+
+    def is_closing(self) -> bool:
+        return False
+
+
+async def _in_process_hit_us(problems: list, requests: list) -> tuple[list, dict]:
+    """CPU microseconds per known-body hit, one number per run of
+    ``STUB_HITS`` requests fed to one connection's ``data_received``,
+    and the broker's counters after them."""
+    broker = ScheduleBroker()
+    try:
+        for problem in problems:
+            await broker.submit(problem)
+        transport = _StubTransport()
+        conn = _Connection(ScheduleServer(broker))
+        conn.connection_made(transport)
+        # each request is a hit on its parse, which makes its body known
+        for raw in requests:
+            conn.data_received(raw)
+        timed = list(itertools.islice(itertools.cycle(requests), STUB_HITS))
+        runs = []
+        for _ in range(STUB_RUNS):
+            t0 = time.thread_time()
+            for raw in timed:
+                conn.data_received(raw)
+            runs.append((time.thread_time() - t0) / STUB_HITS * 1e6)
+        assert transport.ok == len(requests) + STUB_RUNS * STUB_HITS
+        return runs, broker.stats
+    finally:
+        await broker.close(drain=False)
+
+
 def test_serve_repeat_hits():
     problems = [FadingRLS(links=paper_topology(HIT_LINKS, seed=s)) for s in range(1, 1 + HIT_POOL)]
     bodies = [
@@ -263,7 +313,8 @@ def test_serve_repeat_hits():
     timed = bodies * HIT_PASSES
     proc, host, port = _spawn_server()
     try:
-        # one pass fills the cache, the next answers from known bodies
+        # one pass fills the cache; the next is answered from it on each
+        # body's parse, which makes the bodies known
         assert asyncio.run(_closed_loop(host, port, bodies * 2)) == [200] * (2 * HIT_POOL)
         before = asyncio.run(_broker_stats(host, port))
         cpu, switches = _process_counters(proc.pid)
@@ -282,6 +333,9 @@ def test_serve_repeat_hits():
     # every timed request was a hit on a known body
     assert after["cache"]["exact_hits"] - before["cache"]["exact_hits"] == len(timed)
     assert after["known_body"] - before["known_body"] == len(timed)
+    stub_runs, stub_stats = asyncio.run(_in_process_hit_us(problems, bodies))
+    assert stub_stats["known_body"] == STUB_RUNS * STUB_HITS
+    assert stub_stats["cache"]["exact_hits"] == len(bodies) + STUB_RUNS * STUB_HITS
     config = {
         "pool": HIT_POOL,
         "n_links": HIT_LINKS,
@@ -290,6 +344,9 @@ def test_serve_repeat_hits():
         "wall_ms_per_request": round(wall / len(timed) * 1e3, 4),
         "server_cpu_ms_per_request": round((cpu_after - cpu) / len(timed) * 1e3, 4),
         "voluntary_switches_per_request": round((switches_after - switches) / len(timed), 4),
+        "in_process_hits_per_run": STUB_HITS,
+        "in_process_us_per_hit": round(sorted(stub_runs)[len(stub_runs) // 2], 2),
+        "in_process_us_per_hit_runs": [round(us, 2) for us in stub_runs],
     }
     bench_export.record("serve_repeat_hits", wall, config)
     print("\nrepeat hits: " + ", ".join(f"{k}={v}" for k, v in config.items()))

@@ -321,7 +321,7 @@ def schedule_payload(
     return {
         "trace_id": trace_id,
         "algorithm": schedule.algorithm,
-        "active": [int(i) for i in schedule.active],
+        "active": schedule.active.tolist(),
         "n_links": int(n_links),
         "n_active": int(schedule.size),
         "tier": tier,

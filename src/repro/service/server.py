@@ -38,15 +38,21 @@ request order.  After an answer, a request already buffered behind it
 is framed on a later turn of the loop, so a client that pipelines
 cannot hold the loop for all its requests in a row.
 
-A ``POST /v1/schedule`` body byte-identical to one parsed before is not
-parsed again.  The server keeps the SHA-256 digest of each body it has
-parsed successfully, mapped to what the parse gave (the request's exact
-key, scheduler, tenant and link count), least recently used first and
-at most as many as the cache holds entries (none without a cache).  A
+A ``POST /v1/schedule`` body byte-identical to a known one is not
+parsed again.  A body becomes known when the cache answered its parse
+on the spot (tier ``"cache"``): the server then keeps the body's bytes,
+mapped to what the parse gave (the request's exact key, scheduler,
+tenant and link count).  Finding a body is one dict probe on its bytes,
+a hash and an exact compare, so a known hit computes no digest and two
+different bodies never share an entry; a body that never repeats never
+enters the map.  The map holds at most as many bodies as the cache
+holds entries (none without a cache) and at most
+:data:`KNOWN_BODY_BYTES` of them, least recently used out first.  A
 known body goes to the broker with its key, so the tenant's bucket,
 ``queue_limit``, coalescing, the cache probe and every counter run as
 for any request; the body is parsed again only when the request must
-be computed.
+be computed.  A body that names no scheduler is scheduled with the
+broker's default (``repro serve --scheduler``).
 
 Bodies are decoded and responses encoded with orjson, which parses a
 topology's floats several times faster than :mod:`json` and to the same
@@ -61,7 +67,6 @@ JSON.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import re
 import time
@@ -81,6 +86,7 @@ from typing import (
 import numpy as np
 import orjson
 
+from repro.core.problem import FadingRLS
 from repro.service import schemas
 from repro.service.broker import ScheduleBroker, ServiceError
 from repro.utils.validation import ValidationError, check_interval
@@ -117,6 +123,11 @@ MAX_HEAD_BYTES = 64 * 1024
 #: enforce themselves; a 300-link topology has about 600.  Any other
 #: body goes to :mod:`json`, whose RecursionError is a 400 ``bad-json``.
 ORJSON_MAX_OPENERS = 1024
+
+#: The known-body map holds at most this many bytes of bodies, on top of
+#: its bound of the cache's entry count; at least MAX_BODY_BYTES, so any
+#: body fits.  512 serve-repeat bodies of 300 links take 12 MiB.
+KNOWN_BODY_BYTES = 32 * 1024 * 1024
 
 #: On close, a connection still busy this many seconds after the
 #: listener stopped is aborted.
@@ -182,9 +193,11 @@ class ScheduleServer:
         self._closing = False
         # resolved by close() once both sets are empty
         self._drained: Optional[asyncio.Future] = None
-        # SHA-256 of a parsed /v1/schedule body -> what the parse gave,
-        # least recently used first (see the module docstring)
+        # a known /v1/schedule body -> what its parse gave, least
+        # recently used first, and the bytes of the bodies it holds
+        # (see the module docstring)
         self._known: "OrderedDict[bytes, _KnownBody]" = OrderedDict()
+        self._known_bytes = 0
         self._known_capacity = broker.cache_capacity
 
     # -- lifecycle ----------------------------------------------------
@@ -309,22 +322,19 @@ class ScheduleServer:
             ) from None
 
     def _schedule(self, body: bytes) -> _Answer:
-        digest = hashlib.sha256(body).digest() if self._known_capacity else None
-        known = self._known.get(digest)
-        if known is None:
-            problem, scheduler, tenant = schemas.parse_schedule_request(self._json(body))
+        # while nothing is known (no hit yet, or no cache) a body is not hashed
+        known = self._known.get(body) if self._known else None
+        parsed = known is None
+        if parsed:
+            problem, scheduler, tenant = self._parse(body)
             known = _KnownBody(
                 self.broker.request_key(problem, scheduler), scheduler, tenant, problem.n_links
             )
-            if digest is not None:
-                self._known[digest] = known
-                if len(self._known) > self._known_capacity:
-                    self._known.popitem(last=False)
         else:
-            self._known.move_to_end(digest)
+            self._known.move_to_end(body)
 
             def problem():
-                return schemas.parse_schedule_request(self._json(body))[0]
+                return self._parse(body)[0]
 
         try:
             answer = self.broker.admit(
@@ -332,9 +342,28 @@ class ScheduleServer:
             )
         except ValidationError as exc:  # e.g. rle's alpha > 2
             raise schemas.topology_error(exc) from None
-        if isinstance(answer, dict):
-            return _schedule_payload(answer, known.n_links)
-        return self._schedule_waited(answer, known.n_links)
+        if not isinstance(answer, dict):
+            return self._schedule_waited(answer, known.n_links)
+        if parsed and answer["tier"] == "cache":
+            self._remember(body, known)
+        return _schedule_payload(answer, known.n_links)
+
+    def _parse(self, body: bytes) -> Tuple[FadingRLS, str, str]:
+        """``(problem, scheduler, tenant)`` from a ``POST /v1/schedule``
+        body; one that names no scheduler gets the broker's default."""
+        payload = self._json(body)
+        if isinstance(payload, dict):
+            payload.setdefault("scheduler", self.broker.default_scheduler)
+        return schemas.parse_schedule_request(payload)
+
+    def _remember(self, body: bytes, known: _KnownBody) -> None:
+        """Make ``body`` known, dropping the least recently used bodies
+        past either bound of the map."""
+        self._known[body] = known
+        self._known_bytes += len(body)
+        while len(self._known) > self._known_capacity or self._known_bytes > KNOWN_BODY_BYTES:
+            dropped, _ = self._known.popitem(last=False)
+            self._known_bytes -= len(dropped)
 
     @staticmethod
     async def _schedule_waited(
@@ -357,6 +386,7 @@ class ScheduleServer:
                 code=schemas.CODE_BAD_SESSION_REQUEST,
             )
         if "topology" in payload:
+            payload.setdefault("scheduler", self.broker.default_scheduler)
             problem = schemas.parse_topology(payload["topology"])
             scheduler = schemas.parse_scheduler(payload)
             schemas.check_links(problem.n_links, scheduler)
@@ -622,7 +652,7 @@ def _session_payload(session_id: str, result: Dict[str, Any]) -> Tuple[int, Dict
         "session": session_id,
         "seq": result["seq"],
         "algorithm": schedule.algorithm,
-        "active": [int(i) for i in schedule.active],
+        "active": schedule.active.tolist(),
         "n_active": int(schedule.size),
         "mode": schedule.diagnostics.get("mode"),
     }

@@ -21,12 +21,15 @@ import asyncio
 import json
 import struct
 
+import numpy as np
 import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.fingerprint import exact_key
 from repro.core.base import list_schedulers
+from repro.core.schedule import Schedule
 from repro.service import schemas
 from repro.service.broker import WIRE_ERROR_CODES
 from repro.service.loadgen import build_topology_payload
@@ -263,3 +266,25 @@ def test_every_route_payload_encodes_alike(monkeypatch):
     assert codes == set(WIRE_ERROR_CODES)
     for payload in sent:
         assert json.loads(orjson.dumps(payload)) == json.loads(json.dumps(payload)), payload
+
+
+@pytest.mark.parametrize(
+    "active",
+    [[], [0], list(range(0, 30, 2)), [3, 2**31, 2**62]],
+    ids=["empty", "one", "fifteen", "past-int32"],
+)
+def test_active_encodes_as_the_listcomp_did(active):
+    """``active`` is built with ``ndarray.tolist()``; a response's bytes
+    are those of ``[int(i) for i in schedule.active]``."""
+    schedule = Schedule(active=np.array(active, dtype=np.int64), algorithm="rle")
+    listed = [int(i) for i in schedule.active]
+    payload = schemas.schedule_payload(
+        schedule, 40, trace_id="req-1", tier="cache", coalesced=False, wall_seconds=1e-4
+    )
+    assert orjson.dumps(payload) == orjson.dumps({**payload, "active": listed})
+    assert list(map(type, payload["active"])) == [int] * len(active)
+    schedule.diagnostics["mode"] = "incremental"
+    result = {"schedule": schedule, "trace_id": "ses-1", "seq": 3}
+    _, session = server_module._session_payload("s", result)
+    assert orjson.dumps(session) == orjson.dumps({**session, "active": listed})
+    assert list(map(type, session["active"])) == [int] * len(active)

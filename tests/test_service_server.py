@@ -417,8 +417,9 @@ def _identities(stats):
 
 
 class TestKnownBodies:
-    """A body byte-identical to one parsed before is answered through its
-    known key: no decode, schema or key hash, the same answer."""
+    """A body byte-identical to one the cache answered on its parse is
+    answered through its known key: no decode, schema, key hash or
+    digest, the same answer."""
 
     def test_repeat_gets_the_parse_paths_answer_without_a_parse(self, monkeypatch):
         raw = _body(_problem())
@@ -429,15 +430,15 @@ class TestKnownBodies:
 
         async def body(host, port, broker, server):
             answers = []
-            # a miss, then a hit on the parse path (trailing whitespace
-            # makes other bytes of the same request), then the repeat
-            for sent in (raw, raw + b" ", raw):
-                _, answer, rw = await _post(host, port, sent)
+            # a miss, then a hit on the parse path, which makes the body
+            # known, then the repeat
+            for _ in range(3):
+                _, answer, rw = await _post(host, port, raw)
                 rw[1].close()
                 answers.append(answer)
-            return answers, broker.stats
+            return answers, list(server._known), broker.stats
 
-        (first, parsed, repeat), stats = _serve(body)
+        (first, parsed, repeat), known, stats = _serve(body)
         assert (first["tier"], parsed["tier"], repeat["tier"]) == ("miss", "cache", "cache")
         volatile = ("trace_id", "wall_seconds")
         assert {k: v for k, v in repeat.items() if k not in volatile} == {
@@ -445,7 +446,51 @@ class TestKnownBodies:
         }
         assert repeat["active"] == first["active"]
         assert calls == ["_json", "parse_schedule_request", "exact_key"] * 2
+        assert known == [raw]
         assert stats["known_body"] == 1
+        _identities(stats)
+
+    def test_known_hit_computes_no_digest_and_no_parse(self, monkeypatch):
+        raw = _body(_problem(9, 2))
+        calls = []
+
+        async def body(host, port, broker, server):
+            for _ in range(2):  # a miss, then the hit that makes the body known
+                _, _, rw = await _post(host, port, raw)
+                rw[1].close()
+            _counting(monkeypatch, calls, ScheduleServer, "_json")
+            _counting(monkeypatch, calls, schemas, "parse_schedule_request")
+            _counting(monkeypatch, calls, broker_module, "exact_key")
+            for name in sorted(hashlib.algorithms_guaranteed) + ["new"]:
+                _counting(monkeypatch, calls, hashlib, name)
+            status, answer, rw = await _post(host, port, raw)
+            rw[1].close()
+            return status, answer, broker.stats
+
+        status, answer, stats = _serve(body)
+        assert (status, answer["tier"], stats["known_body"]) == (200, "cache", 1)
+        assert calls == []
+
+    def test_bodies_differing_in_their_last_byte_never_share_an_entry(self):
+        raw = _body(_problem(6, 5))
+        spaced, tabbed, broken = raw + b" ", raw + b"\t", raw + b"x"
+        assert len(spaced) == len(tabbed) == len(broken)
+
+        async def body(host, port, broker, server):
+            out = []
+            for sent in (raw, spaced, broken, tabbed, broken, spaced, tabbed):
+                status, answer, rw = await _post(host, port, sent)
+                rw[1].close()
+                out.append((status, answer.get("tier") or answer["error"]["code"]))
+            return out, list(server._known), broker.stats
+
+        out, known, stats = _serve(body)
+        assert out == [
+            (200, "miss"), (200, "cache"), (400, "bad-json"), (200, "cache"),
+            (400, "bad-json"), (200, "cache"), (200, "cache"),
+        ]
+        assert known == [spaced, tabbed]
+        assert stats["known_body"] == 2
         _identities(stats)
 
     def test_repeat_whose_entry_was_evicted_is_recomputed(self, monkeypatch):
@@ -456,21 +501,27 @@ class TestKnownBodies:
         _counting(monkeypatch, calls, schemas, "parse_schedule_request")
 
         async def body(host, port, broker, server):
-            _, first, rw = await _post(host, port, raw)
+            answers = []
+            for _ in range(2):  # a miss, then the hit that makes the body known
+                _, answer, rw = await _post(host, port, raw)
+                rw[1].close()
+                answers.append(answer)
             # Another request evicts the body's entry; the server still
             # knows the body.
             await broker.submit(_problem(9, 4))
-            _, again, rw = await _post(host, port, raw, reader_writer=rw)
-            rw[1].close()
-            return first, again, broker.stats
+            for _ in range(2):  # recomputed, then a hit again
+                _, answer, rw = await _post(host, port, raw)
+                rw[1].close()
+                answers.append(answer)
+            return answers, broker.stats
 
-        first, again, stats = _serve(body, cache=ScheduleCache(capacity=1))
-        assert first["tier"] == again["tier"] == "miss"
-        assert again["active"] == first["active"] == direct
-        assert again["n_links"] == 8
-        # parsed once on arrival, once more to be computed
-        assert calls == ["parse_schedule_request"] * 2
-        assert (stats["known_body"], stats["cache"]["evictions"]) == (1, 2)
+        answers, stats = _serve(body, cache=ScheduleCache(capacity=1))
+        assert [a["tier"] for a in answers] == ["miss", "cache", "miss", "cache"]
+        assert all(a["active"] == direct and a["n_links"] == 8 for a in answers)
+        # parsed on arrival, on the hit that made it known, and once
+        # more to be computed
+        assert calls == ["parse_schedule_request"] * 3
+        assert (stats["known_body"], stats["cache"]["evictions"]) == (2, 2)
         _identities(stats)
 
     @pytest.mark.parametrize("capacity, extra", [(1, 1), (3, 2)])
@@ -479,14 +530,64 @@ class TestKnownBodies:
 
         async def body(host, port, broker, server):
             for raw in bodies:
-                status, _, rw = await _post(host, port, raw)
-                rw[1].close()
-                assert status == 200
-            return list(server._known)
+                for _ in range(2):  # a miss, then the hit that makes it known
+                    status, _, rw = await _post(host, port, raw)
+                    rw[1].close()
+                    assert status == 200
+            return list(server._known), server._known_bytes
 
-        known = _serve(body, cache=ScheduleCache(capacity=capacity))
+        known, held = _serve(body, cache=ScheduleCache(capacity=capacity))
         # least recently used out first
-        assert known == [hashlib.sha256(raw).digest() for raw in bodies[extra:]]
+        assert known == bodies[extra:]
+        assert held == sum(map(len, bodies[extra:]))
+
+    def test_a_stream_of_misses_leaves_the_map_empty(self):
+        bodies = [_body(_problem(5, seed)) for seed in range(6)]
+
+        async def body(host, port, broker, server):
+            tiers = []
+            for raw in bodies:
+                _, answer, rw = await _post(host, port, raw)
+                rw[1].close()
+                tiers.append(answer["tier"])
+            return tiers, len(server._known), server._known_bytes, broker.stats
+
+        tiers, known, held, stats = _serve(body)
+        assert tiers == ["miss"] * len(bodies)
+        assert (known, held, stats["known_body"]) == (0, 0, 0)
+        _identities(stats)
+
+    @pytest.mark.parametrize("capacity, bound", [(3, None), (8, 2.5)])
+    def test_padded_variants_keep_the_map_within_both_bounds(
+        self, monkeypatch, capacity, bound
+    ):
+        """``bound`` is the map's byte bound in bodies (None: the module's)."""
+        raw = _body(_problem(7, 6))
+        variants = [raw + b" " * i for i in range(1, 21)]
+        limit = server_module.KNOWN_BODY_BYTES if bound is None else int(bound * len(raw))
+        monkeypatch.setattr(server_module, "KNOWN_BODY_BYTES", limit)
+
+        async def body(host, port, broker, server):
+            held = []
+            _, _, rw = await _post(host, port, raw)  # a miss: the entry is cached
+            for sent in variants:
+                status, answer, rw = await _post(host, port, sent, reader_writer=rw)
+                assert (status, answer["tier"]) == (200, "cache")
+                known = list(server._known)
+                assert server._known_bytes == sum(map(len, known))
+                held.append((len(known), server._known_bytes))
+            rw[1].close()
+            return known, held, broker.stats
+
+        known, held, stats = _serve(body, cache=ScheduleCache(capacity=capacity))
+        assert all(n <= capacity and size <= limit for n, size in held)
+        # the most recent variants that fit, least recently used out first
+        fits = 0
+        while fits < len(variants) and sum(map(len, variants[-fits - 1 :])) <= limit:
+            fits += 1
+        assert known == variants[-min(fits, capacity) :]
+        assert stats["cache"]["exact_hits"] == len(variants)
+        _identities(stats)
 
     def test_no_cache_keeps_no_bodies(self):
         raw = _body(_problem(5, 1))
@@ -505,11 +606,12 @@ class TestKnownBodies:
         _identities(stats)
 
     def test_identities_hold_on_every_path(self, monkeypatch):
-        started, release = threading.Event(), threading.Event()
+        started, gate = threading.Event(), threading.Event()
+        gate.set()
 
         def blocking(problem, **kwargs):
             started.set()
-            release.wait(60.0)
+            gate.wait(60.0)
             return get_scheduler("rle")(problem, **kwargs)
 
         monkeypatch.setitem(core_base._REGISTRY, "test-blocking", blocking)
@@ -526,44 +628,109 @@ class TestKnownBodies:
                 rw[1].close()
                 return status, answer.get("tier") or answer["error"]["code"]
 
-            out = [await post(a), await post(a + b" "), await post(a)]
-            leader = asyncio.ensure_future(post(b))
+            # a and b become known on their second post (b's miss ran on
+            # a worker thread); c's insert evicts b's entry (fewer hits
+            # than a's)
+            out = [await post(a), await post(a), await post(a)]
+            out += [await post(b), await post(b), await post(c)]
+            gate.clear()
+            started.clear()
+            leader = asyncio.ensure_future(post(b))  # a known body, computed again
             while not started.is_set():
                 await asyncio.sleep(0.005)
             follower = asyncio.ensure_future(post(b))  # a known body, coalesced
             while broker.stats["coalesced"] == 0:
                 await asyncio.sleep(0.005)
-            out.append(await post(c))  # queue_limit 1: b is in flight
-            release.set()
+            out.append(await post(e))  # queue_limit 1: b is in flight
+            gate.set()
             out += [await leader, await follower]
-            # c is known but was never computed; b's entry is evicted by
-            # c's insert (fewer hits than a's), so b is computed again.
-            out += [await post(c), await post(b)]
             out += [await post(b), await post(b + b" ")]  # tenant b spent
-            out += [await post(e), await post(e)]
+            out += [await post(e), await post(e)]  # never a hit, so never known
             _, statz, rw = await _request(host, port, "GET", "/v1/statz")
             rw[1].close()
-            return out, statz["broker"]
+            return out, list(server._known), statz["broker"]
 
-        out, stats = _serve(
+        out, known, stats = _serve(
             body,
             cache=ScheduleCache(capacity=2),
             queue_limit=1,
             tenant_rate=0.001,
-            tenant_burst=3.0,
+            tenant_burst=4.0,
         )
         assert out == [
             (200, "miss"), (200, "cache"), (200, "cache"),
+            (200, "miss"), (200, "cache"), (200, "miss"),
             (503, "queue-full"), (200, "miss"), (200, "miss"),
-            (200, "miss"), (200, "miss"),
             (429, "tenant-rate-exceeded"), (429, "tenant-rate-exceeded"),
             (400, "bad-topology"), (400, "bad-topology"),
         ]
         _identities(stats)
-        # a, the follower, c, b, b and e came from known bodies
-        assert stats["known_body"] == 6
-        assert (stats["scheduled"], stats["coalesced"], stats["errors"]) == (6, 1, 2)
+        assert known == [a, b]
+        # a's third post, the leader, the follower and b's 429 came from
+        # known bodies
+        assert stats["known_body"] == 4
+        assert (stats["scheduled"], stats["coalesced"], stats["errors"]) == (7, 1, 2)
         assert (stats["rejected_429"], stats["rejected_503"]) == (2, 1)
+        assert stats["batches"] == 2
+
+
+class TestDefaultScheduler:
+    """A request that names no scheduler is scheduled with the broker's
+    default (``repro serve --scheduler``) on both routes, known bodies
+    included."""
+
+    def test_schedule_request_without_a_scheduler_gets_the_default(self):
+        problem = _problem(10, 2)
+        raw = _body(problem)
+        direct = get_scheduler("ldp")(problem)
+
+        async def body(host, port, broker, server):
+            answers = []
+            # a miss, the hit that makes the body known, a known hit, and
+            # the same topology naming rle
+            for sent in (raw, raw, raw, _body(problem, scheduler="rle")):
+                status, answer, rw = await _post(host, port, sent)
+                rw[1].close()
+                assert status == 200, answer
+                answers.append(answer)
+            return answers, broker.stats
+
+        answers, stats = _serve(body, scheduler="ldp")
+        assert [(a["algorithm"], a["tier"]) for a in answers] == [
+            (direct.algorithm, "miss"), (direct.algorithm, "cache"),
+            (direct.algorithm, "cache"), ("rle", "miss"),
+        ]
+        assert direct.algorithm == "ldp"
+        assert all(a["active"] == direct.active.tolist() for a in answers[:3])
+        assert stats["known_body"] == 1
+
+    def test_session_open_without_a_scheduler_gets_the_default(self):
+        problem = _problem(10, 7)
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(
+                host, port, "POST", "/v1/sessions/s/delta",
+                {"topology": build_topology_payload(problem)},
+            )
+            rw[1].close()
+            return status, resp
+
+        status, resp = _serve(body, scheduler="ldp")
+        assert (status, resp["algorithm"], resp["seq"]) == (200, "incremental:ldp", 0)
+
+    @pytest.mark.parametrize("path", ["/v1/schedule", "/v1/sessions/s/delta"])
+    def test_the_defaults_link_cap_holds(self, path):
+        cap = schemas.SCHEDULER_MAX_LINKS["branch_and_bound"]
+        past = {"topology": build_topology_payload(_problem(cap + 1, 1))}
+
+        async def body(host, port, broker, server):
+            status, resp, rw = await _request(host, port, "POST", path, past)
+            rw[1].close()
+            return status, resp["error"]["code"], broker.stats
+
+        status, code, stats = _serve(body, scheduler="branch_and_bound")
+        assert (status, code) == (400, "too-many-links")
+        assert (stats["requests"], stats["sessions_opened"]) == (0, 0)
 
 
 class TestMissesOnTheEventLoop:
